@@ -15,7 +15,6 @@ import numpy as np
 
 from strato import (
     DensitySpec,
-    FlowBoundary,
     PatchSpec,
     SimParams,
     advect_boundary,
@@ -62,7 +61,7 @@ def main() -> int:
     series_t = result.omega.times
     d = result.diagnostics
 
-    area = FlowBoundary(0.0, curve.params, pts, tan).enclosed_area
+    area = curve.enclosed_area
     print("t      floor   envelope  area     quotient  adapted   logratio")
     prev = 0
     for t in checkpoints:

@@ -14,7 +14,6 @@ from .grid import (
     ScalarField,
     VelocityField,
     biot_savart,
-    calderon_zygmund_ratio,
     derivative,
     dx1_inv_laplacian,
     heat_propagate,
@@ -33,7 +32,6 @@ from .littlewood_paley import (
     time_besov_norm,
 )
 from .initdata import (
-    BoundaryCurve,
     DensitySpec,
     PatchSpec,
     boundary_curve,
@@ -55,7 +53,7 @@ from .solver import (
     step,
 )
 from .conormal import (
-    FlowBoundary,
+    BoundaryCurve,
     VectorFieldFamily,
     advect_boundary,
     advect_family,

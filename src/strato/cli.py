@@ -71,16 +71,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from . import fieldio
     from .harness import SweepConfig
     from .solver import SimParams, run
-    from .initdata import make_density, rasterize_patch
-    from .grid import ScalarField
 
     config = SweepConfig.from_json(args.config)
     mu = args.mu if args.mu is not None else config.mu_values[0]
-    omega0 = rasterize_patch(config.patch, config.grid)
-    if config.density is not None:
-        rho0 = make_density(config.density, config.grid)
-    else:
-        rho0 = ScalarField(config.grid, np.zeros((config.grid.n, config.grid.n)))
+    omega0, rho0 = config.initial_fields()
     params = SimParams(mu=mu, dt=config.dt, t_final=config.t_final, kappa=config.kappa)
     result = run(omega0, rho0, params, sample_times=list(config.sample_times))
     out = Path(args.out)
@@ -99,20 +93,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_besov(args: argparse.Namespace) -> int:
     from . import fieldio
-    from .littlewood_paley import BesovParams, DyadicPartition, besov_norm
+    from .littlewood_paley import BesovParams, DyadicPartition, besov_sum, block_norms
 
     f = fieldio.read_snapshot(args.snapshot)
     part = DyadicPartition(f.grid)
     params = BesovParams(s=args.s, p=args.p, r=args.r, homogeneous=args.homogeneous)
-    total = besov_norm(f, params, part)
+    norms = block_norms(f, params, part)
+    total = besov_sum(norms, params)
     print(f"grid n={f.grid.n} L={f.grid.half_length:g}, blocks q in "
-          f"[{min(part.qs(args.homogeneous))}, {part.q_max}]")
-    from .grid import lp_norm
-    from .littlewood_paley import block
-
-    for q in part.qs(args.homogeneous):
-        piece = block(f, q, part, homogeneous=args.homogeneous)
-        print(f"  q={q:+d}: 2^(qs)|block|_p = {2.0 ** (q * args.s) * lp_norm(piece, args.p):.6e}")
+          f"[{min(norms)}, {part.q_max}]")
+    for q, norm in norms.items():
+        print(f"  q={q:+d}: 2^(qs)|block|_p = {2.0 ** (q * args.s) * norm:.6e}")
     print(f"besov norm (s={args.s:g}, p={args.p:g}, r={args.r:g}): {total:.6e}")
     return 0
 
@@ -127,8 +118,7 @@ def _cmd_conormal(args: argparse.Namespace) -> int:
         log_estimate_ratio,
     )
     from .harness import SweepConfig
-    from .grid import ScalarField
-    from .initdata import boundary_curve, initial_vector_family, make_density, rasterize_patch
+    from .initdata import boundary_curve, initial_vector_family
     from .littlewood_paley import TimeSeries
     from .solver import SimParams, run
 
@@ -136,11 +126,7 @@ def _cmd_conormal(args: argparse.Namespace) -> int:
     mu = args.mu if args.mu is not None else config.mu_values[0]
     t_final = args.t if args.t is not None else config.t_final
     grid = config.grid
-    omega0 = rasterize_patch(config.patch, grid)
-    if config.density is not None:
-        rho0 = make_density(config.density, grid)
-    else:
-        rho0 = ScalarField(grid, np.zeros((grid.n, grid.n)))
+    omega0, rho0 = config.initial_fields()
     params = SimParams(mu=mu, dt=config.dt, t_final=t_final, kappa=config.kappa)
     checkpoints = np.linspace(0.0, t_final, args.samples)
     result = run(omega0, rho0, params, record_every_step=True, sample_times=checkpoints)

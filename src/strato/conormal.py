@@ -13,16 +13,19 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
+from typing import Any, Callable, Iterator
 
 import numpy as np
 import scipy.fft as _fft
 
-from .grid import GridSpec, ScalarField, VelocityField, lp_norm, velocity_gradient_sup
+from .grid import GridSpec, ScalarField, VelocityField, _eval_at, lp_norm, velocity_gradient_sup
 from .littlewood_paley import BesovParams, DyadicPartition, TimeSeries, besov_norm
 
 __all__ = [
     "VectorFieldFamily",
-    "FlowBoundary",
+    "BoundaryCurve",
     "VelocityInterpolant",
     "family_floor",
     "directional_derivative",
@@ -162,11 +165,9 @@ class VelocityInterpolant:
         return float(self.times[0]), float(self.times[-1])
 
 
-def _advect_stretch_rhs(
-    comps: list[np.ndarray], v1: np.ndarray, v2: np.ndarray, dv: tuple[np.ndarray, ...], grid: GridSpec
-) -> list[np.ndarray]:
+def _advect_stretch_rhs(comps: list[np.ndarray], vel: tuple, grid: GridSpec) -> list[np.ndarray]:
     """RHS of d/dt X = -(v . grad) X + (X . grad) v for stacked components."""
-    d1v1, d2v1, d1v2, d2v2 = dv
+    v1, v2, (d1v1, d2v1, d1v2, d2v2) = vel
     out = []
     for i in range(0, len(comps), 2):
         x1, x2 = comps[i], comps[i + 1]
@@ -195,9 +196,33 @@ def _velocity_and_gradient(interp: VelocityInterpolant, t: float) -> tuple[np.nd
     return v1, v2, (d1v1, d2v1, d1v2, d2v2)
 
 
-def _time_grid(t0: float, t1: float, dt: float) -> np.ndarray:
+def _rk4(
+    state: list[np.ndarray],
+    velocity: Callable[[float], Any],
+    rhs: Callable[[list[np.ndarray], Any], list[np.ndarray]],
+    interp: VelocityInterpolant,
+    dt: float | None,
+) -> Iterator[tuple[float, list[np.ndarray]]]:
+    """Classic RK4 across the trajectory's span; yields (t, state) after each step.
+
+    velocity(t) is called once per distinct stage time, and only one stage
+    velocity is held at a time.  dt defaults to the finest sample gap.
+    """
+    t0, t1 = interp.span
+    if dt is None:
+        dt = float(np.min(np.diff(interp.times)))
     nsteps = max(1, int(np.ceil((t1 - t0) / dt - 1.0e-12)))
-    return np.linspace(t0, t1, nsteps + 1)
+    times = np.linspace(t0, t1, nsteps + 1)
+    for a, b in zip(times[:-1], times[1:]):
+        h = b - a
+        k1 = rhs(state, velocity(a))
+        vel = velocity(0.5 * (a + b))
+        k2 = rhs([c + 0.5 * h * k for c, k in zip(state, k1)], vel)
+        k3 = rhs([c + 0.5 * h * k for c, k in zip(state, k2)], vel)
+        del vel
+        k4 = rhs([c + h * k for c, k in zip(state, k3)], velocity(b))
+        state = [c + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4) for c, a1, a2, a3, a4 in zip(state, k1, k2, k3, k4)]
+        yield float(b), state
 
 
 def advect_family(
@@ -212,26 +237,14 @@ def advect_family(
     t0, t1 = interp.span
     if t1 <= t0:
         return family
-    if dt is None:
-        dt = float(np.min(np.diff(interp.times)))
     g = family.grid
     if g != interp.grid:
         raise ValueError("family and trajectory grids differ")
-    comps: list[np.ndarray] = []
-    for m in family.members:
-        comps.append(m.u1.values.copy())
-        comps.append(m.u2.values.copy())
-    times = _time_grid(t0, t1, dt)
-    for a, b in zip(times[:-1], times[1:]):
-        h = b - a
-        va = _velocity_and_gradient(interp, a)
-        vm = _velocity_and_gradient(interp, 0.5 * (a + b))
-        vb = _velocity_and_gradient(interp, b)
-        k1 = _advect_stretch_rhs(comps, va[0], va[1], va[2], g)
-        k2 = _advect_stretch_rhs([c + 0.5 * h * k for c, k in zip(comps, k1)], vm[0], vm[1], vm[2], g)
-        k3 = _advect_stretch_rhs([c + 0.5 * h * k for c, k in zip(comps, k2)], vm[0], vm[1], vm[2], g)
-        k4 = _advect_stretch_rhs([c + h * k for c, k in zip(comps, k3)], vb[0], vb[1], vb[2], g)
-        comps = [c + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4) for c, a1, a2, a3, a4 in zip(comps, k1, k2, k3, k4)]
+    comps = [c.values for m in family.members for c in (m.u1, m.u2)]
+    velocity = partial(_velocity_and_gradient, interp)
+    rhs = partial(_advect_stretch_rhs, grid=g)
+    for _, comps in _rk4(comps, velocity, rhs, interp, dt):
+        pass
     members = []
     for i in range(0, len(comps), 2):
         members.append(VelocityField(ScalarField(g, comps[i]), ScalarField(g, comps[i + 1])))
@@ -244,43 +257,47 @@ def transport_scalar(f: ScalarField, omega_series: TimeSeries, dt: float | None 
     t0, t1 = interp.span
     if t1 <= t0:
         return f
-    if dt is None:
-        dt = float(np.min(np.diff(interp.times)))
     g = f.grid
 
-    def rhs(vals: np.ndarray, vel: tuple[np.ndarray, ...]) -> np.ndarray:
-        v1, v2, _ = vel
-        s = _fft.fft2(vals)
+    def rhs(state: list[np.ndarray], vel: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
+        v1, v2 = vel
+        s = _fft.fft2(state[0])
         d1 = _fft.ifft2(1j * g.k1 * s).real
         d2 = _fft.ifft2(1j * g.k2 * s).real
-        return _fft.ifft2(_fft.fft2(-(v1 * d1 + v2 * d2)) * g.dealias_mask).real
+        return [_fft.ifft2(_fft.fft2(-(v1 * d1 + v2 * d2)) * g.dealias_mask).real]
 
-    vals = f.values.copy()
-    times = _time_grid(t0, t1, dt)
-    for a, b in zip(times[:-1], times[1:]):
-        h = b - a
-        va = _velocity_and_gradient(interp, a)
-        vm = _velocity_and_gradient(interp, 0.5 * (a + b))
-        vb = _velocity_and_gradient(interp, b)
-        k1 = rhs(vals, va)
-        k2 = rhs(vals + 0.5 * h * k1, vm)
-        k3 = rhs(vals + 0.5 * h * k2, vm)
-        k4 = rhs(vals + h * k3, vb)
-        vals = vals + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return ScalarField(g, vals)
+    state = [f.values]
+    for _, state in _rk4(state, interp.velocity_values, rhs, interp, dt):
+        pass
+    return ScalarField(g, state[0])
 
 
 _SPACING_COLLAPSE = 4.0
 
 
 @dataclass(frozen=True, eq=False)
-class FlowBoundary:
-    """Boundary tracer state at one instant: positions and tangent vectors."""
+class BoundaryCurve:
+    """Closed boundary discretization at one instant: parameters, positions, tangents."""
 
-    time: float
     params: np.ndarray
     points: np.ndarray
     tangents: np.ndarray
+    time: float = 0.0
+
+    def __post_init__(self) -> None:
+        p = np.array(self.params, dtype=np.float64)
+        pts = np.array(self.points, dtype=np.float64)
+        tan = np.array(self.tangents, dtype=np.float64)
+        if pts.shape != (len(p), 2) or tan.shape != pts.shape:
+            raise ValueError("points and tangents must be (m, 2) arrays matching params")
+        if np.min(np.hypot(tan[:, 0], tan[:, 1])) <= 0.0:
+            raise ValueError("tangents must be nonvanishing")
+        for name, arr in (("params", p), ("points", pts), ("tangents", tan)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    def __len__(self) -> int:
+        return len(self.params)
 
     @property
     def enclosed_area(self) -> float:
@@ -289,24 +306,10 @@ class FlowBoundary:
 
     @property
     def spacing_ratio(self) -> float:
+        """Longest over shortest edge of the closed polygon."""
         seg = np.diff(np.vstack([self.points, self.points[:1]]), axis=0)
         lengths = np.hypot(seg[:, 0], seg[:, 1])
         return float(lengths.max() / lengths.min())
-
-
-def _eval_spectra_at(spectra: list[np.ndarray], grid: GridSpec, pts: np.ndarray) -> list[np.ndarray]:
-    """Evaluate several spectra at off-grid points, one shared phase basis."""
-    if len(pts) <= 512:
-        # the fft coefficients expand f in exp(i k . (x + L)): index 0 sits at
-        # the corner x = -L, so shift before forming the exponentials
-        k = (np.pi / grid.half_length) * _fft.fftfreq(grid.n, d=1.0 / grid.n)
-        e1 = np.exp(1j * np.outer(pts[:, 0] + grid.half_length, k))
-        e2 = np.exp(1j * np.outer(pts[:, 1] + grid.half_length, k))
-        return [((e1 @ s) * e2).sum(axis=1).real / grid.n**2 for s in spectra]
-    from scipy.ndimage import map_coordinates
-
-    coords = ((pts + grid.half_length) / grid.dx).T
-    return [map_coordinates(_fft.ifft2(s).real, coords, order=3, mode="grid-wrap") for s in spectra]
 
 
 def advect_boundary(
@@ -315,7 +318,7 @@ def advect_boundary(
     tangents: np.ndarray,
     omega_series: TimeSeries,
     dt: float | None = None,
-) -> FlowBoundary:
+) -> BoundaryCurve:
     """Push boundary tracers and their tangents through the flow.
 
     Positions follow dx/dt = v(x); tangents follow the Jacobian system
@@ -324,43 +327,25 @@ def advect_boundary(
     """
     interp = VelocityInterpolant(omega_series)
     t0, t1 = interp.span
-    if dt is None:
-        dt = float(np.min(np.diff(interp.times))) if len(interp.times) > 1 else (t1 - t0)
     g = interp.grid
 
-    def stage(t: float, pts: np.ndarray, tan: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def bundle(t: float) -> list[np.ndarray]:
         s1, s2 = interp.velocity_spectra(t)
-        bundle = [s1, s2, 1j * g.k1 * s1, 1j * g.k2 * s1, 1j * g.k1 * s2, 1j * g.k2 * s2]
-        v1, v2, d1v1, d2v1, d1v2, d2v2 = _eval_spectra_at(bundle, g, pts)
-        dpts = np.stack([v1, v2], axis=1)
-        dtan = np.stack(
-            [tan[:, 0] * d1v1 + tan[:, 1] * d2v1, tan[:, 0] * d1v2 + tan[:, 1] * d2v2], axis=1
-        )
-        return dpts, dtan
+        return [s1, s2, 1j * g.k1 * s1, 1j * g.k2 * s1, 1j * g.k1 * s2, 1j * g.k2 * s2]
 
-    pts = np.asarray(points, dtype=np.float64).copy()
-    tan = np.asarray(tangents, dtype=np.float64).copy()
+    def rhs(state: list[np.ndarray], spectra: list[np.ndarray]) -> list[np.ndarray]:
+        pts, tan = state
+        v1, v2, d1v1, d2v1, d1v2, d2v2 = _eval_at(spectra, g, pts)
+        dtan = np.stack([tan[:, 0] * d1v1 + tan[:, 1] * d2v1, tan[:, 0] * d1v2 + tan[:, 1] * d2v2], axis=1)
+        return [np.stack([v1, v2], axis=1), dtan]
 
-    def check_spacing(arr: np.ndarray, t: float) -> None:
-        seg = np.diff(np.vstack([arr, arr[:1]]), axis=0)
-        lengths = np.hypot(seg[:, 0], seg[:, 1])
-        ratio = lengths.max() / lengths.min()
-        if ratio > _SPACING_COLLAPSE:
-            raise ValueError(f"tracer spacing collapsed (ratio {ratio:.2f}) at t = {t:.6g}")
-
-    check_spacing(pts, t0)
-    if t1 > t0:
-        times = _time_grid(t0, t1, dt)
-        for a, b in zip(times[:-1], times[1:]):
-            h = b - a
-            p1, q1 = stage(a, pts, tan)
-            p2, q2 = stage(a + 0.5 * h, pts + 0.5 * h * p1, tan + 0.5 * h * q1)
-            p3, q3 = stage(a + 0.5 * h, pts + 0.5 * h * p2, tan + 0.5 * h * q2)
-            p4, q4 = stage(b, pts + h * p3, tan + h * q3)
-            pts = pts + h / 6.0 * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
-            tan = tan + h / 6.0 * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-            check_spacing(pts, b)
-    return FlowBoundary(time=t1, params=np.asarray(params, dtype=np.float64), points=pts, tangents=tan)
+    state = [np.asarray(points, dtype=np.float64), np.asarray(tangents, dtype=np.float64)]
+    steps = _rk4(state, bundle, rhs, interp, dt) if t1 > t0 else ()
+    for t, (pts, tan) in chain([(t0, state)], steps):
+        curve = BoundaryCurve(params, pts, tan, time=t)
+        if curve.spacing_ratio > _SPACING_COLLAPSE:
+            raise ValueError(f"tracer spacing collapsed (ratio {curve.spacing_ratio:.2f}) at t = {t:.6g}")
+    return curve
 
 
 def holder_quotient(params: np.ndarray, tangents: np.ndarray, epsilon: float, period: float = 2.0 * np.pi) -> float:

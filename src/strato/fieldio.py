@@ -6,8 +6,6 @@ Binary layout (little endian throughout):
     bytes 4..7   u32 points per side n
     bytes 8..15  f64 box half length
     remainder    n*n f64 field values, row major (axis-1 coordinate fastest)
-
-A CSV export is provided for small grids and spreadsheet inspection.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import numpy as np
 
 from .grid import GridSpec, ScalarField
 
-__all__ = ["write_snapshot", "read_snapshot", "write_csv"]
+__all__ = ["write_snapshot", "read_snapshot"]
 
 _MAGIC = b"SLF1"
 _HEADER = struct.Struct("<4sId")
@@ -46,14 +44,3 @@ def read_snapshot(path: str | Path) -> ScalarField:
     vals = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(n, n)
     return ScalarField(GridSpec(n, half_length), vals.copy())
 
-
-def write_csv(f: ScalarField, path: str | Path) -> None:
-    """Plain-text export: one ``x1,x2,value`` row per grid point."""
-    g = f.grid
-    x = g.nodes
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# n={g.n} half_length={g.half_length!r}\n")
-        fh.write("x1,x2,value\n")
-        for i in range(g.n):
-            for j in range(g.n):
-                fh.write(f"{float(x[i])!r},{float(x[j])!r},{float(f.values[i, j])!r}\n")

@@ -26,7 +26,6 @@ __all__ = [
     "dx1_inv_laplacian",
     "lp_norm",
     "heat_propagate",
-    "calderon_zygmund_ratio",
     "grad_tensor_magnitude",
     "velocity_gradient_sup",
     "sample_at",
@@ -251,21 +250,6 @@ def velocity_gradient_sup(omega: ScalarField) -> float:
     return lp_norm(grad_tensor_magnitude(biot_savart(omega)), np.inf)
 
 
-def calderon_zygmund_ratio(omega: ScalarField, p: float) -> float:
-    """Ratio |grad v|_Lp / |omega|_Lp for v recovered from the vorticity.
-
-    Finite p strictly between 1 and infinity only; the inequality this
-    monitors degenerates at the endpoints.
-    """
-    if np.isinf(p) or not p > 1.0:
-        raise ValueError(f"p must be finite with p > 1, got {p}")
-    denom = lp_norm(omega, p)
-    if denom == 0.0:
-        raise ValueError("vorticity is identically zero")
-    num = lp_norm(grad_tensor_magnitude(biot_savart(omega)), p)
-    return num / denom
-
-
 def sample_at(f: ScalarField, points: np.ndarray, spectral_cutoff: int = 512) -> np.ndarray:
     """Evaluate a field at off-grid points.
 
@@ -276,20 +260,26 @@ def sample_at(f: ScalarField, points: np.ndarray, spectral_cutoff: int = 512) ->
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[1] != 2:
         raise ValueError(f"points must have shape (m, 2), got {pts.shape}")
+    return _eval_at([f.spectrum], f.grid, pts, spectral_cutoff)[0]
+
+
+def _eval_at(
+    spectra: list[np.ndarray], grid: GridSpec, pts: np.ndarray, spectral_cutoff: int = 512
+) -> list[np.ndarray]:
+    """Evaluate several full spectra at the same off-grid points.
+
+    Direct spectral summation over one shared phase basis for at most
+    ``spectral_cutoff`` points; periodic bicubic interpolation of the
+    sampled fields beyond that.
+    """
     if len(pts) <= spectral_cutoff:
-        return _spectral_sum(f.spectrum, f.grid, pts)
+        # the fft coefficients expand f in exp(i k . (x + L)): index 0 sits at
+        # the corner x = -L, so shift before forming the exponentials
+        k = (np.pi / grid.half_length) * _fft.fftfreq(grid.n, d=1.0 / grid.n)
+        e1 = np.exp(1j * np.outer(pts[:, 0] + grid.half_length, k))
+        e2 = np.exp(1j * np.outer(pts[:, 1] + grid.half_length, k))
+        return [((e1 @ s) * e2).sum(axis=1).real / grid.n**2 for s in spectra]
     from scipy.ndimage import map_coordinates
 
-    g = f.grid
-    coords = (pts + g.half_length) / g.dx
-    return map_coordinates(f.values, coords.T, order=3, mode="grid-wrap")
-
-
-def _spectral_sum(spectrum: np.ndarray, grid: GridSpec, pts: np.ndarray) -> np.ndarray:
-    # the fft coefficients expand f in exp(i k . (x + L)): index 0 sits at
-    # the corner x = -L, so shift before forming the exponentials
-    k = (np.pi / grid.half_length) * _fft.fftfreq(grid.n, d=1.0 / grid.n)
-    e1 = np.exp(1j * np.outer(pts[:, 0] + grid.half_length, k))
-    e2 = np.exp(1j * np.outer(pts[:, 1] + grid.half_length, k))
-    acc = e1 @ spectrum
-    return (acc * e2).sum(axis=1).real / grid.n**2
+    coords = ((pts + grid.half_length) / grid.dx).T
+    return [map_coordinates(_fft.ifft2(s).real, coords, order=3, mode="grid-wrap") for s in spectra]

@@ -21,6 +21,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,10 @@ class SweepConfig:
             raise ValueError("mu ladder has repeated entries")
         if self.error_p < 1.0:
             raise ValueError("error_p must be a Lebesgue exponent >= 1")
+        # fail here, not inside a pool worker: SimParams checks dt, t_final and kappa
+        SimParams(mu=0.0, dt=self.dt, t_final=self.t_final, kappa=self.kappa)
+        if not self.sample_times or min(self.sample_times) < 0.0 or max(self.sample_times) > self.t_final + 1.0e-12:
+            raise ValueError("sample times must lie in [0, t_final]")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
@@ -147,6 +152,13 @@ class SweepConfig:
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
 
+    def initial_fields(self) -> tuple[ScalarField, ScalarField]:
+        """Rasterized patch vorticity and initial density (zero without a density spec)."""
+        omega0 = rasterize_patch(self.patch, self.grid)
+        if self.density is None:
+            return omega0, ScalarField(self.grid, np.zeros((self.grid.n, self.grid.n)))
+        return omega0, make_density(self.density, self.grid)
+
 
 @dataclass(frozen=True)
 class RateRow:
@@ -179,13 +191,8 @@ def velocity_distance(omega_a: ScalarField, omega_b: ScalarField, p: float = 2.0
     return lp_norm(v.magnitude, p, grid=diff.grid)
 
 
-def run_single(config: SweepConfig, mu: float):
+def run_single(config: SweepConfig, mu: float, omega0: ScalarField, rho0: ScalarField):
     """Integrate one rung of the ladder; returns plain arrays (picklable)."""
-    omega0 = rasterize_patch(config.patch, config.grid)
-    if config.density is not None:
-        rho0 = make_density(config.density, config.grid)
-    else:
-        rho0 = ScalarField(config.grid, np.zeros((config.grid.n, config.grid.n)))
     params = SimParams(
         mu=mu, dt=config.dt, t_final=config.t_final, kappa=config.kappa
     )
@@ -197,26 +204,23 @@ def run_single(config: SweepConfig, mu: float):
     return mu, np.asarray(result.omega.times), omegas, rhos
 
 
-def _worker(args):
-    return run_single(*args)
-
-
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Run the ladder plus the zero-diffusivity reference and tabulate rates.
 
-    The worker count comes from STRATO_WORKERS (default 1).  Tasks are
+    The initial fields are built once and shared by every rung.  The
+    worker count comes from STRATO_WORKERS (default 1).  Tasks are
     dispatched in ladder order and collected in that same order, so the
     emitted tables are identical however the work was scheduled.
     """
     ladder = tuple(sorted(config.mu_values))
     mus = (0.0,) + ladder
-    tasks = [(config, mu) for mu in mus]
+    omega0, rho0 = config.initial_fields()
     workers = int(os.environ.get("STRATO_WORKERS", "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_worker, tasks, chunksize=1))
+            outputs = list(pool.map(run_single, repeat(config), mus, repeat(omega0), repeat(rho0), chunksize=1))
     else:
-        outputs = [run_single(config, mu) for mu in mus]
+        outputs = [run_single(config, mu, omega0, rho0) for mu in mus]
 
     by_mu = {mu: (times, om, rh) for mu, times, om, rh in outputs}
     ref_times, ref_om, ref_rh = by_mu[0.0]
@@ -299,7 +303,6 @@ def emit_report(result: SweepResult, out_dir: str | Path | None = None) -> dict[
                 "config_sha256": result.config.digest(),
                 "mu_ladder": sorted(result.config.mu_values),
                 "rows": len(result.rows),
-                "workers": int(os.environ.get("STRATO_WORKERS", "1")),
             },
             fh,
             indent=2,

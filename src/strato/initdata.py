@@ -15,14 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft as _fft
 
-from .conormal import VectorFieldFamily
+from .conormal import BoundaryCurve, VectorFieldFamily, family_floor
 from .grid import GridSpec, ScalarField, VelocityField, heat_propagate
 from .littlewood_paley import smooth_ramp
 
 __all__ = [
     "PatchSpec",
     "DensitySpec",
-    "BoundaryCurve",
     "rasterize_patch",
     "bv_norm",
     "make_density",
@@ -249,41 +248,10 @@ def initial_vector_family(spec: PatchSpec, grid: GridSpec, epsilon: float = 0.5)
     member0 = VelocityField(ScalarField(grid, -g2.values), ScalarField(grid, g1.values))
     member1 = VelocityField(ScalarField(grid, 1.0 - chi.values), ScalarField(grid, np.zeros((grid.n, grid.n))))
     fam = VectorFieldFamily(members=(member0, member1), epsilon=epsilon, level_set=f0)
-    from .conormal import family_floor
-
     floor = family_floor(fam)
     if floor < 1.0e-3:
         raise ValueError(f"vector family is degenerate: pointwise floor {floor:.3g} < 1e-3")
     return fam
-
-
-@dataclass(frozen=True, eq=False)
-class BoundaryCurve:
-    """Closed boundary discretization: positions, tangents, parameters."""
-
-    params: np.ndarray
-    points: np.ndarray
-    tangents: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.params, dtype=np.float64)
-        pts = np.asarray(self.points, dtype=np.float64)
-        tan = np.asarray(self.tangents, dtype=np.float64)
-        if pts.shape != (len(p), 2) or tan.shape != pts.shape:
-            raise ValueError("points and tangents must be (m, 2) arrays matching params")
-        if np.min(np.hypot(tan[:, 0], tan[:, 1])) <= 0.0:
-            raise ValueError("tangents must be nonvanishing")
-        for name, arr in (("params", p), ("points", pts), ("tangents", tan)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def __len__(self) -> int:
-        return len(self.params)
-
-    @property
-    def enclosed_area(self) -> float:
-        x, y = self.points[:, 0], self.points[:, 1]
-        return 0.5 * float(np.abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
 def boundary_curve(spec: PatchSpec, m: int = 256) -> BoundaryCurve:

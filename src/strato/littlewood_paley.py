@@ -29,6 +29,8 @@ __all__ = [
     "BesovParams",
     "TimeSeries",
     "block",
+    "block_norms",
+    "besov_sum",
     "besov_norm",
     "holder_norm",
     "bernstein_ratio",
@@ -144,6 +146,18 @@ def _block_weight(q: int, s: float, homogeneous: bool) -> float:
     return 2.0 ** (q * s)
 
 
+def block_norms(f: ScalarField, params: BesovParams, partition: DyadicPartition | None = None) -> dict[int, float]:
+    """Unweighted |block_q f|_Lp for every q on the ladder of params, in ladder order."""
+    part = partition if partition is not None else DyadicPartition(f.grid)
+    qs = part.qs(params.homogeneous)
+    return {q: lp_norm(block(f, q, part, homogeneous=params.homogeneous), params.p) for q in qs}
+
+
+def besov_sum(norms: dict[int, float], params: BesovParams) -> float:
+    """l^r sum of the block norms from ``block_norms``, each with its Besov weight."""
+    return _lr(np.array([_block_weight(q, params.s, params.homogeneous) * n for q, n in norms.items()]), params.r)
+
+
 def besov_norm(f: ScalarField, params: BesovParams, partition: DyadicPartition | None = None) -> float:
     """Weighted summary 2^(qs) |block_q f|_Lp over the dyadic ladder, in l^r.
 
@@ -151,12 +165,7 @@ def besov_norm(f: ScalarField, params: BesovParams, partition: DyadicPartition |
     ladder down to q_low; the inhomogeneous low-pass block enters with
     unit weight.
     """
-    part = partition if partition is not None else DyadicPartition(f.grid)
-    terms = []
-    for q in part.qs(params.homogeneous):
-        b = block(f, q, part, homogeneous=params.homogeneous)
-        terms.append(_block_weight(q, params.s, params.homogeneous) * lp_norm(b, params.p))
-    return _lr(np.array(terms), params.r)
+    return besov_sum(block_norms(f, params, partition), params)
 
 
 def holder_norm(f: ScalarField, s: float, partition: DyadicPartition | None = None) -> float:
@@ -283,10 +292,7 @@ def time_besov_norm(
         raise ValueError(f"beta must be >= 1 or inf, got {beta}")
     part = partition if partition is not None else DyadicPartition(series.grid)
     qs = list(part.qs(params.homogeneous))
-    per_block = np.empty((len(qs), len(series)))
-    for j, f in enumerate(series.fields):
-        for i, q in enumerate(qs):
-            per_block[i, j] = lp_norm(block(f, q, part, homogeneous=params.homogeneous), params.p)
+    per_block = np.array([list(block_norms(f, params, part).values()) for f in series.fields]).T
     weights = np.array([_block_weight(q, params.s, params.homogeneous) for q in qs])
     tilde_terms = np.array([_time_lbeta(per_block[i], series.times, beta) for i in range(len(qs))])
     tilde = _lr(weights * tilde_terms, params.r)

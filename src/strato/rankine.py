@@ -35,8 +35,6 @@ __all__ = [
     "velocity_lp_error",
     "mass_defect",
     "similarity_deficit",
-    "annulus_deficit_floor",
-    "RadialProfile",
     "RateSeries",
     "FitResult",
     "fit_exponent",
@@ -245,37 +243,6 @@ def similarity_deficit(tau: float, radius: float | np.ndarray) -> float | np.nda
         raise ValueError("similarity radius must lie in [0, 1/sqrt(tau)]")
     out = patch_deficit(tau, np.minimum(np.atleast_1d(x) * math.sqrt(tau), 1.0))
     return float(out[0]) if np.isscalar(radius) or x.ndim == 0 else out.reshape(x.shape)
-
-
-def annulus_deficit_floor(tau: float, samples: int = 129) -> float:
-    """Minimum similarity deficit over the unit-width annulus at the rim."""
-    hi = 1.0 / math.sqrt(tau)
-    xs = np.linspace(max(0.0, hi - 1.0), hi, samples)
-    return float(np.min(similarity_deficit(tau, xs)))
-
-
-@dataclass(frozen=True, eq=False)
-class RadialProfile:
-    """Sampled radial vorticity profile at one scaled time."""
-
-    tau: float
-    r_samples: np.ndarray
-    values: np.ndarray
-
-    @classmethod
-    def build(cls, tau: float, points: int = 1025) -> "RadialProfile":
-        _check_tau(tau)
-        inner, outer = _layer_bounds(tau)
-        # cluster around the rim, keep a coarse tail down to the origin
-        core = np.linspace(inner, outer, points)
-        head = np.linspace(0.0, inner, max(2, points // 8), endpoint=False) if inner > 0.0 else np.empty(0)
-        rs = np.concatenate([head, core])
-        return cls(tau=tau, r_samples=rs, values=np.asarray(exact_vorticity(tau, rs)))
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        """Linear interpolation of the samples; quadrature-grade work should
-        call exact_vorticity directly."""
-        return np.interp(r, self.r_samples, self.values, right=0.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,7 +30,7 @@ from strato.initdata import (
 )
 from strato.solver import SimParams, run
 from strato.conormal import (
-    FlowBoundary,
+    BoundaryCurve,
     VectorFieldFamily,
     VelocityInterpolant,
     advect_boundary,
@@ -378,21 +378,21 @@ class TestBoundaryAdvection:
     def test_shear_preserves_polygon_area(self, pi_grid):
         th, pts, tan = circle_tracers(256)
         out = advect_boundary(th, pts, tan, shear_series(pi_grid), dt=0.01)
-        ref = FlowBoundary(time=0.0, params=th, points=pts, tangents=tan)
+        ref = BoundaryCurve(th, pts, tan)
         assert abs(out.enclosed_area - ref.enclosed_area) <= 1e-10 * ref.enclosed_area
 
     def test_spacing_ratio_matches_closed_form(self, pi_grid):
         th, pts, tan = circle_tracers(256)
         out = advect_boundary(th, pts, tan, shear_series(pi_grid), dt=0.01)
         want_p = np.stack([np.cos(th) + 0.5 * np.cos(np.sin(th)), np.sin(th)], axis=1)
-        ref = FlowBoundary(time=0.5, params=th, points=want_p, tangents=tan)
+        ref = BoundaryCurve(th, want_p, tan, time=0.5)
         assert abs(out.spacing_ratio - ref.spacing_ratio) <= 1e-6
         assert out.spacing_ratio < 4.0
 
     def test_uniform_circle_properties(self):
         m = 128
         th, pts, tan = circle_tracers(m)
-        fb = FlowBoundary(time=0.0, params=th, points=pts, tangents=tan)
+        fb = BoundaryCurve(th, pts, tan)
         assert abs(fb.enclosed_area - 0.5 * m * np.sin(2.0 * np.pi / m)) <= 1e-13 * np.pi
         assert abs(fb.spacing_ratio - 1.0) <= 1e-12
 

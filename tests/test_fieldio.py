@@ -5,8 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from strato.fieldio import read_snapshot, write_csv, write_snapshot
-from strato.grid import GridSpec, ScalarField
+from strato.fieldio import read_snapshot, write_snapshot
+from strato.grid import GridSpec
 from conftest import random_field
 
 
@@ -76,24 +76,3 @@ def test_payload_nan_rejected(tmp_path, grid64):
     with pytest.raises(ValueError):
         read_snapshot(p)
 
-
-def test_csv_export(tmp_path):
-    grid = GridSpec(n=16, half_length=1.0)
-    f = ScalarField.from_function(grid, lambda x1, x2: x1 + 2 * x2)
-    p = tmp_path / "f.csv"
-    write_csv(f, p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "# n=16 half_length=1.0"
-    assert lines[1] == "x1,x2,value"
-    assert len(lines) == 2 + 16 * 16
-    x1, x2, val = (float(tok) for tok in lines[2].split(","))
-    assert val == x1 + 2 * x2 == f.values[0, 0]
-
-
-def test_csv_values_parse_exactly(tmp_path, grid64):
-    f = random_field(grid64, 106)
-    p = tmp_path / "f.csv"
-    write_csv(f, p)
-    lines = p.read_text().splitlines()[2:]
-    vals = np.array([float(line.split(",")[2]) for line in lines]).reshape(64, 64)
-    assert np.array_equal(vals, f.values)

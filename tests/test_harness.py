@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from strato.harness import (
     run_sweep,
     velocity_distance,
 )
-from strato.initdata import DensitySpec, PatchSpec
+from strato.initdata import DensitySpec, PatchSpec, make_density, rasterize_patch
 from conftest import random_field
 
 
@@ -93,6 +94,49 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="error_p"):
             SweepConfig.from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "key, bad, match",
+        [
+            ("dt", 0.0, "dt and t_final"),
+            ("dt", -0.05, "dt and t_final"),
+            ("t_final", 0.0, "dt and t_final"),
+            ("t_final", -1.0, "dt and t_final"),
+            ("kappa", -0.1, "diffusivities"),
+        ],
+    )
+    def test_params_validated_at_construction(self, key, bad, match):
+        raw = tiny_config_dict()
+        raw["params"][key] = bad
+        with pytest.raises(ValueError, match=match):
+            SweepConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("times", [[-0.1, 0.2], [0.1, 0.3], [0.2 + 1.0e-9]])
+    def test_sample_times_outside_horizon_rejected(self, times):
+        raw = tiny_config_dict()
+        raw["sweep"]["sample_times"] = times
+        with pytest.raises(ValueError, match="sample times"):
+            SweepConfig.from_dict(raw)
+
+    def test_sample_times_share_run_slack(self):
+        raw = tiny_config_dict()
+        raw["sweep"]["sample_times"] = [0.0, 0.2 + 1.0e-13]
+        assert SweepConfig.from_dict(raw).sample_times == (0.0, 0.2 + 1.0e-13)
+
+    def test_empty_sample_times_rejected(self):
+        cfg = SweepConfig.from_dict(tiny_config_dict())
+        with pytest.raises(ValueError, match="sample times"):
+            replace(cfg, sample_times=())
+
+    def test_initial_fields(self):
+        cfg = SweepConfig.from_dict(tiny_config_dict())
+        omega0, rho0 = cfg.initial_fields()
+        assert omega0.values.max() == 1.0 and omega0.values.min() == 0.0
+        assert np.array_equal(rho0.values, make_density(cfg.density, cfg.grid).values)
+        raw = tiny_config_dict()
+        raw["density"] = None
+        _, rho0 = SweepConfig.from_dict(raw).initial_fields()
+        assert not rho0.values.any()
+
 
 class TestDistances:
     def test_field_distance_constants(self, grid64):
@@ -126,11 +170,27 @@ class TestDistances:
 class TestRunSweep:
     def test_single_rung_output_shape(self):
         cfg = SweepConfig.from_dict(tiny_config_dict())
-        mu, times, omegas, rhos = run_single(cfg, 0.0)
+        mu, times, omegas, rhos = run_single(cfg, 0.0, *cfg.initial_fields())
         assert mu == 0.0
         assert np.allclose(times, [0.1, 0.2])
         assert len(omegas) == len(rhos) == 2
         assert omegas[0].shape == (64, 64)
+
+    def test_patch_rasterized_once_per_sweep(self, tmp_path, monkeypatch):
+        import strato.harness as harness
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return rasterize_patch(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "rasterize_patch", counting)
+        monkeypatch.setenv("STRATO_WORKERS", "1")
+        raw = tiny_config_dict(out_dir=tmp_path)
+        raw["sweep"]["sample_times"] = [0.2]
+        run_sweep(SweepConfig.from_dict(raw))
+        assert len(calls) == 1
 
     def test_rows_sorted_and_consistent(self, tiny_sweep):
         cfg, result = tiny_sweep
@@ -232,6 +292,7 @@ class TestDeterminism:
         pooled = emit_report(run_sweep(cfg), tmp_path / "pooled")
         assert serial["rates"].read_bytes() == pooled["rates"].read_bytes()
         assert serial["slopes"].read_bytes() == pooled["slopes"].read_bytes()
+        assert serial["manifest"].read_bytes() == pooled["manifest"].read_bytes()
 
 
 class TestCli:

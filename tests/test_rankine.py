@@ -14,9 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from strato.rankine import (
     FitResult,
-    RadialProfile,
     RateSeries,
-    annulus_deficit_floor,
     exact_vorticity,
     fit_exponent,
     mass_defect,
@@ -140,37 +138,27 @@ class TestSimilarityWindow:
         with pytest.raises(ValueError):
             similarity_deficit(1e-2, -0.5)
 
+    @staticmethod
+    def annulus_floor(tau):
+        """Minimum deficit over the unit-width annulus at the rim, 129 samples."""
+        hi = 1.0 / math.sqrt(tau)
+        return float(np.min(similarity_deficit(tau, np.linspace(max(0.0, hi - 1.0), hi, 129))))
+
     def test_annulus_floor_frozen(self):
-        assert annulus_deficit_floor(1e-2) == pytest.approx(0.2635855854926769, rel=1e-10)
+        assert self.annulus_floor(1e-2) == pytest.approx(0.2635855854926769, rel=1e-10)
 
     def test_annulus_floor_uniform(self):
         # the rim discrepancy never washes out as the diffusion time
         # drops; the limit of the scan is erfc(1/2)/2 ~ 0.2398, so 0.24
         # bounds the whole ladder
         for tau in (1e-3, 1e-2, 1e-1):
-            assert annulus_deficit_floor(tau) >= 0.24
+            assert self.annulus_floor(tau) >= 0.24
 
     def test_truncation_radius_grows(self):
         taus = (1e-4, 1e-2, 1.0)
         rads = [truncation_radius(t) for t in taus]
         assert rads == sorted(rads)
         assert rads[0] > 3.0
-
-
-class TestRadialProfile:
-    def test_interpolates_profile(self):
-        prof = RadialProfile.build(1e-2)
-        rs = np.array([0.3, 0.95, 1.0, 1.05, 1.8])
-        want = np.asarray(exact_vorticity(1e-2, rs))
-        assert np.abs(prof(rs) - want).max() < 1e-5
-
-    def test_zero_beyond_truncation(self):
-        prof = RadialProfile.build(1e-2)
-        assert prof(np.array([truncation_radius(1e-2) + 1.0]))[0] == 0.0
-
-    def test_build_validation(self):
-        with pytest.raises(ValueError):
-            RadialProfile.build(-0.5)
 
 
 class TestRateFits:
