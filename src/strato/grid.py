@@ -1,10 +1,12 @@
 """Doubly periodic grid and the spectral operator toolbox.
 
 Fields live on the square [-L, L)^2 sampled on an n x n uniform mesh with
-n a power of two.  Wavenumbers are integer multiples of pi/L.  All linear
-operators (derivatives, Biot-Savart, inverse Laplacian, heat propagator)
-act as Fourier multipliers on the full complex spectrum; the zero mode of
-any inverse-Laplacian style operator is gauged to zero.
+n a power of two.  Wavenumbers are integer multiples of pi/L.  The public
+linear operators (derivatives, Biot-Savart, inverse Laplacian, heat
+propagator) act as Fourier multipliers on the full complex spectrum; the
+zero mode of any inverse-Laplacian style operator is gauged to zero.  The
+solver march and the sweep's velocity distance run instead on real half
+spectra (``rfft2`` / ``irfft2``) through one per-grid multiplier kernel.
 """
 
 from __future__ import annotations
@@ -113,14 +115,51 @@ class GridSpec:
     def nyquist(self) -> float:
         return np.pi / self.half_length * (self.n // 2)
 
+    @cached_property
+    def _kernel(self) -> _HalfKernel:
+        return _HalfKernel(self)
+
+
+class _HalfKernel:
+    """Fourier multipliers of one grid on the real half spectrum.
+
+    Arrays broadcast against ``rfft2`` output of shape (n, n/2 + 1):
+    ``ik1`` and ``ik2`` differentiate (their unpaired Nyquist entries are
+    zero, which is what ``ifft2(...).real`` does to an odd multiplier on
+    the full spectrum), ``ksq`` is |k|^2, ``v1`` and ``v2`` map vorticity
+    to Biot-Savart velocity (zero mode gauged to 0) and ``keep`` is the
+    2/3 dealiasing mask.
+    """
+
+    def __init__(self, grid: GridSpec):
+        n = grid.n
+        m1 = _fft.fftfreq(n, d=1.0 / n)[:, None]
+        m2 = _fft.rfftfreq(n, d=1.0 / n)[None, :]
+        k1 = (np.pi / grid.half_length) * m1
+        k2 = (np.pi / grid.half_length) * m2
+        self.shape = (n, n)
+        self.ksq = k1**2 + k2**2
+        self.ik1 = 1j * np.where(np.abs(m1) == n // 2, 0.0, k1)
+        self.ik2 = 1j * np.where(m2 == n // 2, 0.0, k2)
+        inv_ksq = np.zeros_like(self.ksq)
+        np.divide(1.0, self.ksq, out=inv_ksq, where=self.ksq != 0.0)
+        self.v1 = self.ik2 * inv_ksq
+        self.v2 = -self.ik1 * inv_ksq
+        self.keep = (np.abs(m1) <= n // 3) & (m2 <= n // 3)
+
+    def real(self, half: np.ndarray) -> np.ndarray:
+        """Grid values of a half spectrum."""
+        return _fft.irfft2(half, s=self.shape)
+
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
     """Real scalar field on a :class:`GridSpec`; values are immutable.
 
-    The full complex spectrum (scipy.fft.fft2 convention) is computed on
-    first access and cached.  Construct via ``from_values``,
-    ``from_function`` or ``from_spectrum``.
+    The full complex spectrum (scipy.fft.fft2 convention) and the real
+    half spectrum (scipy.fft.rfft2) are each computed on first access and
+    cached.  Construct via ``from_values``, ``from_function``,
+    ``from_spectrum`` or ``from_half_spectrum``.
     """
 
     grid: GridSpec
@@ -152,9 +191,19 @@ class ScalarField:
         f.__dict__["spectrum"] = np.asarray(spectrum, dtype=np.complex128)
         return f
 
+    @classmethod
+    def from_half_spectrum(cls, grid: GridSpec, half: np.ndarray) -> "ScalarField":
+        f = cls(grid, grid._kernel.real(half))
+        f.__dict__["half_spectrum"] = half
+        return f
+
     @cached_property
     def spectrum(self) -> np.ndarray:
         return _fft.fft2(self.values)
+
+    @cached_property
+    def half_spectrum(self) -> np.ndarray:
+        return _fft.rfft2(self.values)
 
     @property
     def mean(self) -> float:

@@ -25,9 +25,10 @@ from itertools import repeat
 from pathlib import Path
 
 import numpy as np
+import scipy.fft as _fft
 
 from . import fieldio
-from .grid import GridSpec, ScalarField, biot_savart, lp_norm
+from .grid import GridSpec, ScalarField, lp_norm
 from .initdata import DensitySpec, PatchSpec, make_density, rasterize_patch
 from .solver import SimParams, run
 
@@ -186,9 +187,11 @@ def field_distance(a: ScalarField, b: ScalarField, p: float = 2.0) -> float:
 
 def velocity_distance(omega_a: ScalarField, omega_b: ScalarField, p: float = 2.0) -> float:
     """Lp size of the velocity gap induced by two vorticity fields."""
-    diff = ScalarField(omega_a.grid, omega_a.values - omega_b.values)
-    v = biot_savart(diff)
-    return lp_norm(v.magnitude, p, grid=diff.grid)
+    g = omega_a.grid
+    kern = g._kernel
+    diff = _fft.rfft2(omega_a.values - omega_b.values)
+    v1, v2 = kern.real(kern.v1 * diff), kern.real(kern.v2 * diff)
+    return lp_norm(np.hypot(v1, v2), p, grid=g)
 
 
 def run_single(config: SweepConfig, mu: float, omega0: ScalarField, rho0: ScalarField):

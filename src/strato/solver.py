@@ -9,8 +9,10 @@ Diffusion is integrated exactly through integrating factors; advection
 and the buoyancy source are treated explicitly inside a classic RK4
 cycle.  All quadratic products use the 2/3 dealiasing rule, which makes
 the truncated advection exactly energy- and mean-preserving in space.
-An adaptive guard halves any step whose advective CFL number would
-exceed the configured cap.
+The march runs on real half spectra (``rfft2`` / ``irfft2``) with the
+multipliers of the grid's kernel, built once per grid.  An adaptive
+guard halves any step whose advective CFL number would exceed the
+configured cap; the velocity it checks is reused by the first stage.
 
 The module also carries the damped combination (1 - mu) w - u, with u
 the zero-order singular integral of rho, whose evolution equation has a
@@ -44,11 +46,22 @@ __all__ = [
 
 
 class SolverBlowupError(RuntimeError):
-    """Raised when the state stops being finite; carries the failure time."""
+    """Raised when the march cannot go on.
 
-    def __init__(self, time: float):
-        super().__init__(f"state became non-finite at t={time:.6g}")
+    Carries the failure time, the CFL halving depth of the failing step
+    and ``field``: which of "omega", "rho" or "both" went non-finite, or
+    None when a finite state still broke the CFL cap after 24 halvings.
+    """
+
+    def __init__(self, time: float, depth: int, field: str | None):
+        if field is None:
+            what = "velocity still broke the CFL cap"
+        else:
+            what = f"{field} became non-finite"
+        super().__init__(f"{what} at t={time:.6g}, halving depth {depth}")
         self.time = time
+        self.depth = depth
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -131,56 +144,48 @@ class RunResult:
 
 
 class _Engine:
-    """Spectral work arrays and stage evaluation for one grid."""
+    """Stage evaluation for one grid on masked real half spectra."""
 
     def __init__(self, grid: GridSpec, params: SimParams):
         self.grid = grid
         self.params = params
-        self.mask = grid.dealias_mask
-        self._exp_cache: dict[tuple[float, float], np.ndarray] = {}
+        self.kern = grid._kernel
+        # integrating factors of the current step size only, so the cache
+        # stays one entry however many remainder or halved steps a run takes
+        self._exp_cache: dict[float, tuple[np.ndarray, ...]] = {}
 
-    def decay(self, nu: float, h: float) -> np.ndarray:
-        key = (nu, h)
-        got = self._exp_cache.get(key)
+    def decay(self, h: float) -> tuple[np.ndarray, ...]:
+        """exp(-nu s |k|^2) for (nu, s) = (mu, h), (mu, h/2), (kappa, h), (kappa, h/2)."""
+        got = self._exp_cache.get(h)
         if got is None:
-            got = np.exp(-nu * h * self.grid.ksq) if nu * h != 0.0 else np.ones_like(self.grid.ksq)
-            self._exp_cache[key] = got
+            p, ksq = self.params, self.kern.ksq
+            got = tuple(np.exp(-nu * s * ksq) for nu in (p.mu, p.kappa) for s in (h, h / 2.0))
+            self._exp_cache.clear()
+            self._exp_cache[h] = got
         return got
 
-    def velocity_spectra(self, what: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g = self.grid
-        psi = what * g.inv_ksq
-        return 1j * g.k2 * psi, -1j * g.k1 * psi
-
-    def vmax(self, what: np.ndarray) -> float:
+    def velocity(self, what: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         if self.params.frozen_velocity:
-            return 0.0
-        s1, s2 = self.velocity_spectra(what)
-        v1 = _fft.ifft2(s1).real
-        v2 = _fft.ifft2(s2).real
-        return float(np.max(np.hypot(v1, v2)))
+            return None
+        return self.kern.real(self.kern.v1 * what), self.kern.real(self.kern.v2 * what)
 
-    def nonlinear(self, what: np.ndarray, rhat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g = self.grid
-        buoy = 1j * g.k1 * rhat
+    def nonlinear(self, what: np.ndarray, rhat: np.ndarray, vel=None) -> tuple[np.ndarray, np.ndarray]:
+        """Right-hand side of the transport; vel, if given, is velocity(what)."""
+        kern = self.kern
+        buoy = kern.ik1 * rhat
         if self.params.frozen_velocity:
             return buoy, np.zeros_like(rhat)
-        s1, s2 = self.velocity_spectra(what)
-        v1 = _fft.ifft2(s1).real
-        v2 = _fft.ifft2(s2).real
-        d1w = _fft.ifft2(1j * g.k1 * what).real
-        d2w = _fft.ifft2(1j * g.k2 * what).real
-        d1r = _fft.ifft2(1j * g.k1 * rhat).real
-        d2r = _fft.ifft2(1j * g.k2 * rhat).real
-        adv_w = _fft.fft2(v1 * d1w + v2 * d2w) * self.mask
-        adv_r = _fft.fft2(v1 * d1r + v2 * d2r) * self.mask
-        return buoy - adv_w, -adv_r
+        v1, v2 = vel if vel is not None else self.velocity(what)
+        adv_w = kern.real(kern.ik1 * what) * v1
+        adv_w += kern.real(kern.ik2 * what) * v2
+        adv_r = kern.real(kern.ik1 * rhat) * v1
+        adv_r += kern.real(kern.ik2 * rhat) * v2
+        buoy -= _fft.rfft2(adv_w) * kern.keep
+        return buoy, -(_fft.rfft2(adv_r) * kern.keep)
 
-    def rk4(self, what: np.ndarray, rhat: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-        p = self.params
-        ew, ew2 = self.decay(p.mu, h), self.decay(p.mu, h / 2.0)
-        er, er2 = self.decay(p.kappa, h), self.decay(p.kappa, h / 2.0)
-        k1w, k1r = self.nonlinear(what, rhat)
+    def rk4(self, what: np.ndarray, rhat: np.ndarray, h: float, vel=None) -> tuple[np.ndarray, np.ndarray]:
+        ew, ew2, er, er2 = self.decay(h)
+        k1w, k1r = self.nonlinear(what, rhat, vel)
         k2w, k2r = self.nonlinear(ew2 * (what + 0.5 * h * k1w), er2 * (rhat + 0.5 * h * k1r))
         k3w, k3r = self.nonlinear(ew2 * what + 0.5 * h * k2w, er2 * rhat + 0.5 * h * k2r)
         k4w, k4r = self.nonlinear(ew * what + h * ew2 * k3w, er * rhat + h * er2 * k3r)
@@ -188,41 +193,47 @@ class _Engine:
         new_r = er * rhat + (h / 6.0) * (er * k1r + 2.0 * er2 * (k2r + k3r) + k4r)
         return new_w, new_r
 
-    def advance(self, what: np.ndarray, rhat: np.ndarray, t: float, h: float, depth: int = 0):
-        """One step of size h, recursively halved to respect the CFL cap."""
+    def advance(self, what: np.ndarray, rhat: np.ndarray, t: float, h: float, depth: int = 0, vel=None):
+        """One step of size h, recursively halved to respect the CFL cap.
+
+        The stage-1 velocity (vel, if given, is velocity(what)) sets the
+        CFL limit and is reused by the first stage of the step, or by the
+        first half of a halved step.
+        """
         if depth > 24:
-            raise SolverBlowupError(t)
-        limit = self.params.cfl_cap * self.grid.dx / max(self.vmax(what), 1.0e-300)
-        if h > limit and depth <= 24:
-            what, rhat, t = self.advance(what, rhat, t, h / 2.0, depth + 1)
+            raise SolverBlowupError(t, depth, _nonfinite(what, rhat))
+        if vel is None:
+            vel = self.velocity(what)
+        vmax = float(np.max(np.hypot(*vel))) if vel is not None else 0.0
+        limit = self.params.cfl_cap * self.grid.dx / max(vmax, 1.0e-300)
+        if h > limit:
+            what, rhat, t = self.advance(what, rhat, t, h / 2.0, depth + 1, vel)
             return self.advance(what, rhat, t, h / 2.0, depth + 1)
-        new_w, new_r = self.rk4(what, rhat, h)
+        new_w, new_r = self.rk4(what, rhat, h, vel)
         probe = complex(new_w.sum()) + complex(new_r.sum())
         if not (np.isfinite(probe.real) and np.isfinite(probe.imag)):
-            raise SolverBlowupError(t + h)
+            raise SolverBlowupError(t + h, depth, _nonfinite(new_w, new_r))
         return new_w, new_r, t + h
+
+
+def _nonfinite(what: np.ndarray, rhat: np.ndarray) -> str | None:
+    bad = [name for name, a in (("omega", what), ("rho", rhat)) if not np.all(np.isfinite(a))]
+    return "both" if len(bad) == 2 else (bad[0] if bad else None)
 
 
 def step(state: SimState, params: SimParams) -> SimState:
     """Advance one nominal step params.dt (internally halved if CFL-bound)."""
-    engine = _Engine(state.grid, params)
-    mask = state.grid.dealias_mask
-    what = state.omega.spectrum * mask
-    rhat = state.rho.spectrum * mask
+    g = state.grid
+    engine = _Engine(g, params)
+    keep = engine.kern.keep
+    what = state.omega.half_spectrum * keep
+    rhat = state.rho.half_spectrum * keep
     what, rhat, t = engine.advance(what, rhat, state.time, params.dt)
     return SimState(
         time=t,
-        omega=ScalarField.from_spectrum(state.grid, what),
-        rho=ScalarField.from_spectrum(state.grid, rhat),
+        omega=ScalarField.from_half_spectrum(g, what),
+        rho=ScalarField.from_half_spectrum(g, rhat),
     )
-
-
-def _gradient_sup_from_spectra(s1: np.ndarray, s2: np.ndarray, g: GridSpec) -> float:
-    d11 = _fft.ifft2(1j * g.k1 * s1).real
-    d21 = _fft.ifft2(1j * g.k2 * s1).real
-    d12 = _fft.ifft2(1j * g.k1 * s2).real
-    d22 = _fft.ifft2(1j * g.k2 * s2).real
-    return float(np.sqrt(d11**2 + d21**2 + d12**2 + d22**2).max())
 
 
 def run(
@@ -251,9 +262,9 @@ def run(
         raise ValueError("sample times must lie in [0, t_final]")
 
     engine = _Engine(g, params)
-    mask = g.dealias_mask
-    what = omega0.spectrum * mask
-    rhat = rho0.spectrum * mask
+    kern = engine.kern
+    what = omega0.half_spectrum * kern.keep
+    rhat = rho0.half_spectrum * kern.keep
 
     diag = DiagnosticsRecord()
     times_out: list[float] = []
@@ -268,12 +279,13 @@ def run(
     last_gradrho = np.nan
 
     def gradv_now() -> float:
-        s1, s2 = engine.velocity_spectra(what)
-        return _gradient_sup_from_spectra(s1, s2, g)
+        s1, s2 = kern.v1 * what, kern.v2 * what
+        sq = sum(kern.real(ik * s) ** 2 for s in (s1, s2) for ik in (kern.ik1, kern.ik2))
+        return float(np.sqrt(sq).max())
 
     def gradrho_now() -> float:
-        d1 = _fft.ifft2(1j * g.k1 * rhat).real
-        d2 = _fft.ifft2(1j * g.k2 * rhat).real
+        d1 = kern.real(kern.ik1 * rhat)
+        d2 = kern.real(kern.ik2 * rhat)
         return float(np.sqrt((np.hypot(d1, d2) ** 2).sum() * g.dx**2))
 
     if track_gradients:
@@ -281,8 +293,8 @@ def run(
         last_gradrho = gradrho_now()
 
     def emit(sample_t: float) -> None:
-        fo = ScalarField.from_spectrum(g, what)
-        fr = ScalarField.from_spectrum(g, rhat)
+        fo = ScalarField.from_half_spectrum(g, what)
+        fr = ScalarField.from_half_spectrum(g, rhat)
         times_out.append(float(sample_t))
         omega_out.append(fo)
         rho_out.append(fr)
@@ -292,9 +304,7 @@ def run(
         diag.rho_l1.append(lp_norm(fr, 1.0))
         diag.rho_sup.append(lp_norm(fr, np.inf))
         diag.rho_l2.append(lp_norm(fr, 2.0))
-        s1, s2 = engine.velocity_spectra(what)
-        v1 = _fft.ifft2(s1).real
-        v2 = _fft.ifft2(s2).real
+        v1, v2 = kern.real(kern.v1 * what), kern.real(kern.v2 * what)
         diag.velocity_sup.append(float(np.max(np.hypot(v1, v2))))
         diag.gradv_sup.append(last_gradv if track_gradients else np.nan)
         diag.gradv_sup_integral.append(v_integral)
@@ -341,11 +351,11 @@ def good_unknown(omega: ScalarField, rho: ScalarField, mu: float) -> ScalarField
 
 
 def _masked_advection(v: VelocityField, f: ScalarField) -> ScalarField:
-    g = f.grid
-    d1 = _fft.ifft2(1j * g.k1 * f.spectrum).real
-    d2 = _fft.ifft2(1j * g.k2 * f.spectrum).real
+    kern = f.grid._kernel
+    d1 = kern.real(kern.ik1 * f.half_spectrum)
+    d2 = kern.real(kern.ik2 * f.half_spectrum)
     prod = v.u1.values * d1 + v.u2.values * d2
-    return ScalarField.from_spectrum(g, _fft.fft2(prod) * g.dealias_mask)
+    return ScalarField.from_half_spectrum(f.grid, _fft.rfft2(prod) * kern.keep)
 
 
 def commutator_source(omega: ScalarField, rho: ScalarField) -> ScalarField:
@@ -391,7 +401,7 @@ def good_unknown_residual(
     mid = gammas[1]
     v = biot_savart(omega_series.fields[i])
     transport = _masked_advection(v, mid)
-    lap = _fft.ifft2(-g.ksq * mid.spectrum).real
+    lap = g._kernel.real(-g._kernel.ksq * mid.half_spectrum)
     source = commutator_source(omega_series.fields[i], rho_series.fields[i])
     resid = dgamma + transport.values - mu * lap - source.values
     num = lp_norm(ScalarField(g, resid), 2.0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft as fft
 from hypothesis import given, settings, strategies as st
 
 from strato.grid import (
@@ -69,6 +70,16 @@ class TestScalarField:
         f = random_field(grid64, 0)
         g = ScalarField.from_spectrum(grid64, f.spectrum)
         assert np.allclose(g.values, f.values, atol=1e-13)
+
+    def test_half_spectrum_is_rfft2(self, grid64):
+        f = random_field(grid64, 2)
+        assert np.array_equal(f.half_spectrum, fft.rfft2(f.values))
+
+    def test_half_spectrum_round_trip(self, grid64):
+        f = random_field(grid64, 3)
+        g = ScalarField.from_half_spectrum(grid64, f.half_spectrum)
+        assert np.allclose(g.values, f.values, atol=1e-13)
+        assert g.half_spectrum is f.half_spectrum
 
     def test_values_read_only(self, grid64):
         f = random_field(grid64, 1)

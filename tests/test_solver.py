@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.fft as fft
 
-from strato.grid import GridSpec, ScalarField, dx1_inv_laplacian
+from strato.grid import GridSpec, ScalarField, biot_savart, derivative, dx1_inv_laplacian
 from strato.initdata import DensitySpec, PatchSpec, make_density, rasterize_patch
 from strato.solver import (
+    _Engine,
     SimParams,
     SimState,
     SolverBlowupError,
@@ -161,6 +162,42 @@ class TestStepping:
         with pytest.raises(SolverBlowupError) as info:
             run(w0, zero_field(grid64), params, track_gradients=False)
         assert info.value.time >= 0.0
+        # the state stays finite; the step runs out of CFL halvings
+        assert info.value.depth == 25
+        assert info.value.field is None
+        assert "halving depth 25" in str(info.value)
+
+    @pytest.mark.parametrize("huge, field", [("omega", "omega"), ("rho", "both")])
+    def test_blowup_names_nonfinite_field(self, grid64, huge, field):
+        # spectra of a 1e307-sized field overflow; with advection off the
+        # density feeds the vorticity through buoyancy but not the reverse
+        big = ScalarField(grid64, 1e307 * random_field(grid64, 9, band=4.0).values)
+        w0, r0 = (big, zero_field(grid64)) if huge == "omega" else (zero_field(grid64), big)
+        params = SimParams(mu=0.01, dt=0.05, t_final=0.1, frozen_velocity=True)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverBlowupError) as info:
+            run(w0, r0, params, track_gradients=False)
+        assert info.value.field == field
+        assert info.value.depth == 0
+        assert f"{field} became non-finite" in str(info.value)
+
+    def test_exp_cache_bounded_across_remainder_steps(self, grid64, monkeypatch):
+        # irregular sample times give a different remainder step before
+        # each landing; the integrating factors are kept for one step size
+        sizes, steps = [], set()
+        rk4 = _Engine.rk4
+
+        def spy(self, what, rhat, h, vel=None):
+            out = rk4(self, what, rhat, h, vel)
+            sizes.append(len(self._exp_cache))
+            steps.add(h)
+            return out
+
+        monkeypatch.setattr(_Engine, "rk4", spy)
+        w0 = random_field(grid64, 20, band=4.0)
+        times = [0.013, 0.029, 0.041, 0.067, 0.071, 0.093, 0.1]
+        run(w0, zero_field(grid64), SimParams(mu=0.01, dt=0.02, t_final=0.1), sample_times=times, track_gradients=False)
+        assert len(steps) >= 6
+        assert max(sizes) == 1
 
     def test_sample_times_validated(self, grid64):
         w0 = random_field(grid64, 10, band=4.0)
@@ -174,6 +211,58 @@ class TestStepping:
         params = SimParams(mu=0.01, dt=0.05, t_final=0.1)
         with pytest.raises(ValueError):
             run(random_field(grid64, 11), random_field(grid128, 12), params)
+
+
+class TestHalfSpectrumKernel:
+    def test_nonlinear_matches_full_complex_reference(self, grid64):
+        # band 10 reaches past the 2/3 cut, so the input mask matters too
+        g = grid64
+        w = random_field(g, 18, band=10.0)
+        r = random_field(g, 19, band=10.0)
+        keep = g._kernel.keep
+        got_w, got_r = _Engine(g, SimParams(mu=0.01, dt=0.05, t_final=0.1)).nonlinear(
+            w.half_spectrum * keep, r.half_spectrum * keep
+        )
+
+        wm = ScalarField.from_spectrum(g, w.spectrum * g.dealias_mask)
+        rm = ScalarField.from_spectrum(g, r.spectrum * g.dealias_mask)
+        v = biot_savart(wm)
+
+        def masked_advection(f):
+            prod = v.u1.values * derivative(f, 1).values + v.u2.values * derivative(f, 2).values
+            return fft.ifft2(fft.fft2(prod) * g.dealias_mask).real
+
+        want_w = derivative(rm, 1).values - masked_advection(wm)
+        want_r = -masked_advection(rm)
+        for got, want in ((got_w, want_w), (got_r, want_r)):
+            sup = np.abs(want).max()
+            assert np.abs(g._kernel.real(got) - want).max() <= 1e-12 * sup
+
+    @pytest.mark.parametrize("halvings", [0, 1])
+    def test_advance_transform_count(self, grid64, monkeypatch, halvings):
+        # unhalved: 2 for the CFL velocity, reused by stage 1, which adds 4
+        # inverse and 2 forward transforms; stages 2-4 take 6 + 2 each.
+        # Halved once: the first half reuses the velocity the guard checked,
+        # so the step costs exactly two unhalved steps.
+        g = grid64
+        params = SimParams(mu=0.01, dt=0.01, t_final=0.1)
+        engine = _Engine(g, params)
+        keep = g._kernel.keep
+        what = random_field(g, 21, band=4.0).half_spectrum * keep
+        rhat = random_field(g, 22, band=4.0).half_spectrum * keep
+        vmax = np.max(np.hypot(*engine.velocity(what)))
+        h = (1.5 if halvings else 0.5) * params.cfl_cap * g.dx / vmax
+        calls = {name: 0 for name in ("rfft2", "irfft2", "fft2", "ifft2")}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(fft, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(fft, name, counted)
+        *_, t = engine.advance(what, rhat, 0.0, h)
+        assert t == h
+        steps = 2**halvings
+        assert calls == {"rfft2": 8 * steps, "irfft2": 24 * steps, "fft2": 0, "ifft2": 0}
 
 
 class TestDampedCombination:
