@@ -70,12 +70,8 @@ def family_floor(family: VectorFieldFamily) -> float:
 
 
 def divergence(x: VelocityField) -> ScalarField:
-    g = x.grid
-    return ScalarField.from_spectrum(g, 1j * g.k1 * x.u1.spectrum + 1j * g.k2 * x.u2.spectrum)
-
-
-def _masked_product_spectrum(a: np.ndarray, b: np.ndarray, grid: GridSpec) -> np.ndarray:
-    return _fft.fft2(a * b) * grid.dealias_mask
+    kern = x.grid._kernel
+    return ScalarField.from_half_spectrum(x.grid, kern.ik1 * x.u1.half_spectrum + kern.ik2 * x.u2.half_spectrum)
 
 
 def directional_derivative(u: ScalarField, x: VelocityField) -> ScalarField:
@@ -88,11 +84,9 @@ def directional_derivative(u: ScalarField, x: VelocityField) -> ScalarField:
     g = u.grid
     if x.grid != g:
         raise ValueError("field and family member live on different grids")
-    p1 = _masked_product_spectrum(u.values, x.u1.values, g)
-    p2 = _masked_product_spectrum(u.values, x.u2.values, g)
-    div_x = divergence(x)
-    p3 = _masked_product_spectrum(u.values, div_x.values, g)
-    return ScalarField.from_spectrum(g, 1j * g.k1 * p1 + 1j * g.k2 * p2 - p3)
+    kern = g._kernel
+    p1, p2, p3 = (_fft.rfft2(u.values * c) * kern.keep for c in (x.u1.values, x.u2.values, divergence(x).values))
+    return ScalarField.from_half_spectrum(g, kern.ik1 * p1 + kern.ik2 * p2 - p3)
 
 
 def _vector_holder(x: VelocityField, s: float, part: DyadicPartition) -> float:
@@ -130,8 +124,8 @@ def conormal_norm(
 class VelocityInterpolant:
     """Divergence-free velocity snapshots from a sampled vorticity trajectory.
 
-    Linear interpolation happens on the vorticity spectrum; velocity
-    components come out through the streamfunction multipliers.
+    Linear interpolation happens on the vorticity half spectrum; velocity
+    components come out through the grid kernel's Biot-Savart multipliers.
     """
 
     def __init__(self, omega_series: TimeSeries):
@@ -140,25 +134,32 @@ class VelocityInterpolant:
         self.series = omega_series
         self.grid = omega_series.grid
         self.times = omega_series.times
+        self.kern = self.grid._kernel
 
     def omega_spectrum(self, t: float) -> np.ndarray:
-        ts = self.times
+        """Vorticity half spectrum at t, clamped to the sampled span."""
+        ts, fields = self.times, self.series.fields
         if t <= ts[0]:
-            return self.series.fields[0].spectrum
+            return fields[0].half_spectrum
         if t >= ts[-1]:
-            return self.series.fields[-1].spectrum
+            return fields[-1].half_spectrum
         j = bisect_right(ts, t)
         w = (t - ts[j - 1]) / (ts[j] - ts[j - 1])
-        return (1.0 - w) * self.series.fields[j - 1].spectrum + w * self.series.fields[j].spectrum
+        return (1.0 - w) * fields[j - 1].half_spectrum + w * fields[j].half_spectrum
 
     def velocity_spectra(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        g = self.grid
-        psi = self.omega_spectrum(t) * g.inv_ksq
-        return 1j * g.k2 * psi, -1j * g.k1 * psi
+        h = self.omega_spectrum(t)
+        return self.kern.v1 * h, self.kern.v2 * h
+
+    def gradient_spectra(self, t: float) -> list[np.ndarray]:
+        """Half spectra of v1, v2, d1 v1, d2 v1, d1 v2 and d2 v2 at t."""
+        s1, s2 = self.velocity_spectra(t)
+        ik1, ik2 = self.kern.ik1, self.kern.ik2
+        return [s1, s2, ik1 * s1, ik2 * s1, ik1 * s2, ik2 * s2]
 
     def velocity_values(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         s1, s2 = self.velocity_spectra(t)
-        return _fft.ifft2(s1).real, _fft.ifft2(s2).real
+        return self.kern.real(s1), self.kern.real(s2)
 
     @property
     def span(self) -> tuple[float, float]:
@@ -168,32 +169,26 @@ class VelocityInterpolant:
 def _advect_stretch_rhs(comps: list[np.ndarray], vel: tuple, grid: GridSpec) -> list[np.ndarray]:
     """RHS of d/dt X = -(v . grad) X + (X . grad) v for stacked components."""
     v1, v2, (d1v1, d2v1, d1v2, d2v2) = vel
+    kern = grid._kernel
     out = []
     for i in range(0, len(comps), 2):
         x1, x2 = comps[i], comps[i + 1]
-        s1 = _fft.fft2(x1)
-        s2 = _fft.fft2(x2)
-        d1x1 = _fft.ifft2(1j * grid.k1 * s1).real
-        d2x1 = _fft.ifft2(1j * grid.k2 * s1).real
-        d1x2 = _fft.ifft2(1j * grid.k1 * s2).real
-        d2x2 = _fft.ifft2(1j * grid.k2 * s2).real
+        s1 = _fft.rfft2(x1)
+        s2 = _fft.rfft2(x2)
+        d1x1 = kern.real(kern.ik1 * s1)
+        d2x1 = kern.real(kern.ik2 * s1)
+        d1x2 = kern.real(kern.ik1 * s2)
+        d2x2 = kern.real(kern.ik2 * s2)
         r1 = -(v1 * d1x1 + v2 * d2x1) + (x1 * d1v1 + x2 * d2v1)
         r2 = -(v1 * d1x2 + v2 * d2x2) + (x1 * d1v2 + x2 * d2v2)
-        out.append(_fft.ifft2(_fft.fft2(r1) * grid.dealias_mask).real)
-        out.append(_fft.ifft2(_fft.fft2(r2) * grid.dealias_mask).real)
+        out.append(kern.dealias(r1))
+        out.append(kern.dealias(r2))
     return out
 
 
 def _velocity_and_gradient(interp: VelocityInterpolant, t: float) -> tuple[np.ndarray, ...]:
-    g = interp.grid
-    s1, s2 = interp.velocity_spectra(t)
-    v1 = _fft.ifft2(s1).real
-    v2 = _fft.ifft2(s2).real
-    d1v1 = _fft.ifft2(1j * g.k1 * s1).real
-    d2v1 = _fft.ifft2(1j * g.k2 * s1).real
-    d1v2 = _fft.ifft2(1j * g.k1 * s2).real
-    d2v2 = _fft.ifft2(1j * g.k2 * s2).real
-    return v1, v2, (d1v1, d2v1, d1v2, d2v2)
+    v1, v2, *grad = map(interp.kern.real, interp.gradient_spectra(t))
+    return v1, v2, tuple(grad)
 
 
 def _rk4(
@@ -258,13 +253,12 @@ def transport_scalar(f: ScalarField, omega_series: TimeSeries, dt: float | None 
     if t1 <= t0:
         return f
     g = f.grid
+    kern = g._kernel
 
     def rhs(state: list[np.ndarray], vel: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
         v1, v2 = vel
-        s = _fft.fft2(state[0])
-        d1 = _fft.ifft2(1j * g.k1 * s).real
-        d2 = _fft.ifft2(1j * g.k2 * s).real
-        return [_fft.ifft2(_fft.fft2(-(v1 * d1 + v2 * d2)) * g.dealias_mask).real]
+        s = _fft.rfft2(state[0])
+        return [kern.dealias(-(v1 * kern.real(kern.ik1 * s) + v2 * kern.real(kern.ik2 * s)))]
 
     state = [f.values]
     for _, state in _rk4(state, interp.velocity_values, rhs, interp, dt):
@@ -329,10 +323,6 @@ def advect_boundary(
     t0, t1 = interp.span
     g = interp.grid
 
-    def bundle(t: float) -> list[np.ndarray]:
-        s1, s2 = interp.velocity_spectra(t)
-        return [s1, s2, 1j * g.k1 * s1, 1j * g.k2 * s1, 1j * g.k1 * s2, 1j * g.k2 * s2]
-
     def rhs(state: list[np.ndarray], spectra: list[np.ndarray]) -> list[np.ndarray]:
         pts, tan = state
         v1, v2, d1v1, d2v1, d1v2, d2v2 = _eval_at(spectra, g, pts)
@@ -340,7 +330,7 @@ def advect_boundary(
         return [np.stack([v1, v2], axis=1), dtan]
 
     state = [np.asarray(points, dtype=np.float64), np.asarray(tangents, dtype=np.float64)]
-    steps = _rk4(state, bundle, rhs, interp, dt) if t1 > t0 else ()
+    steps = _rk4(state, interp.gradient_spectra, rhs, interp, dt) if t1 > t0 else ()
     for t, (pts, tan) in chain([(t0, state)], steps):
         curve = BoundaryCurve(params, pts, tan, time=t)
         if curve.spacing_ratio > _SPACING_COLLAPSE:

@@ -1,12 +1,11 @@
 """Doubly periodic grid and the spectral operator toolbox.
 
 Fields live on the square [-L, L)^2 sampled on an n x n uniform mesh with
-n a power of two.  Wavenumbers are integer multiples of pi/L.  The public
-linear operators (derivatives, Biot-Savart, inverse Laplacian, heat
-propagator) act as Fourier multipliers on the full complex spectrum; the
-zero mode of any inverse-Laplacian style operator is gauged to zero.  The
-solver march and the sweep's velocity distance run instead on real half
-spectra (``rfft2`` / ``irfft2``) through one per-grid multiplier kernel.
+n a power of two.  Wavenumbers are integer multiples of pi/L.  Every
+spectral operator (derivatives, Biot-Savart, inverse Laplacian, heat
+propagator, dyadic blocks, the solver march) acts on real half spectra
+(``rfft2`` / ``irfft2``) through one per-grid multiplier kernel; the zero
+mode of any inverse-Laplacian style operator is gauged to zero.
 """
 
 from __future__ import annotations
@@ -77,45 +76,6 @@ class GridSpec:
         return x[:, None], x[None, :]
 
     @cached_property
-    def k1(self) -> np.ndarray:
-        k = (np.pi / self.half_length) * _fft.fftfreq(self.n, d=1.0 / self.n)
-        return k[:, None]
-
-    @cached_property
-    def k2(self) -> np.ndarray:
-        k = (np.pi / self.half_length) * _fft.fftfreq(self.n, d=1.0 / self.n)
-        return k[None, :]
-
-    @cached_property
-    def ksq(self) -> np.ndarray:
-        return self.k1**2 + self.k2**2
-
-    @cached_property
-    def kmag(self) -> np.ndarray:
-        return np.sqrt(self.ksq)
-
-    @cached_property
-    def inv_ksq(self) -> np.ndarray:
-        """1/|k|^2 with the zero mode gauged to 0."""
-        out = np.empty_like(self.ksq)
-        out[0, 0] = 0.0
-        nz = self.ksq != 0.0
-        out[nz] = 1.0 / self.ksq[nz]
-        out[0, 0] = 0.0
-        return out
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """Boolean keep-mask implementing the 2/3 rule on both axes."""
-        m = _fft.fftfreq(self.n, d=1.0 / self.n)
-        keep = np.abs(m) <= self.n // 3
-        return keep[:, None] & keep[None, :]
-
-    @property
-    def nyquist(self) -> float:
-        return np.pi / self.half_length * (self.n // 2)
-
-    @cached_property
     def _kernel(self) -> _HalfKernel:
         return _HalfKernel(self)
 
@@ -125,10 +85,10 @@ class _HalfKernel:
 
     Arrays broadcast against ``rfft2`` output of shape (n, n/2 + 1):
     ``ik1`` and ``ik2`` differentiate (their unpaired Nyquist entries are
-    zero, which is what ``ifft2(...).real`` does to an odd multiplier on
-    the full spectrum), ``ksq`` is |k|^2, ``v1`` and ``v2`` map vorticity
-    to Biot-Savart velocity (zero mode gauged to 0) and ``keep`` is the
-    2/3 dealiasing mask.
+    zero, which is what taking the real part does to an odd multiplier on
+    the full complex spectrum), ``ksq`` is |k|^2, ``v1`` and ``v2`` map
+    vorticity to Biot-Savart velocity (zero mode gauged to 0) and ``keep``
+    is the 2/3 dealiasing mask.
     """
 
     def __init__(self, grid: GridSpec):
@@ -151,15 +111,18 @@ class _HalfKernel:
         """Grid values of a half spectrum."""
         return _fft.irfft2(half, s=self.shape)
 
+    def dealias(self, values: np.ndarray) -> np.ndarray:
+        """Grid values with the 2/3 rule applied."""
+        return self.real(_fft.rfft2(values) * self.keep)
+
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
     """Real scalar field on a :class:`GridSpec`; values are immutable.
 
-    The full complex spectrum (scipy.fft.fft2 convention) and the real
-    half spectrum (scipy.fft.rfft2) are each computed on first access and
-    cached.  Construct via ``from_values``, ``from_function``,
-    ``from_spectrum`` or ``from_half_spectrum``.
+    The real half spectrum (scipy.fft.rfft2) is computed on first access
+    and cached.  Construct via ``from_values``, ``from_function`` or
+    ``from_half_spectrum``.
     """
 
     grid: GridSpec
@@ -185,21 +148,10 @@ class ScalarField:
         return cls(grid, np.broadcast_to(fn(x1, x2), (grid.n, grid.n)).copy())
 
     @classmethod
-    def from_spectrum(cls, grid: GridSpec, spectrum: np.ndarray) -> "ScalarField":
-        vals = _fft.ifft2(spectrum).real
-        f = cls(grid, vals)
-        f.__dict__["spectrum"] = np.asarray(spectrum, dtype=np.complex128)
-        return f
-
-    @classmethod
     def from_half_spectrum(cls, grid: GridSpec, half: np.ndarray) -> "ScalarField":
         f = cls(grid, grid._kernel.real(half))
         f.__dict__["half_spectrum"] = half
         return f
-
-    @cached_property
-    def spectrum(self) -> np.ndarray:
-        return _fft.fft2(self.values)
 
     @cached_property
     def half_spectrum(self) -> np.ndarray:
@@ -234,12 +186,13 @@ def derivative(f: ScalarField, axis: int) -> ScalarField:
     """Spectral partial derivative along coordinate axis 1 or 2."""
     if axis not in (1, 2):
         raise ValueError(f"axis must be 1 or 2, got {axis}")
-    k = f.grid.k1 if axis == 1 else f.grid.k2
-    return ScalarField.from_spectrum(f.grid, 1j * k * f.spectrum)
+    kern = f.grid._kernel
+    ik = kern.ik1 if axis == 1 else kern.ik2
+    return ScalarField.from_half_spectrum(f.grid, ik * f.half_spectrum)
 
 
 def laplacian(f: ScalarField) -> ScalarField:
-    return ScalarField.from_spectrum(f.grid, -f.grid.ksq * f.spectrum)
+    return ScalarField.from_half_spectrum(f.grid, -f.grid._kernel.ksq * f.half_spectrum)
 
 
 def biot_savart(omega: ScalarField) -> VelocityField:
@@ -249,11 +202,9 @@ def biot_savart(omega: ScalarField) -> VelocityField:
     discrete curl d1 v2 - d2 v1 returns the input exactly on nonzero modes.
     A positive point blob spins counterclockwise.
     """
-    g = omega.grid
-    psi_hat = omega.spectrum * g.inv_ksq
-    u1 = ScalarField.from_spectrum(g, 1j * g.k2 * psi_hat)
-    u2 = ScalarField.from_spectrum(g, -1j * g.k1 * psi_hat)
-    return VelocityField(u1, u2)
+    g, kern = omega.grid, omega.grid._kernel
+    h = omega.half_spectrum
+    return VelocityField(ScalarField.from_half_spectrum(g, kern.v1 * h), ScalarField.from_half_spectrum(g, kern.v2 * h))
 
 
 def dx1_inv_laplacian(rho: ScalarField) -> ScalarField:
@@ -261,8 +212,7 @@ def dx1_inv_laplacian(rho: ScalarField) -> ScalarField:
 
     Fourier multiplier -i k1 / |k|^2; the zero mode is gauged to zero.
     """
-    g = rho.grid
-    return ScalarField.from_spectrum(g, -1j * g.k1 * g.inv_ksq * rho.spectrum)
+    return ScalarField.from_half_spectrum(rho.grid, rho.grid._kernel.v2 * rho.half_spectrum)
 
 
 def lp_norm(f: ScalarField | np.ndarray, p: float, grid: GridSpec | None = None) -> float:
@@ -273,10 +223,10 @@ def lp_norm(f: ScalarField | np.ndarray, p: float, grid: GridSpec | None = None)
         if grid is None:
             raise ValueError("grid required when passing a bare array")
         vals, g = np.asarray(f), grid
+    if not p >= 1.0:
+        raise ValueError(f"p must satisfy p >= 1 or be +inf, got {p}")
     if np.isinf(p):
         return float(np.max(np.abs(vals)))
-    if not p >= 1.0:
-        raise ValueError(f"p must satisfy p >= 1, got {p}")
     return float((np.sum(np.abs(vals) ** p) * g.dx**2) ** (1.0 / p))
 
 
@@ -284,7 +234,7 @@ def heat_propagate(f: ScalarField, tau: float) -> ScalarField:
     """Apply the periodic heat semigroup exp(tau * Laplacian), tau >= 0."""
     if tau < 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    return ScalarField.from_spectrum(f.grid, np.exp(-tau * f.grid.ksq) * f.spectrum)
+    return ScalarField.from_half_spectrum(f.grid, np.exp(-tau * f.grid._kernel.ksq) * f.half_spectrum)
 
 
 def grad_tensor_magnitude(v: VelocityField) -> ScalarField:
@@ -309,26 +259,33 @@ def sample_at(f: ScalarField, points: np.ndarray, spectral_cutoff: int = 512) ->
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[1] != 2:
         raise ValueError(f"points must have shape (m, 2), got {pts.shape}")
-    return _eval_at([f.spectrum], f.grid, pts, spectral_cutoff)[0]
+    return _eval_at([f.half_spectrum], f.grid, pts, spectral_cutoff)[0]
 
 
 def _eval_at(
-    spectra: list[np.ndarray], grid: GridSpec, pts: np.ndarray, spectral_cutoff: int = 512
+    halves: list[np.ndarray], grid: GridSpec, pts: np.ndarray, spectral_cutoff: int = 512
 ) -> list[np.ndarray]:
-    """Evaluate several full spectra at the same off-grid points.
+    """Evaluate several real half spectra at the same off-grid points.
 
     Direct spectral summation over one shared phase basis for at most
     ``spectral_cutoff`` points; periodic bicubic interpolation of the
     sampled fields beyond that.
     """
+    n, half_length = grid.n, grid.half_length
     if len(pts) <= spectral_cutoff:
         # the fft coefficients expand f in exp(i k . (x + L)): index 0 sits at
-        # the corner x = -L, so shift before forming the exponentials
-        k = (np.pi / grid.half_length) * _fft.fftfreq(grid.n, d=1.0 / grid.n)
-        e1 = np.exp(1j * np.outer(pts[:, 0] + grid.half_length, k))
-        e2 = np.exp(1j * np.outer(pts[:, 1] + grid.half_length, k))
-        return [((e1 @ s) * e2).sum(axis=1).real / grid.n**2 for s in spectra]
+        # the corner x = -L, so shift before forming the exponentials.  The
+        # unpaired Nyquist modes enter as cosines, which keeps the sum the
+        # same for a field and its transpose; the columns 0 < m2 < n/2
+        # stand for their conjugate mirrors too
+        scale = np.pi / half_length
+        e1 = np.exp(1j * np.outer(pts[:, 0] + half_length, scale * _fft.fftfreq(n, d=1.0 / n)))
+        e2 = np.exp(1j * np.outer(pts[:, 1] + half_length, scale * _fft.rfftfreq(n, d=1.0 / n)))
+        e1[:, n // 2] = e1[:, n // 2].real
+        e2[:, n // 2] = e2[:, n // 2].real
+        e2[:, 1 : n // 2] *= 2.0
+        return [((e1 @ h) * e2).sum(axis=1).real / n**2 for h in halves]
     from scipy.ndimage import map_coordinates
 
-    coords = ((pts + grid.half_length) / grid.dx).T
-    return [map_coordinates(_fft.ifft2(s).real, coords, order=3, mode="grid-wrap") for s in spectra]
+    coords = ((pts + half_length) / grid.dx).T
+    return [map_coordinates(grid._kernel.real(h), coords, order=3, mode="grid-wrap") for h in halves]

@@ -61,11 +61,11 @@ class SweepConfig:
     save_fields: bool = False
 
     def __post_init__(self) -> None:
-        if len(self.mu_values) == 0 or any(m <= 0.0 for m in self.mu_values):
-            raise ValueError("mu ladder must be nonempty and positive")
+        if len(self.mu_values) == 0 or any(not (0.0 < m < np.inf) for m in self.mu_values):
+            raise ValueError("mu ladder must be nonempty, positive and finite")
         if len(set(self.mu_values)) != len(self.mu_values):
             raise ValueError("mu ladder has repeated entries")
-        if self.error_p < 1.0:
+        if not self.error_p >= 1.0:
             raise ValueError("error_p must be a Lebesgue exponent >= 1")
         # fail here, not inside a pool worker: SimParams checks dt, t_final and kappa
         SimParams(mu=0.0, dt=self.dt, t_final=self.t_final, kappa=self.kappa)

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.fft as _fft
 
 from .conormal import BoundaryCurve, VectorFieldFamily, family_floor
-from .grid import GridSpec, ScalarField, VelocityField, heat_propagate
+from .grid import GridSpec, ScalarField, VelocityField, derivative, heat_propagate
 from .littlewood_paley import smooth_ramp
 
 __all__ = [
@@ -222,11 +222,9 @@ def level_set_data(spec: PatchSpec, grid: GridSpec) -> tuple[ScalarField, Scalar
         base = rr - spec.boundary_radius(theta)
         raw = ScalarField(grid, tube * np.tanh(base / tube))
         smoothed = heat_propagate(raw, (2.0 * grid.dx) ** 2 / 2.0)
-        spec1 = 1j * grid.k1 * smoothed.spectrum
-        spec2 = 1j * grid.k2 * smoothed.spectrum
         f0 = smoothed.values
-        g1 = _fft.ifft2(spec1).real
-        g2 = _fft.ifft2(spec2).real
+        g1 = derivative(smoothed, 1).values
+        g2 = derivative(smoothed, 2).values
     chi = smooth_ramp((tube - np.abs(f0)) / (0.5 * tube))
     return (
         ScalarField(grid, f0),

@@ -85,8 +85,13 @@ class DyadicPartition:
     def q_low(self) -> int:
         return -math.ceil(math.log2(self.grid.half_length)) - 2
 
+    @cached_property
+    def kmag(self) -> np.ndarray:
+        """|k| on the grid's half-spectrum lattice."""
+        return np.sqrt(self.grid._kernel.ksq)
+
     def multiplier(self, q: int, homogeneous: bool = False) -> np.ndarray:
-        """Radial block multiplier on the grid's frequency lattice."""
+        """Radial block multiplier on the grid's half-spectrum lattice."""
         if q > self.q_max:
             raise ValueError(f"q={q} exceeds q_max={self.q_max}")
         if homogeneous:
@@ -97,7 +102,7 @@ class DyadicPartition:
         key = (q, homogeneous and q < 0)
         got = self._cache.get(key)
         if got is None:
-            kmag = self.grid.kmag
+            kmag = self.kmag
             if q == -1 and not homogeneous:
                 got = lowpass_profile(kmag)
             else:
@@ -113,7 +118,7 @@ class DyadicPartition:
 def block(f: ScalarField, q: int, partition: DyadicPartition | None = None, homogeneous: bool = False) -> ScalarField:
     """Dyadic frequency block of a field (q = -1 is the inhomogeneous low pass)."""
     part = partition if partition is not None else DyadicPartition(f.grid)
-    return ScalarField.from_spectrum(f.grid, part.multiplier(q, homogeneous) * f.spectrum)
+    return ScalarField.from_half_spectrum(f.grid, part.multiplier(q, homogeneous) * f.half_spectrum)
 
 
 @dataclass(frozen=True)
@@ -210,9 +215,9 @@ def bony_decompose(
         raise ValueError("operands must share a grid")
     part = partition if partition is not None else DyadicPartition(u.grid)
     band = 2.0 ** (part.q_max - 2)
-    outside = u.grid.kmag > band
+    outside = part.kmag > band
     for name, f in (("u", u), ("v", v)):
-        spec = np.abs(f.spectrum)
+        spec = np.abs(f.half_spectrum)
         top = spec.max()
         if top > 0.0 and spec[outside].max() > 1.0e-10 * top:
             raise ValueError(

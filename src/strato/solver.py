@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import scipy.fft as _fft
 
-from .grid import GridSpec, ScalarField, VelocityField, biot_savart, dx1_inv_laplacian, lp_norm
+from .grid import GridSpec, ScalarField, VelocityField, biot_savart, dx1_inv_laplacian, laplacian, lp_norm
 from .littlewood_paley import TimeSeries
 
 __all__ = [
@@ -82,8 +82,8 @@ class SimParams:
     frozen_velocity: bool = False
 
     def __post_init__(self) -> None:
-        if self.mu < 0.0 or self.kappa < 0.0:
-            raise ValueError("diffusivities must be nonnegative")
+        if not (0.0 <= self.mu < np.inf and 0.0 <= self.kappa < np.inf):
+            raise ValueError("diffusivities must be nonnegative and finite")
         if not (self.dt > 0.0 and self.t_final > 0.0):
             raise ValueError("dt and t_final must be positive")
         if not (0.0 < self.cfl_cap <= 1.0):
@@ -401,7 +401,7 @@ def good_unknown_residual(
     mid = gammas[1]
     v = biot_savart(omega_series.fields[i])
     transport = _masked_advection(v, mid)
-    lap = g._kernel.real(-g._kernel.ksq * mid.half_spectrum)
+    lap = laplacian(mid).values
     source = commutator_source(omega_series.fields[i], rho_series.fields[i])
     resid = dgamma + transport.values - mu * lap - source.values
     num = lp_norm(ScalarField(g, resid), 2.0)

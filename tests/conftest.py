@@ -21,13 +21,61 @@ def grid256():
 
 
 def random_field(grid, seed, band=None):
-    """Frozen random field; band (in |k| units) low-pass projects it."""
+    """Frozen random field; band (in |k| units) low-pass projects it.
+
+    The projected field caches its exact band-limited half spectrum, so
+    blocks above the band read exactly zero.
+    """
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((grid.n, grid.n))
     if band is None:
         return ScalarField(grid, values)
-    spec = fft.fft2(values) * (grid.kmag <= band)
-    return ScalarField.from_spectrum(grid, spec)
+    return ScalarField.from_half_spectrum(grid, fft.rfft2(values) * (half_kmag(grid) <= band))
+
+
+def half_kmag(grid):
+    """|k| on the rfft2 lattice, built from numpy alone."""
+    k = (np.pi / grid.half_length) * np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+    k2 = (np.pi / grid.half_length) * np.fft.rfftfreq(grid.n, d=1.0 / grid.n)
+    return np.hypot(k[:, None], k2[None, :])
+
+
+class FullSpectrum:
+    """Reference operators on the full complex numpy spectrum of one grid.
+
+    Independent of the package's half-spectrum kernel: wavenumbers come
+    from numpy ``fftfreq`` and every operator is ``ifft2(m * fft2(f)).real``.
+    """
+
+    def __init__(self, grid):
+        m = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+        k = (np.pi / grid.half_length) * m
+        self.grid = grid
+        self.k1, self.k2 = k[:, None], k[None, :]
+        self.ksq = self.k1**2 + self.k2**2
+        self.inv_ksq = np.zeros_like(self.ksq)
+        np.divide(1.0, self.ksq, out=self.inv_ksq, where=self.ksq != 0.0)
+        keep = np.abs(m) <= grid.n // 3
+        self.mask = keep[:, None] & keep[None, :]
+
+    def apply(self, multiplier, values):
+        return np.fft.ifft2(multiplier * np.fft.fft2(values)).real
+
+    def derivative(self, values, axis):
+        return self.apply(1j * (self.k1 if axis == 1 else self.k2), values)
+
+    def velocity(self, values):
+        return self.apply(1j * self.k2 * self.inv_ksq, values), self.apply(-1j * self.k1 * self.inv_ksq, values)
+
+    def dealias(self, values):
+        return self.apply(self.mask, values)
+
+    def sample(self, values, pts):
+        """The trigonometric interpolant of the grid values at off-grid points."""
+        k = self.k2[0]
+        e1 = np.exp(1j * np.outer(pts[:, 0] + self.grid.half_length, k))
+        e2 = np.exp(1j * np.outer(pts[:, 1] + self.grid.half_length, k))
+        return ((e1 @ np.fft.fft2(values)) * e2).sum(axis=1).real / self.grid.n**2
 
 
 @pytest.fixture(scope="session")

@@ -42,7 +42,7 @@ from strato import (
 )
 from strato.grid import GridSpec
 from strato.littlewood_paley import bernstein_ratio, block
-from conftest import random_field
+from conftest import half_kmag, random_field
 
 
 def verdict(num, ok, detail):
@@ -116,7 +116,7 @@ def test_criterion_05_dyadic_block_toolbox():
     part = DyadicPartition(grid)
 
     total = sum(part.multiplier(q) for q in part.qs())
-    on_band = grid.kmag <= 2.0 ** part.q_max
+    on_band = half_kmag(grid) <= 2.0 ** part.q_max
     unity = float(np.abs(total[on_band] - 1.0).max())
 
     f = random_field(grid, 40, band=2.0 ** part.q_max)

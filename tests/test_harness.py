@@ -82,17 +82,21 @@ class TestSweepConfig:
 
     def test_mu_ladder_validation(self):
         base = tiny_config_dict()
-        for bad in ([], [0.0], [-1.0e-3], [1.0e-3, 1.0e-3]):
+        for bad in ([], [0.0], [-1.0e-3], [1.0e-3, 1.0e-3], [float("nan")], [1.0e-3, float("inf")]):
             raw = dict(base)
             raw["sweep"] = dict(base["sweep"], mu=bad)
             with pytest.raises(ValueError):
                 SweepConfig.from_dict(raw)
 
     def test_error_p_validation(self):
+        for bad in (0.5, float("nan"), -float("inf")):
+            raw = tiny_config_dict()
+            raw["sweep"]["error_p"] = bad
+            with pytest.raises(ValueError, match="error_p"):
+                SweepConfig.from_dict(raw)
         raw = tiny_config_dict()
-        raw["sweep"]["error_p"] = 0.5
-        with pytest.raises(ValueError, match="error_p"):
-            SweepConfig.from_dict(raw)
+        raw["sweep"]["error_p"] = float("inf")
+        assert SweepConfig.from_dict(raw).error_p == float("inf")
 
     @pytest.mark.parametrize(
         "key, bad, match",
@@ -102,6 +106,8 @@ class TestSweepConfig:
             ("t_final", 0.0, "dt and t_final"),
             ("t_final", -1.0, "dt and t_final"),
             ("kappa", -0.1, "diffusivities"),
+            ("kappa", float("nan"), "diffusivities"),
+            ("kappa", float("inf"), "diffusivities"),
         ],
     )
     def test_params_validated_at_construction(self, key, bad, match):

@@ -19,7 +19,7 @@ from strato.littlewood_paley import (
     smooth_ramp,
     time_besov_norm,
 )
-from conftest import random_field
+from conftest import half_kmag, random_field
 
 
 class TestProfiles:
@@ -76,7 +76,7 @@ class TestPartition:
     def test_multipliers_sum_to_one_on_band(self, grid128):
         part = DyadicPartition(grid128)
         total = sum(part.multiplier(q) for q in part.qs())
-        on_band = grid128.kmag <= 2.0**part.q_max
+        on_band = half_kmag(grid128) <= 2.0**part.q_max
         assert np.abs(total[on_band] - 1.0).max() < 1e-14
 
     def test_reconstruction_band_limited(self, grid128):
