@@ -28,7 +28,6 @@ from .littlewood_paley import (
     TimeSeries,
     besov_norm,
     bony_decompose,
-    holder_norm,
     time_besov_norm,
 )
 from .initdata import (

@@ -43,14 +43,12 @@ def _cmd_rankine(args: argparse.Namespace) -> int:
     from .rankine import RateSeries, fit_exponent, velocity_lp_error, vorticity_lp_error
 
     taus = np.geomspace(args.tau_min, args.tau_max, args.points)
+    error = vorticity_lp_error if args.quantity == "vorticity" else velocity_lp_error
+    # tau outer, so each tau's cached layer profile serves every p however long the ladder
+    table = np.array([[error(t, p) for p in args.p] for t in taus]).reshape(len(taus), len(args.p))
     rows = []
-    for p in args.p:
-        if args.quantity == "vorticity":
-            errs = np.array([vorticity_lp_error(t, p) for t in taus])
-            ref = 1.0 / (2.0 * p)
-        else:
-            errs = np.array([velocity_lp_error(t, p) for t in taus])
-            ref = 0.5 + 1.0 / (2.0 * p)
+    for p, errs in zip(args.p, table.T):
+        ref = 1.0 / (2.0 * p) if args.quantity == "vorticity" else 0.5 + 1.0 / (2.0 * p)
         series = RateSeries(args.quantity, p, taus, errs, reference_exponent=ref)
         fit = fit_exponent(series)
         print(

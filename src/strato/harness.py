@@ -69,8 +69,9 @@ class SweepConfig:
             raise ValueError("error_p must be a Lebesgue exponent >= 1")
         # fail here, not inside a pool worker: SimParams checks dt, t_final and kappa
         SimParams(mu=0.0, dt=self.dt, t_final=self.t_final, kappa=self.kappa)
-        if not self.sample_times or min(self.sample_times) < 0.0 or max(self.sample_times) > self.t_final + 1.0e-12:
-            raise ValueError("sample times must lie in [0, t_final]")
+        times = np.asarray(self.sample_times, dtype=np.float64)
+        if not (times.size and np.all(np.isfinite(times)) and 0.0 <= times.min() and times.max() <= self.t_final + 1.0e-12):
+            raise ValueError("sample times must be finite and lie in [0, t_final]")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":

@@ -32,7 +32,6 @@ __all__ = [
     "block_norms",
     "besov_sum",
     "besov_norm",
-    "holder_norm",
     "bernstein_ratio",
     "bony_decompose",
     "time_besov_norm",
@@ -171,11 +170,6 @@ def besov_norm(f: ScalarField, params: BesovParams, partition: DyadicPartition |
     unit weight.
     """
     return besov_sum(block_norms(f, params, partition), params)
-
-
-def holder_norm(f: ScalarField, s: float, partition: DyadicPartition | None = None) -> float:
-    """Convenience: the s-Hoelder (Besov sup-sup) norm, valid for any real s."""
-    return besov_norm(f, BesovParams(s=s), partition)
 
 
 def bernstein_ratio(

@@ -258,8 +258,8 @@ def run(
     if sample_times is None:
         sample_times = [params.t_final]
     samples = np.unique(np.asarray([float(t) for t in sample_times], dtype=np.float64))
-    if len(samples) == 0 or samples[0] < 0.0 or samples[-1] > params.t_final + 1.0e-12:
-        raise ValueError("sample times must lie in [0, t_final]")
+    if not (len(samples) and np.all(np.isfinite(samples)) and 0.0 <= samples[0] and samples[-1] <= params.t_final + 1.0e-12):
+        raise ValueError("sample times must be finite and lie in [0, t_final]")
 
     engine = _Engine(g, params)
     kern = engine.kern

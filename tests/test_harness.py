@@ -1,6 +1,7 @@
 """Sweep orchestration, report emission, and the command line front end."""
 
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -116,7 +117,10 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match=match):
             SweepConfig.from_dict(raw)
 
-    @pytest.mark.parametrize("times", [[-0.1, 0.2], [0.1, 0.3], [0.2 + 1.0e-9]])
+    @pytest.mark.parametrize(
+        "times",
+        [[-0.1, 0.2], [0.1, 0.3], [0.2 + 1.0e-9], [math.nan], [0.1, math.nan], [math.inf], [-math.inf, 0.1]],
+    )
     def test_sample_times_outside_horizon_rejected(self, times):
         raw = tiny_config_dict()
         raw["sweep"]["sample_times"] = times

@@ -14,7 +14,6 @@ from strato.littlewood_paley import (
     besov_norm,
     block,
     bony_decompose,
-    holder_norm,
     lowpass_profile,
     smooth_ramp,
     time_besov_norm,
@@ -148,10 +147,6 @@ class TestBesovNorm:
         n2 = besov_norm(f, BesovParams(s=s2))
         ns = besov_norm(f, BesovParams(s=s))
         assert ns <= 2.0 * n1**theta * n2 ** (1.0 - theta)
-
-    def test_holder_is_sup_sup(self, grid128):
-        f = random_field(grid128, 46, band=8.0)
-        assert holder_norm(f, 0.75) == besov_norm(f, BesovParams(s=0.75))
 
     def test_homogeneous_ignores_constants(self, grid64):
         f = random_field(grid64, 47, band=4.0)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from strato import rankine
 from strato.rankine import (
     FitResult,
     RateSeries,
@@ -120,6 +121,77 @@ class TestMassAndErrors:
         errs = np.array([vorticity_lp_error(t, 2.0) for t in taus])
         slope = np.polyfit(np.log(taus), np.log(errs), 1)[0]
         assert slope == pytest.approx(0.25, abs=0.02)
+
+
+def closure_vorticity_lp_error(tau, p):
+    """The uncached route: the profile is evaluated inside the integrand, once per p."""
+    inner, outer = rankine._layer_bounds(tau)
+
+    def panels(fn, a, b, order):
+        x, w = np.polynomial.legendre.leggauss(order)
+        edges = np.linspace(a, b, 9)
+        total = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            half = (hi - lo) / 2.0
+            total += float(fn((hi + lo) / 2.0 + half * x) @ w) * half
+        return total
+
+    def adaptive(fn, a, b):
+        if b <= a:
+            return 0.0
+        coarse, fine = panels(fn, a, b, 64), panels(fn, a, b, 128)
+        if abs(fine - coarse) > 1.0e-12 * max(1.0, abs(fine)):
+            fine = panels(fn, a, b, 256)
+        return fine
+
+    inside = adaptive(lambda r: patch_deficit(tau, r) ** p * 2.0 * np.pi * r, inner, 1.0)
+    beyond = adaptive(lambda r: exact_vorticity(tau, r) ** p * 2.0 * np.pi * r, 1.0, outer)
+    return (inside + beyond) ** (1.0 / p)
+
+
+@pytest.fixture
+def fresh_profiles():
+    rankine._layer_profile.cache_clear()
+    yield rankine._layer_profile
+    rankine._layer_profile.cache_clear()
+
+
+class TestProfileCache:
+    @pytest.mark.parametrize("tau", [1e-5, 1e-3, 1e-1, 1.0])
+    def test_bit_identical_to_uncached_route(self, tau, fresh_profiles):
+        for p in (1.0, 2.0, 3.0, 8.0):
+            assert vorticity_lp_error(tau, p) == closure_vorticity_lp_error(tau, p)
+        assert not any(arr.flags.writeable for side in fresh_profiles(tau, 64) for arr in side)
+
+    def test_kernel_quadrature_shared_by_exponents(self, monkeypatch, fresh_profiles):
+        calls = []
+        real = rankine._kernel_mass_adaptive
+        monkeypatch.setattr(rankine, "_kernel_mass_adaptive", lambda *args: calls.append(1) or real(*args))
+        taus = np.geomspace(1e-4, 1e-1, 4)
+
+        def count(ps):
+            fresh_profiles.cache_clear()
+            calls.clear()
+            for p in ps:
+                for tau in taus:
+                    vorticity_lp_error(tau, p)
+            return len(calls)
+
+        one = count([2.0])
+        assert one > 0
+        assert count([2.0, 3.0, 4.0, 8.0]) == one
+
+    def test_cache_stays_bounded(self, monkeypatch, fresh_profiles):
+        # a flat stand-in profile keeps the long ladder cheap; the bound is the cache's
+        flat = lambda tau, r: np.full_like(r, 0.5)
+        monkeypatch.setattr(rankine, "patch_deficit", flat)
+        monkeypatch.setattr(rankine, "exact_vorticity", flat)
+        maxsize = fresh_profiles.cache_info().maxsize
+        assert maxsize is not None
+        for tau in np.geomspace(1e-4, 1.0, 200):
+            vorticity_lp_error(tau, 2.0)
+            assert fresh_profiles.cache_info().currsize <= maxsize
+        assert fresh_profiles.cache_info().currsize == maxsize
 
 
 class TestSimilarityWindow:

@@ -1,5 +1,7 @@
 """Time stepping: exact solutions, invariants, the damped-combination budget."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.fft as fft
@@ -213,6 +215,11 @@ class TestStepping:
             run(w0, zero_field(grid64), params, sample_times=[0.5])
         with pytest.raises(ValueError):
             run(w0, zero_field(grid64), params, sample_times=[-0.1])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                run(w0, zero_field(grid64), params, sample_times=[bad])
+            with pytest.raises(ValueError, match="finite"):
+                run(w0, zero_field(grid64), params, sample_times=[0.05, bad])
 
     def test_initial_grid_mismatch(self, grid64, grid128):
         params = SimParams(mu=0.01, dt=0.05, t_final=0.1)
