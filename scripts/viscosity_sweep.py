@@ -3,8 +3,8 @@
 
 Runs the full system once per viscosity rung plus an inviscid reference,
 measures velocity and density distances against the reference at the
-sample times, and emits rates.csv / slopes.json / manifest.json.  The
-defaults reproduce the small-box gaussian-density setup; every knob is
+sample times, and emits rates.csv / slopes.json / manifest.json plus
+the run's provenance.json.  The defaults reproduce the small-box gaussian-density setup; every knob is
 overridable from the command line.
 """
 

@@ -9,6 +9,8 @@ vector families for anisotropic regularity, and a closed-form heated
 disc profile whose error ladders pin the expected convergence rates.
 """
 
+__version__ = "0.1.0"  # before the submodules, which record it in their reports
+
 from .grid import (
     GridSpec,
     ScalarField,
@@ -72,5 +74,3 @@ from .rankine import (
     vorticity_lp_error,
 )
 from .harness import SweepConfig, SweepResult, emit_report, run_sweep
-
-__version__ = "0.1.0"

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
+import logging
 import sys
 from pathlib import Path
 
@@ -25,9 +25,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .harness import SweepConfig, emit_report, run_sweep
 
     config = SweepConfig.from_json(args.config)
-    if args.workers is not None:
-        os.environ["STRATO_WORKERS"] = str(args.workers)
-    result = run_sweep(config)
+    result = run_sweep(config, workers=args.workers)
     paths = emit_report(result, args.out)
     for t, entry in sorted(result.slopes.items()):
         if "discrepancy_slope" in entry:
@@ -210,12 +208,13 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="strato", description=__doc__)
+    parser.add_argument("-v", "--verbose", action="store_true", help="report progress on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sweep", help="run a vanishing-viscosity ladder")
     p.add_argument("config", help="JSON experiment config")
     p.add_argument("--out", default=None, help="output directory (default from config)")
-    p.add_argument("--workers", type=int, default=None, help="process count (overrides STRATO_WORKERS)")
+    p.add_argument("--workers", type=int, default=None, help="process count (overrides STRATO_WORKERS; default: every usable core)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("rankine", help="closed-form disc-patch error ladders")
@@ -266,7 +265,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "group", None) == "":
         args.group = None
-    return args.func(args)
+    # -v holds only for this call: in-process callers get the logger back as it was
+    log = logging.getLogger("strato")
+    handler, level = logging.StreamHandler(), log.level
+    if args.verbose:
+        log.addHandler(handler)
+        log.setLevel(logging.INFO)
+    try:
+        return args.func(args)
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

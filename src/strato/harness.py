@@ -11,23 +11,28 @@ with the velocity difference reconstructed from the vorticity
 difference, plus the plain vorticity Lp gap as a second observable.
 Reports are written as rates.csv / slopes.json / manifest.json with
 full-precision floats and rows in a canonical order, so the bytes do
-not depend on how many worker processes produced them.
+not depend on how many worker processes produced them; what does
+(timings, worker count, versions) goes to provenance.json.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
+import platform
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.fft as _fft
 
-from . import fieldio
+from . import __version__, fieldio
 from .grid import GridSpec, ScalarField, lp_norm
 from .initdata import DensitySpec, PatchSpec, make_density, rasterize_patch
 from .solver import SimParams, run
@@ -42,6 +47,8 @@ __all__ = [
     "run_sweep",
     "emit_report",
 ]
+
+log = logging.getLogger("strato")
 
 
 @dataclass(frozen=True)
@@ -178,6 +185,7 @@ class SweepResult:
     rows: tuple[RateRow, ...]
     slopes: dict
     fields: dict = field(default_factory=dict, repr=False)
+    provenance: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def field_distance(a: ScalarField, b: ScalarField, p: float = 2.0) -> float:
@@ -196,7 +204,8 @@ def velocity_distance(omega_a: ScalarField, omega_b: ScalarField, p: float = 2.0
 
 
 def run_single(config: SweepConfig, mu: float, omega0: ScalarField, rho0: ScalarField):
-    """Integrate one rung of the ladder; returns plain arrays (picklable)."""
+    """Integrate one rung of the ladder; returns plain arrays (picklable) and its stats."""
+    start = time.perf_counter()
     params = SimParams(
         mu=mu, dt=config.dt, t_final=config.t_final, kappa=config.kappa
     )
@@ -205,28 +214,51 @@ def run_single(config: SweepConfig, mu: float, omega0: ScalarField, rho0: Scalar
     )
     omegas = [f.values for f in result.omega.fields]
     rhos = [f.values for f in result.rho.fields]
-    return mu, np.asarray(result.omega.times), omegas, rhos
+    stats = {"mu": mu, "wall_s": time.perf_counter() - start, "nominal_steps": result.diagnostics.steps[-1]}
+    return mu, np.asarray(result.omega.times), omegas, rhos, stats
 
 
-def run_sweep(config: SweepConfig) -> SweepResult:
+def _worker_count(workers: int | str | None, rungs: int) -> int:
+    """The argument, else STRATO_WORKERS, else the usable cores; at most one per rung."""
+    setting = "workers"
+    if workers is None:
+        workers, setting = os.environ.get("STRATO_WORKERS"), "STRATO_WORKERS"
+    if workers is None:
+        return min(len(os.sched_getaffinity(0)), rungs)
+    text = str(workers).strip()
+    if not (text.isdecimal() and int(text) >= 1):
+        raise ValueError(f"{setting} must be an integer >= 1, got {workers!r}")
+    return min(int(text), rungs)
+
+
+def _logged(out: tuple) -> tuple:
+    stats = out[-1]
+    log.info("rung mu=%g: %d nominal steps in %.3f s", stats["mu"], stats["nominal_steps"], stats["wall_s"])
+    return out
+
+
+def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:
     """Run the ladder plus the zero-diffusivity reference and tabulate rates.
 
     The initial fields are built once and shared by every rung.  The
-    worker count comes from STRATO_WORKERS (default 1).  Tasks are
-    dispatched in ladder order and collected in that same order, so the
-    emitted tables are identical however the work was scheduled.
+    worker count is ``workers`` if given, else STRATO_WORKERS, else the
+    number of cores this process may run on, capped at the rung count;
+    a count of 1 runs every rung in this process.  Tasks are dispatched
+    in ladder order and collected in that same order, so the emitted
+    tables are identical however the work was scheduled.
     """
     ladder = tuple(sorted(config.mu_values))
     mus = (0.0,) + ladder
+    workers = _worker_count(workers, len(mus))
     omega0, rho0 = config.initial_fields()
-    workers = int(os.environ.get("STRATO_WORKERS", "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(run_single, repeat(config), mus, repeat(omega0), repeat(rho0), chunksize=1))
+            rungs = pool.map(run_single, repeat(config), mus, repeat(omega0), repeat(rho0), chunksize=1)
+            outputs = [_logged(out) for out in rungs]
     else:
-        outputs = [run_single(config, mu, omega0, rho0) for mu in mus]
+        outputs = [_logged(run_single(config, mu, omega0, rho0)) for mu in mus]
 
-    by_mu = {mu: (times, om, rh) for mu, times, om, rh in outputs}
+    by_mu = {mu: (times, om, rh) for mu, times, om, rh, _ in outputs}
     ref_times, ref_om, ref_rh = by_mu[0.0]
     grid = config.grid
     p = config.error_p
@@ -271,11 +303,17 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         for mu in mus:
             times, om, rh = by_mu[mu]
             fields[mu] = (times, om, rh)
-    return SweepResult(config=config, rows=tuple(rows), slopes=slopes, fields=fields)
+    provenance = {
+        "workers": workers,
+        "rungs": [stats for *_, stats in outputs],
+        "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                     "scipy": scipy.__version__, "strato": __version__},
+    }
+    return SweepResult(config=config, rows=tuple(rows), slopes=slopes, fields=fields, provenance=provenance)
 
 
 def emit_report(result: SweepResult, out_dir: str | Path | None = None) -> dict[str, Path]:
-    """Write rates.csv, slopes.json and manifest.json; returns the paths."""
+    """Write rates.csv, slopes.json, manifest.json and provenance.json; returns the paths."""
     out = Path(out_dir if out_dir is not None else result.config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -314,7 +352,12 @@ def emit_report(result: SweepResult, out_dir: str | Path | None = None) -> dict[
         )
         fh.write("\n")
 
-    paths = {"rates": rates, "slopes": slopes, "manifest": manifest}
+    provenance = out / "provenance.json"
+    with open(provenance, "w") as fh:
+        json.dump(result.provenance, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+    paths = {"rates": rates, "slopes": slopes, "manifest": manifest, "provenance": provenance}
     if result.config.save_fields and result.fields:
         for mu, (times, om, _rh) in result.fields.items():
             for j, t in enumerate(times):

@@ -84,8 +84,8 @@ class SimParams:
     def __post_init__(self) -> None:
         if not (0.0 <= self.mu < np.inf and 0.0 <= self.kappa < np.inf):
             raise ValueError("diffusivities must be nonnegative and finite")
-        if not (self.dt > 0.0 and self.t_final > 0.0):
-            raise ValueError("dt and t_final must be positive")
+        if not (0.0 < self.dt < np.inf and 0.0 < self.t_final < np.inf):
+            raise ValueError("dt and t_final must be positive and finite")
         if not (0.0 < self.cfl_cap <= 1.0):
             raise ValueError("cfl_cap must lie in (0, 1]")
 

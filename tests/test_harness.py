@@ -1,7 +1,9 @@
 """Sweep orchestration, report emission, and the command line front end."""
 
 import json
+import logging
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strato import fieldio
 from strato.cli import build_parser, main
@@ -66,6 +69,33 @@ class TestSweepConfig:
         cfg = SweepConfig.from_dict(tiny_config_dict())
         assert SweepConfig.from_dict(cfg.to_dict()) == cfg
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([16, 32, 64]),
+        kind=st.sampled_from(["disc", "ellipse", "star"]),
+        mus=st.lists(st.floats(min_value=1.0e-6, max_value=1.0), min_size=1, max_size=5, unique=True),
+        dt=st.floats(min_value=1.0e-4, max_value=0.5),
+        steps=st.integers(min_value=1, max_value=50),
+        fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=4),
+        error_p=st.one_of(st.floats(min_value=1.0, max_value=64.0), st.just(math.inf)),
+        density=st.booleans(),
+        save_fields=st.booleans(),
+    )
+    def test_dict_round_trip_property(self, n, kind, mus, dt, steps, fractions, error_p, density, save_fields):
+        raw = tiny_config_dict(mus=mus)
+        raw["grid"]["n"] = n
+        raw["patch"] = {"kind": kind, "center": [0.25, -0.5], "radius": 1.5, "axes": [2.5, 1.0]}
+        t_final = steps * dt
+        raw["params"] = {"dt": dt, "t_final": t_final, "kappa": 0.5}
+        raw["sweep"] = {"mu": mus, "sample_times": [f * t_final for f in fractions], "error_p": error_p}
+        raw["output"]["save_fields"] = save_fields
+        if not density:
+            raw["density"] = None
+        cfg = SweepConfig.from_dict(raw)
+        back = SweepConfig.from_dict(cfg.to_dict())
+        assert back == cfg
+        assert back.digest() == cfg.digest()
+
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(tiny_config_dict()))
@@ -106,6 +136,9 @@ class TestSweepConfig:
             ("dt", -0.05, "dt and t_final"),
             ("t_final", 0.0, "dt and t_final"),
             ("t_final", -1.0, "dt and t_final"),
+            ("t_final", math.inf, "dt and t_final"),
+            ("dt", math.inf, "dt and t_final"),
+            ("dt", math.nan, "dt and t_final"),
             ("kappa", -0.1, "diffusivities"),
             ("kappa", float("nan"), "diffusivities"),
             ("kappa", float("inf"), "diffusivities"),
@@ -180,8 +213,9 @@ class TestDistances:
 class TestRunSweep:
     def test_single_rung_output_shape(self):
         cfg = SweepConfig.from_dict(tiny_config_dict())
-        mu, times, omegas, rhos = run_single(cfg, 0.0, *cfg.initial_fields())
+        mu, times, omegas, rhos, stats = run_single(cfg, 0.0, *cfg.initial_fields())
         assert mu == 0.0
+        assert stats["mu"] == 0.0 and stats["nominal_steps"] == 4 and stats["wall_s"] > 0.0
         assert np.allclose(times, [0.1, 0.2])
         assert len(omegas) == len(rhos) == 2
         assert omegas[0].shape == (64, 64)
@@ -201,6 +235,45 @@ class TestRunSweep:
         raw["sweep"]["sample_times"] = [0.2]
         run_sweep(SweepConfig.from_dict(raw))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("env, arg", [("abc", "abc"), ("-3", -3), ("0", 0), ("2.5", 2.5), ("", "")])
+    def test_bad_worker_setting_rejected_before_rasterizing(self, env, arg, monkeypatch):
+        import strato.harness as harness
+
+        def never(*args, **kwargs):
+            raise AssertionError("rasterized before the worker count was checked")
+
+        monkeypatch.setattr(harness, "rasterize_patch", never)
+        monkeypatch.setenv("STRATO_WORKERS", env)
+        cfg = SweepConfig.from_dict(tiny_config_dict())
+        with pytest.raises(ValueError, match="STRATO_WORKERS must be an integer >= 1"):
+            run_sweep(cfg)
+        monkeypatch.delenv("STRATO_WORKERS")
+        with pytest.raises(ValueError, match="^workers must be an integer >= 1"):
+            run_sweep(cfg, workers=arg)
+
+    @pytest.mark.parametrize("cores, want", [({0}, 1), ({0, 1}, 2), (set(range(64)), 3)])
+    def test_default_workers_follow_affinity_capped_at_rungs(self, cores, want, tmp_path, monkeypatch):
+        monkeypatch.delenv("STRATO_WORKERS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+        raw = tiny_config_dict(out_dir=tmp_path, mus=(1.0e-3, 1.0e-2))
+        raw["sweep"]["sample_times"] = [0.2]
+        result = run_sweep(SweepConfig.from_dict(raw))
+        assert result.provenance["workers"] == want
+
+    def test_worker_argument_beats_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("STRATO_WORKERS", "2")
+        raw = tiny_config_dict(out_dir=tmp_path, mus=(1.0e-2,))
+        raw["sweep"]["sample_times"] = [0.2]
+        assert run_sweep(SweepConfig.from_dict(raw), workers=1).provenance["workers"] == 1
+
+    def test_provenance_records_the_run(self, tiny_sweep):
+        cfg, result = tiny_sweep
+        prov = result.provenance
+        assert [r["mu"] for r in prov["rungs"]] == [0.0] + sorted(cfg.mu_values)
+        assert all(r["nominal_steps"] == 4 and r["wall_s"] > 0.0 for r in prov["rungs"])
+        assert 1 <= prov["workers"] <= len(cfg.mu_values) + 1
+        assert set(prov["versions"]) == {"python", "numpy", "scipy", "strato"}
 
     def test_rows_sorted_and_consistent(self, tiny_sweep):
         cfg, result = tiny_sweep
@@ -254,7 +327,7 @@ class TestEmitReport:
     def test_files_and_headers(self, tiny_sweep, tmp_path):
         _, result = tiny_sweep
         paths = emit_report(result, tmp_path)
-        assert set(paths) == {"rates", "slopes", "manifest"}
+        assert set(paths) == {"rates", "slopes", "manifest", "provenance"}
         lines = paths["rates"].read_text().splitlines()
         assert lines[0] == "mu,time,velocity_error,density_error,discrepancy,vorticity_error"
         assert len(lines) == 1 + len(result.rows)
@@ -303,6 +376,17 @@ class TestDeterminism:
         assert serial["rates"].read_bytes() == pooled["rates"].read_bytes()
         assert serial["slopes"].read_bytes() == pooled["slopes"].read_bytes()
         assert serial["manifest"].read_bytes() == pooled["manifest"].read_bytes()
+
+    def test_default_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("STRATO_WORKERS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = SweepConfig.from_dict(tiny_config_dict(out_dir=tmp_path, mus=(1.0e-3, 1.0e-2)))
+        serial = emit_report(run_sweep(cfg, workers=1), tmp_path / "serial")
+        default = emit_report(run_sweep(cfg), tmp_path / "default")
+        for key in ("rates", "slopes", "manifest"):
+            assert serial[key].read_bytes() == default[key].read_bytes()
+        assert json.loads(serial["provenance"].read_text())["workers"] == 1
+        assert json.loads(default["provenance"].read_text())["workers"] == 2
 
 
 class TestCli:
@@ -371,12 +455,33 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config_dict(out_dir=tmp_path / "unused")))
         rc = main(["sweep", str(cfg_path), "--out", str(tmp_path / "out")])
-        out = capsys.readouterr().out
+        captured = capsys.readouterr()
         assert rc == 0
-        assert "discrepancy slope" in out
+        assert "discrepancy slope" in captured.out
+        assert captured.err == ""
         assert (tmp_path / "out" / "rates.csv").exists()
         assert (tmp_path / "out" / "slopes.json").exists()
         assert (tmp_path / "out" / "manifest.json").exists()
+        assert (tmp_path / "out" / "provenance.json").exists()
+
+    def test_sweep_workers_flag_leaves_environment_alone(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("STRATO_WORKERS", raising=False)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config_dict(out_dir=tmp_path / "unused", mus=(1.0e-2,))))
+        assert main(["sweep", str(cfg_path), "--out", str(tmp_path / "out"), "--workers", "2"]) == 0
+        assert "STRATO_WORKERS" not in os.environ
+        assert json.loads((tmp_path / "out" / "provenance.json").read_text())["workers"] == 2
+
+    def test_verbose_reports_each_rung_on_stderr(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config_dict(out_dir=tmp_path / "unused")))
+        logger = logging.getLogger("strato")
+        before = (logger.level, list(logger.handlers))
+        assert main(["-v", "sweep", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in err] == ["rung mu=0", "rung mu=0.001", "rung mu=0.003", "rung mu=0.01"]
+        assert all("4 nominal steps" in line for line in err)
+        assert (logger.level, list(logger.handlers)) == before
 
     def test_simulate_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

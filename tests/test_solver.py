@@ -49,6 +49,9 @@ class TestParams:
             SimParams(mu=0.1, dt=0.0, t_final=1.0)
         with pytest.raises(ValueError):
             SimParams(mu=0.1, dt=0.01, t_final=-1.0)
+        for dt, t_final in ((np.inf, 1.0), (np.nan, 1.0), (0.1, np.inf), (0.1, np.nan)):
+            with pytest.raises(ValueError, match="dt and t_final"):
+                SimParams(mu=0.0, dt=dt, t_final=t_final)
 
     def test_cfl_validation(self):
         with pytest.raises(ValueError):
