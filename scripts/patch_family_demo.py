@@ -17,8 +17,7 @@ from strato import (
     DensitySpec,
     PatchSpec,
     SimParams,
-    advect_boundary,
-    advect_family,
+    advect_legs,
     boundary_curve,
     conormal_norm,
     family_floor,
@@ -26,11 +25,10 @@ from strato import (
     initial_vector_family,
     log_estimate_ratio,
     make_density,
+    march,
     rasterize_patch,
-    run,
 )
 from strato.grid import GridSpec
-from strato.littlewood_paley import TimeSeries
 
 
 def main() -> int:
@@ -51,33 +49,20 @@ def main() -> int:
         DensitySpec(kind="gaussian", amplitude=0.1, width=1.0, center=(0.0, 0.5)), grid)
     params = SimParams(mu=args.mu, dt=args.dt, t_final=args.t_final, kappa=1.0)
     checkpoints = np.linspace(0.0, args.t_final, args.checkpoints)
-    result = run(omega0, rho0, params, record_every_step=True, sample_times=checkpoints)
+    trajectory = march(omega0, rho0, params, record_every_step=True, sample_times=checkpoints)
 
     family = initial_vector_family(patch, grid)
     curve = boundary_curve(patch, m=args.tracers)
-    pts, tan = curve.points, curve.tangents
     floor0 = family_floor(family)
     hq0 = holder_quotient(curve.params, curve.tangents, family.epsilon)
-    series_t = result.omega.times
-    d = result.diagnostics
 
-    area = curve.enclosed_area
     print("t      floor   envelope  area     quotient  adapted   logratio")
-    prev = 0
-    for t in checkpoints:
-        k = int(np.searchsorted(series_t, t - 1e-12))
-        if k > prev:
-            leg = TimeSeries(series_t[prev:k + 1], result.omega.fields[prev:k + 1])
-            family = advect_family(family, leg)
-            moved = advect_boundary(curve.params, pts, tan, leg)
-            pts, tan = moved.points, moved.tangents
-            area = moved.enclosed_area
-        vint = float(np.interp(t, d.times, d.gradv_sup_integral))
+    for t, omega, family, curve, diag in advect_legs(trajectory, checkpoints, family, curve):
+        vint = diag["gradv_sup_integral"]
         print(f"{t:5.2f}  {family_floor(family):.4f}  {floor0 * np.exp(-vint):.4f}"
-              f"    {area:.4f}   {holder_quotient(curve.params, tan, family.epsilon) / hq0:.4f}"
-              f"    {conormal_norm(result.omega.fields[k], family):.3f}"
-              f"    {log_estimate_ratio(result.omega.fields[k], family):.4f}")
-        prev = k
+              f"    {curve.enclosed_area:.4f}   {holder_quotient(curve.params, curve.tangents, family.epsilon) / hq0:.4f}"
+              f"    {conormal_norm(omega, family):.3f}"
+              f"    {log_estimate_ratio(omega, family):.4f}")
     return 0
 
 

@@ -45,19 +45,19 @@ from .solver import (
     DiagnosticsRecord,
     RunResult,
     SimParams,
-    SimState,
     SolverBlowupError,
     commutator_source,
     good_unknown,
     good_unknown_residual,
+    march,
     run,
-    step,
 )
 from .conormal import (
     BoundaryCurve,
     VectorFieldFamily,
     advect_boundary,
     advect_family,
+    advect_legs,
     conormal_norm,
     family_floor,
     holder_quotient,

@@ -22,10 +22,14 @@ import numpy as np
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .harness import SweepConfig, emit_report, run_sweep
+    from .harness import SweepConfig, _worker_count, emit_report, run_sweep
 
     config = SweepConfig.from_json(args.config)
-    result = run_sweep(config, workers=args.workers)
+    try:
+        workers = _worker_count(args.workers, len(config.mu_values) + 1)
+    except ValueError as exc:
+        args.error(str(exc))
+    result = run_sweep(config, workers=workers)
     paths = emit_report(result, args.out)
     for t, entry in sorted(result.slopes.items()):
         if "discrepancy_slope" in entry:
@@ -105,55 +109,27 @@ def _cmd_besov(args: argparse.Namespace) -> int:
 
 
 def _cmd_conormal(args: argparse.Namespace) -> int:
-    from .conormal import (
-        advect_boundary,
-        advect_family,
-        conormal_norm,
-        family_floor,
-        holder_quotient,
-        log_estimate_ratio,
-    )
+    from .conormal import advect_legs, conormal_norm, family_floor, holder_quotient, log_estimate_ratio
     from .harness import SweepConfig
     from .initdata import boundary_curve, initial_vector_family
-    from .littlewood_paley import TimeSeries
-    from .solver import SimParams, run
+    from .solver import SimParams, march
 
+    if args.samples < 2:
+        args.error(f"--samples must be at least 2, got {args.samples}")
     config = SweepConfig.from_json(args.config)
     mu = args.mu if args.mu is not None else config.mu_values[0]
     t_final = args.t if args.t is not None else config.t_final
-    grid = config.grid
     omega0, rho0 = config.initial_fields()
     params = SimParams(mu=mu, dt=config.dt, t_final=t_final, kappa=config.kappa)
     checkpoints = np.linspace(0.0, t_final, args.samples)
-    result = run(omega0, rho0, params, record_every_step=True, sample_times=checkpoints)
-
-    family = initial_vector_family(config.patch, grid, epsilon=config.patch.epsilon)
-    curve = boundary_curve(config.patch)
-    pts, tan = curve.points, curve.tangents
-    d = result.diagnostics
-    series_t = result.omega.times
-
-    # advance family and tracers leg by leg between checkpoints; the dense
-    # recording guarantees an exact series entry at every checkpoint
-    rows = []
-    prev = 0
-    for t in checkpoints:
-        k = int(np.searchsorted(series_t, t - 1.0e-12))
-        if k > prev:
-            leg = TimeSeries(series_t[prev:k + 1], result.omega.fields[prev:k + 1])
-            family = advect_family(family, leg)
-            moved = advect_boundary(curve.params, pts, tan, leg)
-            pts, tan = moved.points, moved.tangents
-            prev = k
-        omega_t = result.omega.fields[k]
-        rows.append((
-            float(t),
-            family_floor(family),
-            float(np.interp(t, d.times, d.gradv_sup_integral)),
-            conormal_norm(omega_t, family),
-            holder_quotient(curve.params, tan, family.epsilon),
-            log_estimate_ratio(omega_t, family),
-        ))
+    trajectory = march(omega0, rho0, params, record_every_step=True, sample_times=checkpoints)
+    family = initial_vector_family(config.patch, config.grid, epsilon=config.patch.epsilon)
+    legs = advect_legs(trajectory, checkpoints, family, boundary_curve(config.patch))
+    rows = [
+        (t, family_floor(family), diag["gradv_sup_integral"], conormal_norm(omega, family),
+         holder_quotient(curve.params, curve.tangents, family.epsilon), log_estimate_ratio(omega, family))
+        for t, omega, family, curve, diag in legs
+    ]
 
     out = Path(args.csv) if args.csv else Path(config.output_dir) / "conormal.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -215,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="JSON experiment config")
     p.add_argument("--out", default=None, help="output directory (default from config)")
     p.add_argument("--workers", type=int, default=None, help="process count (overrides STRATO_WORKERS; default: every usable core)")
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_sweep, error=p.error)
 
     p = sub.add_parser("rankine", help="closed-form disc-patch error ladders")
     p.add_argument("--p", type=float, nargs="+", default=[2.0, 4.0], help="Lebesgue exponents")
@@ -247,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=None, help="horizon (default config t_final)")
     p.add_argument("--samples", type=int, default=5, help="checkpoints in the time series")
     p.add_argument("--csv", default=None, help="series path (default <output dir>/conormal.csv)")
-    p.set_defaults(func=_cmd_conormal)
+    p.set_defaults(func=_cmd_conormal, error=p.error)
 
     p = sub.add_parser("fit", help="log-log slope fit over CSV columns")
     p.add_argument("csv_path", help="CSV report (e.g. rates.csv)")

@@ -15,7 +15,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import Any, Callable, Iterator
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 import scipy.fft as _fft
@@ -33,6 +34,7 @@ __all__ = [
     "advect_family",
     "transport_scalar",
     "advect_boundary",
+    "advect_legs",
     "holder_quotient",
     "log_estimate_ratio",
     "divergence",
@@ -336,6 +338,39 @@ def advect_boundary(
         if curve.spacing_ratio > _SPACING_COLLAPSE:
             raise ValueError(f"tracer spacing collapsed (ratio {curve.spacing_ratio:.2f}) at t = {t:.6g}")
     return curve
+
+
+def advect_legs(
+    trajectory: Iterable[tuple[float, ScalarField, ScalarField, dict]],
+    checkpoints: Iterable[float],
+    family: VectorFieldFamily,
+    curve: BoundaryCurve,
+) -> Iterator[tuple[float, ScalarField, VectorFieldFamily, BoundaryCurve, dict]]:
+    """Push a family and boundary tracers along a dense trajectory, leg by leg.
+
+    trajectory is ``solver.march`` with record_every_step, landing on every
+    checkpoint.  Yields (t, omega, family, curve, diagnostics) at each
+    checkpoint, advected over the leg since the previous one.  Holds only
+    the current leg's vorticity samples and no density sample.
+    """
+    # itemgetter drops the density sample as soon as it is yielded
+    samples = map(itemgetter(0, 1, 3), trajectory)
+    leg_t, leg_w = [], []
+    for mark in checkpoints:
+        for t, omega, diag in samples:
+            leg_t.append(t)
+            leg_w.append(omega)
+            if t >= mark - 1.0e-12:
+                break
+        else:
+            return
+        if len(leg_w) > 1:
+            leg = TimeSeries(np.array(leg_t), tuple(leg_w))
+            family = advect_family(family, leg)
+            curve = advect_boundary(curve.params, curve.points, curve.tangents, leg)
+            del leg  # else it lives on beside the next leg
+        leg_t, leg_w = [t], [omega]
+        yield t, omega, family, curve, diag
 
 
 def holder_quotient(params: np.ndarray, tangents: np.ndarray, epsilon: float, period: float = 2.0 * np.pi) -> float:

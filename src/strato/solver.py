@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import scipy.fft as _fft
@@ -33,11 +34,10 @@ from .littlewood_paley import TimeSeries
 
 __all__ = [
     "SimParams",
-    "SimState",
     "DiagnosticsRecord",
     "RunResult",
     "SolverBlowupError",
-    "step",
+    "march",
     "run",
     "good_unknown",
     "commutator_source",
@@ -88,21 +88,6 @@ class SimParams:
             raise ValueError("dt and t_final must be positive and finite")
         if not (0.0 < self.cfl_cap <= 1.0):
             raise ValueError("cfl_cap must lie in (0, 1]")
-
-
-@dataclass(frozen=True, eq=False)
-class SimState:
-    time: float
-    omega: ScalarField
-    rho: ScalarField
-
-    def __post_init__(self) -> None:
-        if self.omega.grid != self.rho.grid:
-            raise ValueError("vorticity and density must share a grid")
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.omega.grid
 
 
 @dataclass
@@ -221,55 +206,42 @@ def _nonfinite(what: np.ndarray, rhat: np.ndarray) -> str | None:
     return "both" if len(bad) == 2 else (bad[0] if bad else None)
 
 
-def step(state: SimState, params: SimParams) -> SimState:
-    """Advance one nominal step params.dt (internally halved if CFL-bound)."""
-    g = state.grid
-    engine = _Engine(g, params)
-    keep = engine.kern.keep
-    what = state.omega.half_spectrum * keep
-    rhat = state.rho.half_spectrum * keep
-    what, rhat, t = engine.advance(what, rhat, state.time, params.dt)
-    return SimState(
-        time=t,
-        omega=ScalarField.from_half_spectrum(g, what),
-        rho=ScalarField.from_half_spectrum(g, rhat),
-    )
-
-
-def run(
+def march(
     omega0: ScalarField,
     rho0: ScalarField,
     params: SimParams,
     sample_times: list[float] | np.ndarray | None = None,
     record_every_step: bool = False,
     track_gradients: bool = True,
-) -> RunResult:
-    """March the system to t_final, sampling fields and diagnostics.
+) -> Iterator[tuple[float, ScalarField, ScalarField, dict[str, float]]]:
+    """March the system to t_final, yielding (t, omega, rho, diagnostics) per sample.
 
     sample_times defaults to [t_final].  The march lands on each sample
     exactly.  With record_every_step the trajectory is sampled at every
     accepted step (dense output for transport post-processing); gradient
     tracking adds the sup of grad v and the running exponents needed by
     the adapted-norm bounds, at the cost of a few transforms per step.
+    diagnostics maps each DiagnosticsRecord column but ``times`` to its
+    value at the sample.  The arguments are checked on the call, and the
+    march keeps no reference to a sample it has yielded.
     """
     if omega0.grid != rho0.grid:
         raise ValueError("initial fields must share a grid")
-    g = omega0.grid
     if sample_times is None:
         sample_times = [params.t_final]
     samples = np.unique(np.asarray([float(t) for t in sample_times], dtype=np.float64))
     if not (len(samples) and np.all(np.isfinite(samples)) and 0.0 <= samples[0] and samples[-1] <= params.t_final + 1.0e-12):
         raise ValueError("sample times must be finite and lie in [0, t_final]")
+    return _march(omega0, rho0, params, samples, record_every_step, track_gradients)
 
+
+def _march(omega0: ScalarField, rho0: ScalarField, params: SimParams, samples: np.ndarray,
+           record_every_step: bool, track_gradients: bool):
+    g = omega0.grid
     engine = _Engine(g, params)
     kern = engine.kern
     what = omega0.half_spectrum * kern.keep
     rhat = rho0.half_spectrum * kern.keep
-
-    diag = DiagnosticsRecord()
-    times_out: list[float] = []
-    omega_out: list[ScalarField] = []
-    rho_out: list[ScalarField] = []
 
     t = 0.0
     nsteps = 0
@@ -292,29 +264,29 @@ def run(
         last_gradv = gradv_now()
         last_gradrho = gradrho_now()
 
-    def emit(sample_t: float) -> None:
+    # builds the yielded tuple without binding it here, so a sample lives
+    # only as long as the consumer keeps it
+    def sample(sample_t: float) -> tuple[float, ScalarField, ScalarField, dict[str, float]]:
         fo = ScalarField.from_half_spectrum(g, what)
         fr = ScalarField.from_half_spectrum(g, rhat)
-        times_out.append(float(sample_t))
-        omega_out.append(fo)
-        rho_out.append(fr)
-        diag.times.append(float(sample_t))
-        diag.omega_l2.append(lp_norm(fo, 2.0))
-        diag.omega_sup.append(lp_norm(fo, np.inf))
-        diag.rho_l1.append(lp_norm(fr, 1.0))
-        diag.rho_sup.append(lp_norm(fr, np.inf))
-        diag.rho_l2.append(lp_norm(fr, 2.0))
         v1, v2 = kern.real(kern.v1 * what), kern.real(kern.v2 * what)
-        diag.velocity_sup.append(float(np.max(np.hypot(v1, v2))))
-        diag.gradv_sup.append(last_gradv if track_gradients else np.nan)
-        diag.gradv_sup_integral.append(v_integral)
-        diag.gradrho_l2_integral.append(gr_integral)
-        diag.circulation.append(float(what[0, 0].real) * g.dx**2)
-        diag.steps.append(nsteps)
+        return float(sample_t), fo, fr, {
+            "omega_l2": lp_norm(fo, 2.0),
+            "omega_sup": lp_norm(fo, np.inf),
+            "rho_l1": lp_norm(fr, 1.0),
+            "rho_sup": lp_norm(fr, np.inf),
+            "rho_l2": lp_norm(fr, 2.0),
+            "velocity_sup": float(np.max(np.hypot(v1, v2))),
+            "gradv_sup": last_gradv if track_gradients else np.nan,
+            "gradv_sup_integral": v_integral,
+            "gradrho_l2_integral": gr_integral,
+            "circulation": float(what[0, 0].real) * g.dx**2,
+            "steps": nsteps,
+        }
 
     si = 0
     while si < len(samples) and samples[si] <= 1.0e-15:
-        emit(0.0)
+        yield sample(0.0)
         si += 1
 
     while si < len(samples):
@@ -326,22 +298,35 @@ def run(
             if track_gradients:
                 gv = gradv_now()
                 gr = gradrho_now()
-                dt_done = h
-                v_integral += 0.5 * (last_gradv + gv) * dt_done
-                gr_integral += 0.5 * (last_gradrho + gr) * dt_done
+                v_integral += 0.5 * (last_gradv + gv) * h
+                gr_integral += 0.5 * (last_gradrho + gr) * h
                 last_gradv, last_gradrho = gv, gr
             if record_every_step and t < target - 1.0e-12:
-                emit(t)
+                yield sample(t)
         t = target
-        emit(t)
+        yield sample(t)
         si += 1
 
-    return RunResult(
-        omega=TimeSeries(np.array(times_out), tuple(omega_out)),
-        rho=TimeSeries(np.array(times_out), tuple(rho_out)),
-        diagnostics=diag,
-        params=params,
-    )
+
+def run(
+    omega0: ScalarField,
+    rho0: ScalarField,
+    params: SimParams,
+    sample_times: list[float] | np.ndarray | None = None,
+    record_every_step: bool = False,
+    track_gradients: bool = True,
+) -> RunResult:
+    """Collect the samples of ``march`` (same arguments) into a RunResult."""
+    diag = DiagnosticsRecord()
+    fields = []
+    for t, fo, fr, row in march(omega0, rho0, params, sample_times, record_every_step, track_gradients):
+        fields.append((fo, fr))
+        diag.times.append(t)
+        for name, value in row.items():
+            getattr(diag, name).append(value)
+    times = np.array(diag.times)
+    omega, rho = (TimeSeries(times, series) for series in zip(*fields))
+    return RunResult(omega=omega, rho=rho, diagnostics=diag, params=params)
 
 
 def good_unknown(omega: ScalarField, rho: ScalarField, mu: float) -> ScalarField:

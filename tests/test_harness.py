@@ -1,5 +1,6 @@
 """Sweep orchestration, report emission, and the command line front end."""
 
+import gc
 import json
 import logging
 import math
@@ -7,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,6 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import strato.conormal
+import strato.solver
 from strato import fieldio
 from strato.cli import build_parser, main
 from strato.grid import GridSpec, ScalarField, lp_norm
@@ -26,7 +30,24 @@ from strato.harness import (
     run_sweep,
     velocity_distance,
 )
-from strato.initdata import DensitySpec, PatchSpec, make_density, rasterize_patch
+from strato.conormal import (
+    advect_boundary,
+    advect_family,
+    conormal_norm,
+    family_floor,
+    holder_quotient,
+    log_estimate_ratio,
+)
+from strato.initdata import (
+    DensitySpec,
+    PatchSpec,
+    boundary_curve,
+    initial_vector_family,
+    make_density,
+    rasterize_patch,
+)
+from strato.littlewood_paley import TimeSeries
+from strato.solver import SimParams, run
 from conftest import random_field
 
 
@@ -533,3 +554,109 @@ class TestCli:
         assert np.all(np.diff(table[:, 2]) > 0.0)
         assert np.all(table[:, 1] > 0.0)
         assert np.all(np.isfinite(table))
+
+    def _conormal_config(self, tmp_path):
+        raw = tiny_config_dict()
+        raw["grid"]["n"] = 32
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        return cfg_path
+
+    def test_conormal_matches_dense_reference(self, tmp_path):
+        # checkpoints 0, 0.065, 0.13 at dt = 0.05: each leg ends on a remainder step
+        cfg_path = self._conormal_config(tmp_path)
+        csv_path = tmp_path / "series.csv"
+        assert main(["conormal", str(cfg_path), "--mu", "1e-3", "--t", "0.13",
+                     "--samples", "3", "--csv", str(csv_path)]) == 0
+        rows = dense_reference_rows(SweepConfig.from_json(cfg_path), 1.0e-3, 0.13, 3)
+        assert csv_path.read_text().splitlines()[1:] == rows
+
+    def test_conormal_holds_one_leg_and_no_density(self, tmp_path, monkeypatch):
+        # weak references to every sample the solver builds, omega then rho
+        made = []
+
+        class Tracked(ScalarField):
+            @classmethod
+            def from_half_spectrum(cls, grid, half):
+                f = super().from_half_spectrum(grid, half)
+                made.append(weakref.ref(f))
+                return f
+
+        legs = []
+        advect_family = strato.conormal.advect_family
+
+        def checked(family, leg):
+            gc.collect()
+            alive = [(i % 2, r()) for i, r in enumerate(made) if r() is not None]
+            assert not [f for kind, f in alive if kind == 1], "a density sample is held"
+            held = [f for kind, f in alive if kind == 0]
+            assert all(any(f is g for g in leg.fields) for f in held)
+            legs.append(len(leg))
+            return advect_family(family, leg)
+
+        monkeypatch.setattr(strato.solver, "ScalarField", Tracked)
+        monkeypatch.setattr(strato.conormal, "advect_family", checked)
+        cfg_path = self._conormal_config(tmp_path)
+        assert main(["conormal", str(cfg_path), "--mu", "1e-3", "--t", "0.2",
+                     "--samples", "3", "--csv", str(tmp_path / "series.csv")]) == 0
+        assert legs == [3, 3]
+        assert len(made) == 2 * 5
+
+    @pytest.mark.parametrize("samples", ["1", "0"])
+    def test_conormal_needs_two_samples(self, tmp_path, capsys, samples):
+        cfg_path = self._conormal_config(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["conormal", str(cfg_path), "--samples", samples])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"strato conormal: error: --samples must be at least 2, got {samples}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag, env", [(["--workers", "0"], None), (["--workers", "-3"], None), ([], "abc")])
+    def test_sweep_bad_worker_count_is_usage_error(self, tmp_path, monkeypatch, capsys, flag, env):
+        if env is None:
+            monkeypatch.delenv("STRATO_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("STRATO_WORKERS", env)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config_dict(out_dir=tmp_path / "unused")))
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", str(cfg_path), *flag])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        setting = "STRATO_WORKERS" if env else "workers"
+        assert f"strato sweep: error: {setting} must be an integer >= 1" in err
+        assert "Traceback" not in err
+
+
+def dense_reference_rows(config, mu, t_final, samples):
+    """The conormal CSV rows as computed from one dense run sliced into legs.
+
+    The command before the march was streamed: the whole trajectory is
+    held, and each leg is cut out of it with ``searchsorted``.
+    """
+    omega0, rho0 = config.initial_fields()
+    params = SimParams(mu=mu, dt=config.dt, t_final=t_final, kappa=config.kappa)
+    checkpoints = np.linspace(0.0, t_final, samples)
+    result = run(omega0, rho0, params, record_every_step=True, sample_times=checkpoints)
+    family = initial_vector_family(config.patch, config.grid, epsilon=config.patch.epsilon)
+    curve = boundary_curve(config.patch)
+    pts, tan = curve.points, curve.tangents
+    d = result.diagnostics
+    series_t = result.omega.times
+    rows = []
+    prev = 0
+    for t in checkpoints:
+        k = int(np.searchsorted(series_t, t - 1.0e-12))
+        if k > prev:
+            leg = TimeSeries(series_t[prev:k + 1], result.omega.fields[prev:k + 1])
+            family = advect_family(family, leg)
+            moved = advect_boundary(curve.params, pts, tan, leg)
+            pts, tan = moved.points, moved.tangents
+            prev = k
+        omega_t = result.omega.fields[k]
+        row = (float(t), family_floor(family), float(np.interp(t, d.times, d.gradv_sup_integral)),
+               conormal_norm(omega_t, family), holder_quotient(curve.params, tan, family.epsilon),
+               log_estimate_ratio(omega_t, family))
+        rows.append(",".join(repr(float(x)) for x in row))
+    return rows

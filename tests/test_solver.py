@@ -5,19 +5,19 @@ import math
 import numpy as np
 import pytest
 import scipy.fft as fft
+from hypothesis import given, settings, strategies as st
 
 from strato.grid import GridSpec, ScalarField, dx1_inv_laplacian
 from strato.initdata import DensitySpec, PatchSpec, make_density, rasterize_patch
 from strato.solver import (
     _Engine,
     SimParams,
-    SimState,
     SolverBlowupError,
     commutator_source,
     good_unknown,
     good_unknown_residual,
+    march,
     run,
-    step,
 )
 from conftest import FullSpectrum, random_field
 
@@ -56,10 +56,6 @@ class TestParams:
     def test_cfl_validation(self):
         with pytest.raises(ValueError):
             SimParams(mu=0.1, dt=0.01, t_final=1.0, cfl_cap=1.5)
-
-    def test_state_grid_mismatch(self, grid64, grid128):
-        with pytest.raises(ValueError):
-            SimState(0.0, random_field(grid64, 1), random_field(grid128, 2))
 
 
 class TestExactSolutions:
@@ -137,6 +133,31 @@ class TestInvariants:
         l2 = np.array(patch_run.diagnostics.rho_l2)
         assert np.all(np.diff(l2) <= 1e-12 * l2[0])
 
+    @settings(max_examples=10, deadline=None)
+    @given(
+        radius=st.floats(min_value=0.5, max_value=3.0),
+        amplitude=st.floats(min_value=0.01, max_value=2.0),
+        width=st.floats(min_value=0.5, max_value=1.0),
+        center=st.tuples(st.floats(min_value=-0.9, max_value=0.9), st.floats(min_value=-0.9, max_value=0.9)),
+        mu=st.floats(min_value=0.0, max_value=1.0e-2),
+    )
+    def test_dynamics_invariants_property(self, radius, amplitude, width, center, mu):
+        # criterion 07's invariants and tolerances at n = 32, every step
+        # sampled from the initial data on
+        grid = GridSpec(n=32, half_length=8.0)
+        w0 = rasterize_patch(PatchSpec(kind="disc", radius=radius), grid)
+        r0 = make_density(DensitySpec(kind="gaussian", amplitude=amplitude, width=width, center=center), grid)
+        params = SimParams(mu=mu, dt=0.02, t_final=1.0)
+        trajectory = march(w0, r0, params, sample_times=[0.0, 1.0], record_every_step=True, track_gradients=False)
+        rows = [d for *_, d in trajectory]
+        assert len(rows) == 51
+        circ = np.array([d["circulation"] for d in rows])
+        rho_sup = np.array([d["rho_sup"] for d in rows])
+        rho_l2 = np.array([d["rho_l2"] for d in rows])
+        assert np.abs(circ - circ[0]).max() / params.t_final <= 1e-10
+        assert (rho_sup - rho_sup[0]).max() <= 1e-6
+        assert np.all(np.diff(rho_l2) <= 1e-12 * rho_l2[0])
+
     def test_gradient_tracking_populates(self, patch_run):
         d = patch_run.diagnostics
         assert len(d.gradv_sup) == 4
@@ -149,24 +170,53 @@ class TestInvariants:
 
 
 class TestStepping:
-    def test_step_matches_run(self, grid64):
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_march_matches_run(self, grid64, dense):
         w0 = random_field(grid64, 6, band=4.0)
         r0 = random_field(grid64, 7, band=4.0)
-        params = SimParams(mu=0.01, dt=0.05, t_final=0.1)
-        s = SimState(0.0, w0, r0)
-        s = step(s, params)
-        s = step(s, params)
-        res = run(w0, r0, params, sample_times=[0.1], track_gradients=False)
-        assert np.array_equal(s.omega.values, res.omega.fields[-1].values)
-        assert np.array_equal(s.rho.values, res.rho.fields[-1].values)
+        params = SimParams(mu=0.01, dt=0.05, t_final=0.2)
+        times = [0.0, 0.07, 0.2]
+        res = run(w0, r0, params, sample_times=times, record_every_step=dense)
+        got = list(march(w0, r0, params, sample_times=times, record_every_step=dense))
+        assert [t for t, *_ in got] == res.diagnostics.times
+        for j, (_, fo, fr, row) in enumerate(got):
+            assert np.array_equal(fo.values, res.omega.fields[j].values)
+            assert np.array_equal(fo.half_spectrum, res.omega.fields[j].half_spectrum)
+            assert np.array_equal(fr.values, res.rho.fields[j].values)
+            for name, value in row.items():
+                assert value == getattr(res.diagnostics, name)[j], name
+        assert len(got) == (6 if dense else 3)
+        # sampling every step does not change the trajectory
+        other = run(w0, r0, params, sample_times=times, record_every_step=not dense)
+        assert np.array_equal(other.omega.fields[-1].values, res.omega.fields[-1].values)
+        assert np.array_equal(other.rho.fields[-1].values, res.rho.fields[-1].values)
 
-    def test_cfl_halving_changes_substeps(self, grid64):
+    def test_march_checks_arguments_on_call(self, grid64, grid128):
+        params = SimParams(mu=0.01, dt=0.05, t_final=0.1)
+        w0 = random_field(grid64, 10, band=4.0)
+        with pytest.raises(ValueError, match="finite"):
+            march(w0, zero_field(grid64), params, sample_times=[0.5])
+        with pytest.raises(ValueError, match="share a grid"):
+            march(w0, zero_field(grid128), params)
+
+    def test_cfl_halving_changes_substeps(self, grid64, monkeypatch):
         # a large-amplitude field forces the internal halving; the march
-        # still lands on the target time
+        # still lands on the target time after one nominal step
+        stages = []
+        rk4 = _Engine.rk4
+
+        def spy(self, what, rhat, h, vel=None):
+            stages.append(h)
+            return rk4(self, what, rhat, h, vel)
+
+        monkeypatch.setattr(_Engine, "rk4", spy)
         w0 = ScalarField(grid64, 50.0 * random_field(grid64, 8, band=4.0).values)
         params = SimParams(mu=0.01, dt=0.1, t_final=0.1)
-        s = step(SimState(0.0, w0, zero_field(grid64)), params)
-        assert s.time == pytest.approx(0.1, abs=1e-12)
+        res = run(w0, zero_field(grid64), params, track_gradients=False)
+        assert res.diagnostics.times == [0.1]
+        assert res.diagnostics.steps == [1]
+        assert len(stages) > 1 and max(stages) < 0.1
+        assert sum(stages) == pytest.approx(0.1, abs=1e-12)
 
     def test_blowup_raises(self, grid64):
         w0 = ScalarField(grid64, 1e12 * random_field(grid64, 9, band=4.0).values)
