@@ -42,9 +42,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_rankine(args: argparse.Namespace) -> int:
-    from .rankine import RateSeries, fit_exponent, velocity_lp_error, vorticity_lp_error
+    from .rankine import (
+        RateSeries, _check_ladder, _check_p, _check_tau, fit_exponent, velocity_lp_error, vorticity_lp_error,
+    )
 
-    taus = np.geomspace(args.tau_min, args.tau_max, args.points)
+    # a bad ladder is a usage error before any quadrature, not a traceback after it
+    try:
+        for tau in (args.tau_min, args.tau_max):
+            _check_tau(tau)
+        for p in args.p:
+            _check_p(p)
+        taus = np.geomspace(args.tau_min, args.tau_max, args.points)
+        _check_ladder(taus)
+    except ValueError as exc:
+        args.error(str(exc))
     error = vorticity_lp_error if args.quantity == "vorticity" else velocity_lp_error
     # tau outer, so each tau's cached layer profile serves every p however long the ladder
     table = np.array([[error(t, p) for p in args.p] for t in taus]).reshape(len(taus), len(args.p))
@@ -109,7 +120,7 @@ def _cmd_besov(args: argparse.Namespace) -> int:
 
 
 def _cmd_conormal(args: argparse.Namespace) -> int:
-    from .conormal import advect_legs, conormal_norm, family_floor, holder_quotient, log_estimate_ratio
+    from .conormal import _log_estimate_ratio, advect_legs, conormal_norm, family_floor, holder_quotient
     from .harness import SweepConfig
     from .initdata import boundary_curve, initial_vector_family
     from .solver import SimParams, march
@@ -125,11 +136,12 @@ def _cmd_conormal(args: argparse.Namespace) -> int:
     trajectory = march(omega0, rho0, params, record_every_step=True, sample_times=checkpoints)
     family = initial_vector_family(config.patch, config.grid, epsilon=config.patch.epsilon)
     legs = advect_legs(trajectory, checkpoints, family, boundary_curve(config.patch))
-    rows = [
-        (t, family_floor(family), diag["gradv_sup_integral"], conormal_norm(omega, family),
-         holder_quotient(curve.params, curve.tangents, family.epsilon), log_estimate_ratio(omega, family))
-        for t, omega, family, curve, diag in legs
-    ]
+    rows = []
+    for t, omega, family, curve, diag in legs:
+        adapted = conormal_norm(omega, family)  # the ratio's log term reuses it
+        rows.append((t, family_floor(family), diag["gradv_sup_integral"], adapted,
+                     holder_quotient(curve.params, curve.tangents, family.epsilon),
+                     _log_estimate_ratio(omega, adapted)))
 
     out = Path(args.csv) if args.csv else Path(config.output_dir) / "conormal.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -200,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-max", type=float, default=1.0e-1)
     p.add_argument("--points", type=int, default=8)
     p.add_argument("--csv", default=None, help="optional CSV output path")
-    p.set_defaults(func=_cmd_rankine)
+    p.set_defaults(func=_cmd_rankine, error=p.error)
 
     p = sub.add_parser("simulate", help="single run with diagnostics")
     p.add_argument("config", help="JSON experiment config")

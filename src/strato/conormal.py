@@ -203,11 +203,12 @@ def _rk4(
     """Classic RK4 across the trajectory's span; yields (t, state) after each step.
 
     velocity(t) is called once per distinct stage time, and only one stage
-    velocity is held at a time.  dt defaults to the finest sample gap.
+    velocity is held at a time.  dt defaults to the largest sample gap, so a
+    short remainder step at the end of a leg does not set the step for all of it.
     """
     t0, t1 = interp.span
     if dt is None:
-        dt = float(np.min(np.diff(interp.times)))
+        dt = float(np.max(np.diff(interp.times)))
     nsteps = max(1, int(np.ceil((t1 - t0) / dt - 1.0e-12)))
     times = np.linspace(t0, t1, nsteps + 1)
     for a, b in zip(times[:-1], times[1:]):
@@ -392,9 +393,13 @@ def log_estimate_ratio(
     Returns |grad v|_inf / (|w|_L2 + |w|_inf log(e + |w|_adapted/|w|_inf))
     with v the velocity recovered from the vorticity w.
     """
+    return _log_estimate_ratio(omega, conormal_norm(omega, family, partition=partition))
+
+
+def _log_estimate_ratio(omega: ScalarField, adapted: float) -> float:
+    """log_estimate_ratio given the adapted norm of omega, for callers that report it too."""
     sup = lp_norm(omega, np.inf)
     if sup == 0.0:
         raise ValueError("vorticity vanishes; ratio undefined")
-    adapted = conormal_norm(omega, family, partition=partition)
     denom = lp_norm(omega, 2.0) + sup * np.log(np.e + adapted / sup)
     return velocity_gradient_sup(omega) / denom

@@ -114,8 +114,14 @@ def rasterize_patch(spec: PatchSpec, grid: GridSpec, supersample: int = 8) -> Sc
     if supersample < 1:
         raise ValueError("supersample must be >= 1")
     _check_margin(spec.max_radius, spec.center, grid, "patch")
-    x1, x2 = grid.mesh
-    acc = np.zeros((grid.n, grid.n))
+    x1, x2 = np.broadcast_arrays(*grid.mesh)
+    # subcells lie within dx / sqrt(2) of their cell centre, so only cells within
+    # dx of the [min_radius, max_radius] annulus can be partly covered
+    rho = np.hypot(x1 - spec.center[0], x2 - spec.center[1])
+    out = (rho < spec.min_radius - grid.dx).astype(np.float64)
+    band = (rho >= spec.min_radius - grid.dx) & (rho <= spec.max_radius + grid.dx)
+    x1, x2 = x1[band], x2[band]
+    acc = np.zeros(x1.shape)
     offs = (np.arange(supersample) + 0.5) / supersample - 0.5
     for o1 in offs:
         for o2 in offs:
@@ -128,7 +134,8 @@ def rasterize_patch(spec: PatchSpec, grid: GridSpec, supersample: int = 8) -> Sc
                 rr = np.hypot(d1, d2)
                 inside = rr < spec.boundary_radius(np.arctan2(d2, d1))
             acc += inside
-    return ScalarField(grid, acc / supersample**2)
+    out[band] = acc / supersample**2
+    return ScalarField(grid, out)
 
 
 def _boundary_samples(spec: PatchSpec, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

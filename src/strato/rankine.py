@@ -71,6 +71,8 @@ def _kernel_mass(tau: float, rs: np.ndarray, s_lo: float, s_hi: float, order: in
     for e0, e1 in zip(_PANEL_EDGES[:-1], _PANEL_EDGES[1:]):
         lo = np.maximum(u_lo, e0)
         hi = np.minimum(u_hi, e1)
+        if not np.any(hi > lo):
+            continue  # empty for every r: its term would be (vals @ w) * 0.0 = +0.0
         half = np.maximum(hi - lo, 0.0) / 2.0
         mid = (np.maximum(hi, lo) + lo) / 2.0
         nodes = mid[:, None] + half[:, None] * x[None, :]
@@ -93,6 +95,19 @@ def _kernel_mass_adaptive(tau: float, rs: np.ndarray, s_lo: float, s_hi: float) 
 def _check_tau(tau: float) -> None:
     if not (tau > 0.0 and np.isfinite(tau)):
         raise ValueError(f"tau must be positive and finite, got {tau}")
+
+
+def _check_p(p: float) -> None:
+    if not (1.0 <= p < math.inf):
+        raise ValueError(f"p must be finite with p >= 1, got {p}")
+
+
+def _check_ladder(taus: np.ndarray) -> None:
+    """What fit_exponent needs of its abscissae: at least 6 points spanning two decades."""
+    if len(taus) < 6:
+        raise ValueError(f"need >= 6 ladder points, got {len(taus)}")
+    if np.max(taus) / np.min(taus) < 99.0:
+        raise ValueError("ladder must span at least two decades")
 
 
 def exact_vorticity(tau: float, r: float | np.ndarray) -> float | np.ndarray:
@@ -121,11 +136,16 @@ def _layer_bounds(tau: float) -> tuple[float, float]:
 
 
 def _panel_profile(fn, a: float, b: float, order: int, pieces: int = 8) -> tuple:
-    """Nodes on equal pieces of [a, b] (a row each, none if b <= a), half-widths, fn piece by piece."""
+    """Nodes on equal pieces of [a, b] (a row each, none if b <= a), half-widths, fn of all nodes."""
     edges = np.linspace(a, b, pieces + 1 if b > a else 1)
     half = (edges[1:] - edges[:-1]) / 2.0
     nodes = ((edges[1:] + edges[:-1]) / 2.0)[:, None] + half[:, None] * _leggauss(order)[0]
-    return nodes, half, np.array([fn(r) for r in nodes]).reshape(nodes.shape)
+    return nodes, half, fn(nodes)
+
+
+def _by_row(fn):
+    """fn called on one row of nodes at a time, so each piece keeps its own adaptive order check."""
+    return lambda nodes: np.array([fn(r) for r in nodes]).reshape(nodes.shape)
 
 
 def _panel_quadrature(p: float, nodes: np.ndarray, half: np.ndarray, values: np.ndarray) -> float:
@@ -140,8 +160,7 @@ def _panel_quadrature(p: float, nodes: np.ndarray, half: np.ndarray, values: np.
 def _adaptive_panel(profile, p: float) -> float:
     """(int |f|^p 2 pi r dr)^(1/p) over the layer sides listed by profile(order).  Each side
     takes its 128-node rule, or its 256-node rule if the 64- and 128-node ones differ by 1e-12."""
-    if not (1.0 <= p < math.inf):
-        raise ValueError(f"p must be finite with p >= 1, got {p}")
+    _check_p(p)
     coarse, fine = ([_panel_quadrature(p, *side) for side in profile(order)] for order in (64, 128))
     total = 0.0
     for k, (c, f) in enumerate(zip(coarse, fine)):
@@ -155,8 +174,8 @@ def _adaptive_panel(profile, p: float) -> float:
 def _layer_profile(tau: float, order: int) -> tuple:
     """_panel_profile of the deficit inside the rim and of the profile beyond it."""
     inner, outer = _layer_bounds(tau)
-    sides = (_panel_profile(partial(patch_deficit, tau), inner, 1.0, order),
-             _panel_profile(partial(exact_vorticity, tau), 1.0, outer, order))
+    sides = (_panel_profile(_by_row(partial(patch_deficit, tau)), inner, 1.0, order),
+             _panel_profile(_by_row(partial(exact_vorticity, tau)), 1.0, outer, order))
     for arr in (*sides[0], *sides[1]):
         arr.setflags(write=False)  # every caller shares them
     return sides
@@ -289,10 +308,7 @@ def fit_exponent(series: RateSeries) -> FitResult:
     (the fitted slope if none was declared).
     """
     t, e = series.taus, series.errors
-    if len(t) < 6:
-        raise ValueError(f"need >= 6 ladder points, got {len(t)}")
-    if np.max(t) / np.min(t) < 99.0:
-        raise ValueError("ladder must span at least two decades")
+    _check_ladder(t)
     lx, ly = np.log(t), np.log(e)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import strato.conormal
 from strato.grid import (
     GridSpec,
     ScalarField,
@@ -342,6 +343,20 @@ class TestShearAdvection:
         om = random_field(g, 10, band=4.0)
         single = TimeSeries(times=np.array([2.0]), fields=(om,))
         assert advect_family(fam, single, dt=0.1) is fam
+
+    @pytest.mark.parametrize("times, steps", [
+        ([0.0, 0.01, 0.02, 0.03, 0.04], 4),  # uniform leg: one step per gap
+        ([0.0, 0.01, 0.02, 0.03, 0.035], 4),  # remainder leg: the short last gap sets no step
+        ([0.0, 0.002, 0.012, 0.022], 3),  # short first gap: three steps of 0.022 / 3
+    ])
+    def test_default_step_is_largest_sample_gap(self, pi_grid, monkeypatch, times, steps):
+        calls = []
+        rhs = strato.conormal._advect_stretch_rhs
+        monkeypatch.setattr(strato.conormal, "_advect_stretch_rhs", lambda *a, **k: calls.append(1) or rhs(*a, **k))
+        om = shear_series(pi_grid).fields[0]
+        fam = VectorFieldFamily(members=(VelocityField(constant_field(pi_grid, 0.0), constant_field(pi_grid, 1.0)),))
+        advect_family(fam, TimeSeries(times=np.array(times), fields=(om,) * len(times)))
+        assert len(calls) == 4 * steps
 
     def test_family_grid_must_match_trajectory(self, pi_grid, grid64):
         fam = VectorFieldFamily(

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import strato.conormal
+import strato.rankine
 import strato.solver
 from strato import fieldio
 from strato.cli import build_parser, main
@@ -472,6 +473,24 @@ class TestCli:
         errs = [float(line.split(",")[3]) for line in lines[1:]]
         assert all(a < b for a, b in zip(errs, errs[1:]))
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--points", "3"], "need >= 6 ladder points, got 3"),
+        (["--tau-min", "0"], "tau must be positive and finite, got 0.0"),
+        (["--tau-min", "1e-3", "--tau-max", "1e-2"], "ladder must span at least two decades"),
+        (["--p", "2", "0.5"], "p must be finite with p >= 1, got 0.5"),
+    ])
+    def test_rankine_bad_ladder_is_usage_error(self, monkeypatch, capsys, flags, message):
+        calls = []
+        monkeypatch.setattr(strato.rankine, "_kernel_mass", lambda *args: calls.append(args))
+        with pytest.raises(SystemExit) as info:
+            main(["rankine", *flags])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"strato rankine: error: {message}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert calls == []
+
     def test_sweep_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config_dict(out_dir=tmp_path / "unused")))
@@ -601,6 +620,15 @@ class TestCli:
                      "--samples", "3", "--csv", str(tmp_path / "series.csv")]) == 0
         assert legs == [3, 3]
         assert len(made) == 2 * 5
+
+    def test_conormal_norm_once_per_checkpoint(self, tmp_path, monkeypatch):
+        calls = []
+        norm = strato.conormal.conormal_norm
+        monkeypatch.setattr(strato.conormal, "conormal_norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
+        cfg_path = self._conormal_config(tmp_path)
+        assert main(["conormal", str(cfg_path), "--mu", "1e-3", "--t", "0.1",
+                     "--samples", "3", "--csv", str(tmp_path / "series.csv")]) == 0
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("samples", ["1", "0"])
     def test_conormal_needs_two_samples(self, tmp_path, capsys, samples):

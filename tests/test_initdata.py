@@ -101,6 +101,38 @@ class TestRasterize:
         assert edge.any()
         assert set(np.unique(coarse.values)) == {0.0, 1.0}
 
+    @pytest.mark.parametrize("spec", [
+        PatchSpec(kind="disc", radius=1.3, center=(0.37, -0.91)),
+        PatchSpec(kind="star", amplitude=0.15, octaves=3, center=(-0.4, 0.23)),
+        PatchSpec(kind="star", radius=1.1, amplitude=-0.2, base_mode=3, epsilon=0.3, center=(0.11, 0.5)),
+        PatchSpec(kind="ellipse", axes=(0.8, 1.7), center=(0.52, -0.33)),
+    ], ids=["disc", "star3", "star-neg", "ellipse"])
+    @pytest.mark.parametrize("n, supersample", [(64, 8), (128, 3), (256, 1)])
+    def test_band_matches_supersampling_every_cell(self, spec, n, supersample):
+        grid = GridSpec(n=n, half_length=4.0)
+        got = rasterize_patch(spec, grid, supersample=supersample).values
+        assert np.array_equal(got, supersample_every_cell(spec, grid, supersample))
+        assert (got == 1.0).any()
+
+
+def supersample_every_cell(spec, grid, supersample):
+    """The rasterizer before it skipped cells far from the boundary: all n^2 cells, every subcell."""
+    x1, x2 = grid.mesh
+    acc = np.zeros((grid.n, grid.n))
+    offs = (np.arange(supersample) + 0.5) / supersample - 0.5
+    for o1 in offs:
+        for o2 in offs:
+            d1 = x1 + o1 * grid.dx - spec.center[0]
+            d2 = x2 + o2 * grid.dx - spec.center[1]
+            if spec.kind == "ellipse":
+                a, b = spec.axes
+                inside = (d1 / a) ** 2 + (d2 / b) ** 2 < 1.0
+            else:
+                rr = np.hypot(d1, d2)
+                inside = rr < spec.boundary_radius(np.arctan2(d2, d1))
+            acc += inside
+    return acc / supersample**2
+
 
 class TestBvNorm:
     def test_disc_closed_form(self):

@@ -194,6 +194,71 @@ class TestProfileCache:
         assert fresh_profiles.cache_info().currsize == maxsize
 
 
+def all_panel_kernel_mass(tau, rs, s_lo, s_hi, order):
+    """The kernel mass before empty panels were skipped: all 8 panels for every r."""
+    root = math.sqrt(tau)
+    rs = np.asarray(rs, dtype=np.float64)
+    u_lo = np.maximum((s_lo - rs) / (2.0 * root), -rankine._U_CUT)
+    u_hi = (
+        np.full_like(rs, rankine._U_CUT)
+        if math.isinf(s_hi)
+        else np.minimum((s_hi - rs) / (2.0 * root), rankine._U_CUT)
+    )
+    x, w = np.polynomial.legendre.leggauss(order)
+    total = np.zeros_like(rs)
+    for e0, e1 in zip(rankine._PANEL_EDGES[:-1], rankine._PANEL_EDGES[1:]):
+        lo = np.maximum(u_lo, e0)
+        hi = np.minimum(u_hi, e1)
+        half = np.maximum(hi - lo, 0.0) / 2.0
+        mid = (np.maximum(hi, lo) + lo) / 2.0
+        nodes = mid[:, None] + half[:, None] * x[None, :]
+        s = np.maximum(rs[:, None] + 2.0 * root * nodes, 0.0)
+        vals = s * np.exp(-nodes**2) * rankine.i0e(rs[:, None] * s / (2.0 * tau))
+        total += (vals @ w) * half
+    return total / root
+
+
+def layer_rows(tau, order):
+    """Deficit-side and vorticity-side node rows of the layer profile (first, middle, last piece)."""
+    inner, outer = rankine._layer_bounds(tau)
+    for a, b, s_lo, s_hi in ((inner, 1.0, 1.0, math.inf), (1.0, outer, 0.0, 1.0)):
+        nodes = rankine._panel_profile(lambda r: r, a, b, order)[0]
+        for row in nodes[[0, 3, -1]] if len(nodes) else ():
+            yield row, s_lo, s_hi
+
+
+KERNEL_TAUS = [1e-300, 1e-30, 1e-12, *np.geomspace(1e-6, 3.7, 7)]
+
+
+class TestLivePanels:
+    @pytest.mark.parametrize("order", [32, 64, 128, 256])
+    def test_kernel_mass_bit_identical_to_all_panels(self, order):
+        for tau in KERNEL_TAUS:
+            for rs, s_lo, s_hi in layer_rows(tau, order):
+                got = rankine._kernel_mass(tau, rs, s_lo, s_hi, order)
+                assert np.array_equal(got, all_panel_kernel_mass(tau, rs, s_lo, s_hi, order))
+
+    def test_deficit_side_skips_panels_below_zero(self, monkeypatch):
+        # rs <= 1 = s_lo puts every node at u >= 0: the four panels ending at or below 0 are empty
+        args = []
+        i0e = rankine.i0e
+        monkeypatch.setattr(rankine, "i0e", lambda z: args.append(z) or i0e(z))
+        tau = 1e-3
+        rs = np.linspace(0.9, 1.0, 33)
+        rankine._kernel_mass(tau, rs, 1.0, math.inf, 64)
+        assert 0 < len(args) <= 4
+        for z in args:
+            s = z * 2.0 * tau / rs[:, None]
+            assert np.all(s >= rs[:, None] * (1.0 - 1e-12))
+
+    def test_one_pass_velocity_profile_matches_per_piece(self, monkeypatch):
+        taus = [1e-12, 1e-5, 1e-3, 0.3]
+        one_pass = [velocity_lp_error(tau, p) for tau in taus for p in (1.0, 2.5, 8.0)]
+        panel_profile = rankine._panel_profile
+        monkeypatch.setattr(rankine, "_panel_profile", lambda fn, *a: panel_profile(rankine._by_row(fn), *a))
+        assert [velocity_lp_error(tau, p) for tau in taus for p in (1.0, 2.5, 8.0)] == one_pass
+
+
 class TestSimilarityWindow:
     def test_matches_deficit_inside(self):
         tau = 1e-2
