@@ -12,6 +12,7 @@ bound it feeds.
 from __future__ import annotations
 
 from bisect import bisect_right
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -21,7 +22,7 @@ from typing import Any, Callable, Iterable, Iterator
 import numpy as np
 import scipy.fft as _fft
 
-from .grid import GridSpec, ScalarField, VelocityField, _eval_at, lp_norm, velocity_gradient_sup
+from .grid import GridSpec, ScalarField, VelocityField, _eval_at, _phase_basis, lp_norm, velocity_gradient_sup
 from .littlewood_paley import BesovParams, DyadicPartition, TimeSeries, besov_norm
 
 __all__ = [
@@ -149,47 +150,63 @@ class VelocityInterpolant:
         w = (t - ts[j - 1]) / (ts[j] - ts[j - 1])
         return (1.0 - w) * fields[j - 1].half_spectrum + w * fields[j].half_spectrum
 
-    def velocity_spectra(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        h = self.omega_spectrum(t)
-        return self.kern.v1 * h, self.kern.v2 * h
-
-    def gradient_spectra(self, t: float) -> list[np.ndarray]:
-        """Half spectra of v1, v2, d1 v1, d2 v1, d1 v2 and d2 v2 at t."""
-        s1, s2 = self.velocity_spectra(t)
-        ik1, ik2 = self.kern.ik1, self.kern.ik2
-        return [s1, s2, ik1 * s1, ik2 * s1, ik1 * s2, ik2 * s2]
-
     def velocity_values(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        s1, s2 = self.velocity_spectra(t)
-        return self.kern.real(s1), self.kern.real(s2)
+        h = self.omega_spectrum(t)
+        return self.kern.real(self.kern.v1 * h), self.kern.real(self.kern.v2 * h)
 
     @property
     def span(self) -> tuple[float, float]:
         return float(self.times[0]), float(self.times[-1])
 
 
+def _gradient_spectra(kern: Any, h: np.ndarray) -> Iterator[np.ndarray]:
+    """Half spectra of v1, v2, d1 v1, d2 v1, d1 v2 and d2 v2 from vorticity spectrum h, one at a time."""
+    s1, s2 = kern.v1 * h, kern.v2 * h
+    yield from (s1, s2)
+    yield from (ik * s for s in (s1, s2) for ik in (kern.ik1, kern.ik2))
+
+
+def _gradient_at(h: np.ndarray, grid: GridSpec, pts: np.ndarray) -> list[np.ndarray]:
+    """_eval_at(_gradient_spectra(h)) with three phase-basis contractions, not six: G = h/|k|^2 against
+    axis-0 weights 1, ik1 and ik1^2, then axis-1 weights ik2 and ik2^2; and d2 v2 = -d1 v1."""
+    kern = grid._kernel
+    if len(pts) > 512:  # _eval_at's bicubic branch
+        return _eval_at(_gradient_spectra(kern, h), grid, pts)
+    e1, e2 = _phase_basis(grid, pts)
+    g, ik1 = kern.inv_ksq * h, kern.ik1[:, 0]
+    a0 = e1 @ g
+    e1 *= ik1
+    a1 = e1 @ g
+    e1 *= ik1
+    a2 = e1 @ g
+    w = kern.ik2 * e2
+    v1, v2, d1v1, d2v1, d1v2 = (np.einsum("ij,ij->i", a, x).real / grid.n**2
+                                for a, x in ((a0, w), (a1, -e2), (a1, w), (a0, kern.ik2 * w), (a2, -e2)))
+    return [v1, v2, d1v1, d2v1, d1v2, -d1v1]
+
+
 def _advect_stretch_rhs(comps: list[np.ndarray], vel: tuple, grid: GridSpec) -> list[np.ndarray]:
-    """RHS of d/dt X = -(v . grad) X + (X . grad) v for stacked components."""
+    """RHS of d/dt X = -(v . grad) X + (X . grad) v for stacked components.
+
+    Flux form: div v = 0 makes (v . grad) X_i = d1(v1 X_i) + d2(v2 X_i), so each
+    component takes three forward transforms and one inverse.
+    """
     v1, v2, (d1v1, d2v1, d1v2, d2v2) = vel
     kern = grid._kernel
     out = []
     for i in range(0, len(comps), 2):
         x1, x2 = comps[i], comps[i + 1]
-        s1 = _fft.rfft2(x1)
-        s2 = _fft.rfft2(x2)
-        d1x1 = kern.real(kern.ik1 * s1)
-        d2x1 = kern.real(kern.ik2 * s1)
-        d1x2 = kern.real(kern.ik1 * s2)
-        d2x2 = kern.real(kern.ik2 * s2)
-        r1 = -(v1 * d1x1 + v2 * d2x1) + (x1 * d1v1 + x2 * d2v1)
-        r2 = -(v1 * d1x2 + v2 * d2x2) + (x1 * d1v2 + x2 * d2v2)
-        out.append(kern.dealias(r1))
-        out.append(kern.dealias(r2))
+        for x, g1, g2 in ((x1, d1v1, d2v1), (x2, d1v2, d2v2)):
+            r = _fft.rfft2(x1 * g1 + x2 * g2)
+            r -= kern.ik1 * _fft.rfft2(v1 * x)
+            r -= kern.ik2 * _fft.rfft2(v2 * x)
+            r *= kern.keep
+            out.append(kern.real(r))
     return out
 
 
 def _velocity_and_gradient(interp: VelocityInterpolant, t: float) -> tuple[np.ndarray, ...]:
-    v1, v2, *grad = map(interp.kern.real, interp.gradient_spectra(t))
+    v1, v2, *grad = map(interp.kern.real, _gradient_spectra(interp.kern, interp.omega_spectrum(t)))
     return v1, v2, tuple(grad)
 
 
@@ -202,24 +219,27 @@ def _rk4(
 ) -> Iterator[tuple[float, list[np.ndarray]]]:
     """Classic RK4 across the trajectory's span; yields (t, state) after each step.
 
-    velocity(t) is called once per distinct stage time, and only one stage
-    velocity is held at a time.  dt defaults to the largest sample gap, so a
-    short remainder step at the end of a leg does not set the step for all of it.
+    velocity(t) is called once per distinct stage time (a step's end velocity
+    starts the next step), and only one stage velocity is held at a time.  dt
+    defaults to the largest sample gap, so a short remainder step at the end
+    of a leg does not set the step for all of it.
     """
     t0, t1 = interp.span
     if dt is None:
         dt = float(np.max(np.diff(interp.times)))
     nsteps = max(1, int(np.ceil((t1 - t0) / dt - 1.0e-12)))
     times = np.linspace(t0, t1, nsteps + 1)
+    vel = velocity(times[0])
     for a, b in zip(times[:-1], times[1:]):
         h = b - a
-        k1 = rhs(state, velocity(a))
-        vel = velocity(0.5 * (a + b))
-        k2 = rhs([c + 0.5 * h * k for c, k in zip(state, k1)], vel)
-        k3 = rhs([c + 0.5 * h * k for c, k in zip(state, k2)], vel)
-        del vel
-        k4 = rhs([c + h * k for c, k in zip(state, k3)], velocity(b))
-        state = [c + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4) for c, a1, a2, a3, a4 in zip(state, k1, k2, k3, k4)]
+        acc = k = rhs(state, vel)  # acc sums k1 + 2 k2 + 2 k3 + k4 in that order
+        for frac, weight, t in ((0.5, 2.0, 0.5 * (a + b)), (0.5, 2.0, None), (1.0, 1.0, b)):
+            if t is not None:
+                del vel
+                vel = velocity(t)
+            k = rhs([c + frac * h * d for c, d in zip(state, k)], vel)
+            acc = [s + weight * d for s, d in zip(acc, k)]
+        state = [c + h / 6.0 * s for c, s in zip(state, acc)]
         yield float(b), state
 
 
@@ -326,14 +346,14 @@ def advect_boundary(
     t0, t1 = interp.span
     g = interp.grid
 
-    def rhs(state: list[np.ndarray], spectra: list[np.ndarray]) -> list[np.ndarray]:
+    def rhs(state: list[np.ndarray], omega_half: np.ndarray) -> list[np.ndarray]:
         pts, tan = state
-        v1, v2, d1v1, d2v1, d1v2, d2v2 = _eval_at(spectra, g, pts)
+        v1, v2, d1v1, d2v1, d1v2, d2v2 = _gradient_at(omega_half, g, pts)
         dtan = np.stack([tan[:, 0] * d1v1 + tan[:, 1] * d2v1, tan[:, 0] * d1v2 + tan[:, 1] * d2v2], axis=1)
         return [np.stack([v1, v2], axis=1), dtan]
 
     state = [np.asarray(points, dtype=np.float64), np.asarray(tangents, dtype=np.float64)]
-    steps = _rk4(state, interp.gradient_spectra, rhs, interp, dt) if t1 > t0 else ()
+    steps = _rk4(state, interp.omega_spectrum, rhs, interp, dt) if t1 > t0 else ()
     for t, (pts, tan) in chain([(t0, state)], steps):
         curve = BoundaryCurve(params, pts, tan, time=t)
         if curve.spacing_ratio > _SPACING_COLLAPSE:
@@ -352,26 +372,29 @@ def advect_legs(
     trajectory is ``solver.march`` with record_every_step, landing on every
     checkpoint.  Yields (t, omega, family, curve, diagnostics) at each
     checkpoint, advected over the leg since the previous one.  Holds only
-    the current leg's vorticity samples and no density sample.
+    the current leg's vorticity samples and no density sample.  The tracers advance
+    on a helper thread beside the family (both release the GIL), each as it would alone.
     """
     # itemgetter drops the density sample as soon as it is yielded
     samples = map(itemgetter(0, 1, 3), trajectory)
     leg_t, leg_w = [], []
-    for mark in checkpoints:
-        for t, omega, diag in samples:
-            leg_t.append(t)
-            leg_w.append(omega)
-            if t >= mark - 1.0e-12:
-                break
-        else:
-            return
-        if len(leg_w) > 1:
-            leg = TimeSeries(np.array(leg_t), tuple(leg_w))
-            family = advect_family(family, leg)
-            curve = advect_boundary(curve.params, curve.points, curve.tangents, leg)
-            del leg  # else it lives on beside the next leg
-        leg_t, leg_w = [t], [omega]
-        yield t, omega, family, curve, diag
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="strato-tracers") as helper:
+        for mark in checkpoints:
+            for t, omega, diag in samples:
+                leg_t.append(t)
+                leg_w.append(omega)
+                if t >= mark - 1.0e-12:
+                    break
+            else:
+                return
+            if len(leg_w) > 1:
+                leg = TimeSeries(np.array(leg_t), tuple(leg_w))
+                tracers = helper.submit(advect_boundary, curve.params, curve.points, curve.tangents, leg)
+                family = advect_family(family, leg)
+                curve = tracers.result()
+                del leg, tracers  # else the leg lives on beside the next one
+            leg_t, leg_w = [t], [omega]
+            yield t, omega, family, curve, diag
 
 
 def holder_quotient(params: np.ndarray, tangents: np.ndarray, epsilon: float, period: float = 2.0 * np.pi) -> float:

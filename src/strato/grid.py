@@ -88,7 +88,7 @@ class _HalfKernel:
     zero, which is what taking the real part does to an odd multiplier on
     the full complex spectrum), ``ksq`` is |k|^2, ``v1`` and ``v2`` map
     vorticity to Biot-Savart velocity (zero mode gauged to 0) and ``keep``
-    is the 2/3 dealiasing mask.
+    is the 2/3 dealiasing mask; ``inv_ksq`` is 1/|k|^2 with the zero mode 0.
     """
 
     def __init__(self, grid: GridSpec):
@@ -101,10 +101,10 @@ class _HalfKernel:
         self.ksq = k1**2 + k2**2
         self.ik1 = 1j * np.where(np.abs(m1) == n // 2, 0.0, k1)
         self.ik2 = 1j * np.where(m2 == n // 2, 0.0, k2)
-        inv_ksq = np.zeros_like(self.ksq)
-        np.divide(1.0, self.ksq, out=inv_ksq, where=self.ksq != 0.0)
-        self.v1 = self.ik2 * inv_ksq
-        self.v2 = -self.ik1 * inv_ksq
+        self.inv_ksq = np.zeros_like(self.ksq)
+        np.divide(1.0, self.ksq, out=self.inv_ksq, where=self.ksq != 0.0)
+        self.v1 = self.ik2 * self.inv_ksq
+        self.v2 = -self.ik1 * self.inv_ksq
         self.keep = (np.abs(m1) <= n // 3) & (m2 <= n // 3)
 
     def real(self, half: np.ndarray) -> np.ndarray:
@@ -262,6 +262,23 @@ def sample_at(f: ScalarField, points: np.ndarray, spectral_cutoff: int = 512) ->
     return _eval_at([f.half_spectrum], f.grid, pts, spectral_cutoff)[0]
 
 
+def _phase_basis(grid: GridSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e1 (m, n) and e2 (m, n/2 + 1): half spectrum h is ((e1 @ h) * e2).sum(axis=1).real / n**2 at pts.
+
+    The fft coefficients expand f in exp(i k . (x + L)), so shift by L.  The unpaired
+    Nyquist modes enter as cosines, which keeps the sum the same for a field and its
+    transpose; the columns 0 < m2 < n/2 stand for their conjugate mirrors too.
+    """
+    n, half_length = grid.n, grid.half_length
+    scale = np.pi / half_length
+    e1 = np.exp(1j * np.outer(pts[:, 0] + half_length, scale * _fft.fftfreq(n, d=1.0 / n)))
+    e2 = np.exp(1j * np.outer(pts[:, 1] + half_length, scale * _fft.rfftfreq(n, d=1.0 / n)))
+    e1[:, n // 2] = e1[:, n // 2].real
+    e2[:, n // 2] = e2[:, n // 2].real
+    e2[:, 1 : n // 2] *= 2.0
+    return e1, e2
+
+
 def _eval_at(
     halves: list[np.ndarray], grid: GridSpec, pts: np.ndarray, spectral_cutoff: int = 512
 ) -> list[np.ndarray]:
@@ -271,21 +288,10 @@ def _eval_at(
     ``spectral_cutoff`` points; periodic bicubic interpolation of the
     sampled fields beyond that.
     """
-    n, half_length = grid.n, grid.half_length
     if len(pts) <= spectral_cutoff:
-        # the fft coefficients expand f in exp(i k . (x + L)): index 0 sits at
-        # the corner x = -L, so shift before forming the exponentials.  The
-        # unpaired Nyquist modes enter as cosines, which keeps the sum the
-        # same for a field and its transpose; the columns 0 < m2 < n/2
-        # stand for their conjugate mirrors too
-        scale = np.pi / half_length
-        e1 = np.exp(1j * np.outer(pts[:, 0] + half_length, scale * _fft.fftfreq(n, d=1.0 / n)))
-        e2 = np.exp(1j * np.outer(pts[:, 1] + half_length, scale * _fft.rfftfreq(n, d=1.0 / n)))
-        e1[:, n // 2] = e1[:, n // 2].real
-        e2[:, n // 2] = e2[:, n // 2].real
-        e2[:, 1 : n // 2] *= 2.0
-        return [((e1 @ h) * e2).sum(axis=1).real / n**2 for h in halves]
+        e1, e2 = _phase_basis(grid, pts)
+        return [((e1 @ h) * e2).sum(axis=1).real / grid.n**2 for h in halves]
     from scipy.ndimage import map_coordinates
 
-    coords = ((pts + half_length) / grid.dx).T
+    coords = ((pts + grid.half_length) / grid.dx).T
     return [map_coordinates(grid._kernel.real(h), coords, order=3, mode="grid-wrap") for h in halves]

@@ -24,6 +24,7 @@ import os
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -245,43 +246,37 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:
     number of cores this process may run on, capped at the rung count;
     a count of 1 runs every rung in this process.  Tasks are dispatched
     in ladder order and collected in that same order, so the emitted
-    tables are identical however the work was scheduled.
+    tables are identical however the work was scheduled.  The reference
+    comes first, so each rung is measured as it arrives, while later
+    rungs still run, and then dropped.
     """
     ladder = tuple(sorted(config.mu_values))
     mus = (0.0,) + ladder
     workers = _worker_count(workers, len(mus))
-    omega0, rho0 = config.initial_fields()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rungs = pool.map(run_single, repeat(config), mus, repeat(omega0), repeat(rho0), chunksize=1)
-            outputs = [_logged(out) for out in rungs]
-    else:
-        outputs = [_logged(run_single(config, mu, omega0, rho0)) for mu in mus]
-
-    by_mu = {mu: (times, om, rh) for mu, times, om, rh, _ in outputs}
-    ref_times, ref_om, ref_rh = by_mu[0.0]
     grid = config.grid
     p = config.error_p
+    omega0, rho0 = config.initial_fields()
+    args = (run_single, repeat(config), mus, repeat(omega0), repeat(rho0))
 
     rows: list[RateRow] = []
-    for mu in ladder:
-        times, om, rh = by_mu[mu]
-        for j, t in enumerate(times):
-            wa = ScalarField(grid, om[j])
-            wb = ScalarField(grid, ref_om[j])
-            verr = velocity_distance(wa, wb, p)
-            derr = field_distance(ScalarField(grid, rh[j]), ScalarField(grid, ref_rh[j]), p)
-            werr = field_distance(wa, wb, p)
-            rows.append(
-                RateRow(
-                    mu=mu,
-                    time=float(t),
-                    velocity_error=verr,
-                    density_error=derr,
-                    discrepancy=verr + derr,
-                    vorticity_error=werr,
-                )
-            )
+    stats, fields = [], {}
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for mu, times, om, rh, rung in map(_logged, pool.map(*args, chunksize=1) if pool else map(*args)):
+            stats.append(rung)
+            if config.save_fields:
+                fields[mu] = (times, om, rh)
+            if mu == 0.0:
+                ref_om, ref_rh = om, rh
+                continue
+            for j, t in enumerate(times):
+                wa = ScalarField(grid, om[j])
+                wb = ScalarField(grid, ref_om[j])
+                verr = velocity_distance(wa, wb, p)
+                derr = field_distance(ScalarField(grid, rh[j]), ScalarField(grid, ref_rh[j]), p)
+                werr = field_distance(wa, wb, p)
+                rows.append(RateRow(mu=mu, time=float(t), velocity_error=verr, density_error=derr,
+                                    discrepancy=verr + derr, vorticity_error=werr))
+            del om, rh, wa, wb  # before the next rung arrives
     rows.sort(key=lambda r: (r.time, r.mu))
 
     slopes: dict = {}
@@ -298,14 +293,9 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:
             entry["vorticity_slope"] = float(np.polyfit(lm, np.log([r.vorticity_error for r in sub]), 1)[0])
         slopes[f"{t:.12g}"] = entry
 
-    fields = {}
-    if config.save_fields:
-        for mu in mus:
-            times, om, rh = by_mu[mu]
-            fields[mu] = (times, om, rh)
     provenance = {
         "workers": workers,
-        "rungs": [stats for *_, stats in outputs],
+        "rungs": stats,
         "versions": {"python": platform.python_version(), "numpy": np.__version__,
                      "scipy": scipy.__version__, "strato": __version__},
     }

@@ -136,11 +136,16 @@ def _layer_bounds(tau: float) -> tuple[float, float]:
 
 
 def _panel_profile(fn, a: float, b: float, order: int, pieces: int = 8) -> tuple:
-    """Nodes on equal pieces of [a, b] (a row each, none if b <= a), half-widths, fn of all nodes."""
+    """Nodes on equal pieces of [a, b] (a row each, none if b <= a), half-widths, fn of all nodes.
+
+    The arrays are read-only: the cached profiles share them with every caller."""
     edges = np.linspace(a, b, pieces + 1 if b > a else 1)
     half = (edges[1:] - edges[:-1]) / 2.0
     nodes = ((edges[1:] + edges[:-1]) / 2.0)[:, None] + half[:, None] * _leggauss(order)[0]
-    return nodes, half, fn(nodes)
+    profile = (nodes, half, fn(nodes))
+    for arr in profile:
+        arr.setflags(write=False)
+    return profile
 
 
 def _by_row(fn):
@@ -174,11 +179,8 @@ def _adaptive_panel(profile, p: float) -> float:
 def _layer_profile(tau: float, order: int) -> tuple:
     """_panel_profile of the deficit inside the rim and of the profile beyond it."""
     inner, outer = _layer_bounds(tau)
-    sides = (_panel_profile(_by_row(partial(patch_deficit, tau)), inner, 1.0, order),
-             _panel_profile(_by_row(partial(exact_vorticity, tau)), 1.0, outer, order))
-    for arr in (*sides[0], *sides[1]):
-        arr.setflags(write=False)  # every caller shares them
-    return sides
+    return (_panel_profile(_by_row(partial(patch_deficit, tau)), inner, 1.0, order),
+            _panel_profile(_by_row(partial(exact_vorticity, tau)), 1.0, outer, order))
 
 
 def vorticity_lp_error(tau: float, p: float) -> float:
@@ -244,13 +246,18 @@ def velocity_lp_error(tau: float, p: float) -> float:
     vanish outside the smoothing layer.
     """
     _check_tau(tau)
+    return _adaptive_panel(partial(_speed_profile, tau), p)
+
+
+@lru_cache(maxsize=64)  # sized as _layer_profile
+def _speed_profile(tau: float, order: int) -> tuple:
+    """_panel_profile of the velocity discrepancy |M(r)|/r on each side of the rim."""
     inner, outer = _layer_bounds(tau)
 
     def speed(r: np.ndarray) -> np.ndarray:
         return np.divide(np.abs(_running_moment(tau, r)), r, out=np.zeros_like(r), where=r > 0.0)
 
-    sides = ((inner, 1.0), (1.0, outer))
-    return _adaptive_panel(lambda order: [_panel_profile(speed, a, b, order) for a, b in sides], p)
+    return tuple(_panel_profile(speed, a, b, order) for a, b in ((inner, 1.0), (1.0, outer)))
 
 
 def similarity_deficit(tau: float, radius: float | np.ndarray) -> float | np.ndarray:

@@ -6,6 +6,8 @@ sin(x2) in a period-pi box induces v = (cos(x2), 0), for which family
 advection, passive transport, and tracer motion all have closed forms.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from strato.grid import (
     VelocityField,
     biot_savart,
     derivative,
+    _eval_at,
     lp_norm,
     sample_at,
 )
@@ -358,12 +361,127 @@ class TestShearAdvection:
         advect_family(fam, TimeSeries(times=np.array(times), fields=(om,) * len(times)))
         assert len(calls) == 4 * steps
 
+    @pytest.mark.parametrize("times, steps", [
+        ([0.0, 0.01, 0.02, 0.03, 0.04], 4),  # uniform leg
+        ([0.0, 0.01, 0.02, 0.03, 0.035], 4),  # remainder leg
+        ([0.0, 0.002, 0.012, 0.022], 3),  # short first gap
+    ])
+    def test_velocity_once_per_stage_time(self, pi_grid, times, steps):
+        om = shear_series(pi_grid).fields[0]
+        interp = VelocityInterpolant(TimeSeries(times=np.array(times), fields=(om,) * len(times)))
+        calls = []
+
+        def velocity(t):
+            calls.append(t)
+            return interp.velocity_values(t)
+
+        state = [np.ones((pi_grid.n, pi_grid.n))]
+        for _ in strato.conormal._rk4(state, velocity, transport_rhs(pi_grid), interp, None):
+            pass
+        assert len(calls) == 2 * steps + 1
+        assert len(set(calls)) == len(calls)
+
+    def test_rk4_bit_identical_to_four_velocity_steps(self, pi_grid):
+        times = np.array([0.0, 0.01, 0.02, 0.03, 0.035])
+        om = random_field(pi_grid, 41, band=4.0)
+        interp = VelocityInterpolant(TimeSeries(times=times, fields=(om,) * len(times)))
+        x = VelocityField(random_field(pi_grid, 42, band=6.0), random_field(pi_grid, 43, band=6.0))
+        velocity = partial(strato.conormal._velocity_and_gradient, interp)
+        rhs = partial(strato.conormal._advect_stretch_rhs, grid=pi_grid)
+        state = [x.u1.values, x.u2.values]
+        got = list(strato.conormal._rk4(state, velocity, rhs, interp, None))
+        want = list(reference_rk4(state, velocity, rhs, interp))
+        assert [t for t, _ in got] == [t for t, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert all(np.array_equal(u, v) for u, v in zip(a, b))
+
     def test_family_grid_must_match_trajectory(self, pi_grid, grid64):
         fam = VectorFieldFamily(
             members=(VelocityField(constant_field(grid64, 1.0), constant_field(grid64, 0.0)),)
         )
         with pytest.raises(ValueError, match="grids differ"):
             advect_family(fam, shear_series(pi_grid), dt=0.1)
+
+
+def transport_rhs(grid):
+    kern = grid._kernel
+
+    def rhs(state, vel):
+        v1, v2 = vel
+        s = np.fft.rfft2(state[0])
+        return [kern.dealias(-(v1 * kern.real(kern.ik1 * s) + v2 * kern.real(kern.ik2 * s)))]
+
+    return rhs
+
+
+def reference_rk4(state, velocity, rhs, interp):
+    """RK4 as before end velocities were reused: velocity at a, the midpoint and b of every step."""
+    t0, t1 = interp.span
+    dt = float(np.max(np.diff(interp.times)))
+    times = np.linspace(t0, t1, max(1, int(np.ceil((t1 - t0) / dt - 1.0e-12))) + 1)
+    for a, b in zip(times[:-1], times[1:]):
+        h = b - a
+        k1 = rhs(state, velocity(a))
+        vel = velocity(0.5 * (a + b))
+        k2 = rhs([c + 0.5 * h * k for c, k in zip(state, k1)], vel)
+        k3 = rhs([c + 0.5 * h * k for c, k in zip(state, k2)], vel)
+        k4 = rhs([c + h * k for c, k in zip(state, k3)], velocity(b))
+        state = [c + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4) for c, a1, a2, a3, a4 in zip(state, k1, k2, k3, k4)]
+        yield float(b), state
+
+
+def advective_stretch_rhs(comps, vel, grid):
+    """The family RHS in advective form: spectral derivatives of X, products, then the 2/3 rule."""
+    v1, v2, (d1v1, d2v1, d1v2, d2v2) = vel
+    kern = grid._kernel
+    out = []
+    for i in range(0, len(comps), 2):
+        x1, x2 = comps[i], comps[i + 1]
+        s1, s2 = np.fft.rfft2(x1), np.fft.rfft2(x2)
+        d1x1, d2x1 = kern.real(kern.ik1 * s1), kern.real(kern.ik2 * s1)
+        d1x2, d2x2 = kern.real(kern.ik1 * s2), kern.real(kern.ik2 * s2)
+        out.append(kern.dealias(-(v1 * d1x1 + v2 * d2x1) + (x1 * d1v1 + x2 * d2v1)))
+        out.append(kern.dealias(-(v1 * d1x2 + v2 * d2x2) + (x1 * d1v2 + x2 * d2v2)))
+    return out
+
+
+class TestFluxFormRhs:
+    def test_matches_advective_form_for_band_limited_fields(self, grid64):
+        # family bands up to index 20 <= n/3 and velocity up to 10: no product reaches n/2, so
+        # the discrete Leibniz rule is exact and div v = 0 makes the two forms agree
+        unit = np.pi / grid64.half_length
+        comps = [random_field(grid64, s, band=20 * unit).values for s in (51, 52, 53, 54)]
+        om = random_field(grid64, 55, band=10 * unit)
+        interp = VelocityInterpolant(TimeSeries(times=np.array([0.0]), fields=(om,)))
+        vel = strato.conormal._velocity_and_gradient(interp, 0.0)
+        got = strato.conormal._advect_stretch_rhs(comps, vel, grid64)
+        want = advective_stretch_rhs(comps, vel, grid64)
+        for a, b in zip(got, want):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_family_moves_as_with_advective_rhs(self, pi_grid, monkeypatch):
+        x = VelocityField(random_field(pi_grid, 31, band=6.0), random_field(pi_grid, 32, band=6.0))
+        series = shear_series(pi_grid, t_final=0.3)
+        flux = advect_family(VectorFieldFamily(members=(x,)), series, dt=0.01).members[0]
+        monkeypatch.setattr(strato.conormal, "_advect_stretch_rhs", advective_stretch_rhs)
+        ref = advect_family(VectorFieldFamily(members=(x,)), series, dt=0.01).members[0]
+        for a, b in ((flux.u1, ref.u1), (flux.u2, ref.u2)):
+            assert np.abs(a.values - b.values).max() <= 1e-12 * np.abs(b.values).max()
+
+
+class TestTracerEvaluator:
+    @pytest.mark.parametrize("m", [256, 600])  # spectral summation, then bicubic beyond 512 points
+    def test_matches_six_spectrum_evaluation(self, grid256, m):
+        kern = grid256._kernel
+        pts = np.random.default_rng(m).uniform(-8.0, 8.0, (m, 2))
+        for seed in range(6):
+            h = random_field(grid256, 60 + seed, band=None if seed % 2 else 6.0).half_spectrum
+            six = [kern.v1 * h, kern.v2 * h]
+            six += [ik * s for s in six for ik in (kern.ik1, kern.ik2)]
+            want = _eval_at(six, grid256, pts)
+            got = strato.conormal._gradient_at(h, grid256, pts)
+            for a, b in zip(got, want):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 class TestBoundaryAdvection:

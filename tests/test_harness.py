@@ -8,7 +8,9 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import weakref
+from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import strato.conormal
+import strato.harness
 import strato.rankine
 import strato.solver
 from strato import fieldio
@@ -388,6 +391,30 @@ class TestEmitReport:
 
 
 class TestDeterminism:
+    def test_rungs_measured_as_they_arrive(self, tmp_path, monkeypatch):
+        # the reference rung comes first; each later rung is measured before the next one runs,
+        # and its arrays are gone by then
+        events, made = [], {}
+        real_run, real_distance = strato.harness.run_single, strato.harness.velocity_distance
+
+        def run_rung(config, mu, *fields):
+            gc.collect()
+            events.append(("run", mu, sorted(m for m, refs in made.items() if any(r() is not None for r in refs))))
+            out = real_run(config, mu, *fields)
+            made[mu] = [weakref.ref(a) for a in out[2] + out[3]]
+            return out
+
+        monkeypatch.setattr(strato.harness, "run_single", run_rung)
+        monkeypatch.setattr(strato.harness, "velocity_distance",
+                            lambda a, b, p: events.append(("measure",)) or real_distance(a, b, p))
+        run_sweep(SweepConfig.from_dict(tiny_config_dict(out_dir=tmp_path)), workers=1)
+        mus = sorted(tiny_config_dict()["sweep"]["mu"])
+        want = [("run", 0.0, [])]
+        for k, mu in enumerate(mus):
+            want.append(("run", mu, [0.0]))
+            want += [("measure",)] * 2  # two sample times
+        assert events == want
+
     def test_worker_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         raw = tiny_config_dict(out_dir=tmp_path, mus=(1.0e-3, 1.0e-2))
         cfg = SweepConfig.from_dict(raw)
@@ -630,6 +657,57 @@ class TestCli:
                      "--samples", "3", "--csv", str(tmp_path / "series.csv")]) == 0
         assert len(calls) == 3
 
+    def test_conormal_threaded_tracers_match_inline(self, tmp_path, monkeypatch):
+        cfg_path = self._conormal_config(tmp_path)
+        threads = []
+        tracers = strato.conormal.advect_boundary
+        monkeypatch.setattr(strato.conormal, "advect_boundary",
+                            lambda *a: threads.append(threading.current_thread()) or tracers(*a))
+        argv = ["conormal", str(cfg_path), "--mu", "1e-3", "--t", "0.13", "--samples", "3", "--csv"]
+        assert main([*argv, str(tmp_path / "threaded.csv")]) == 0
+        assert threads and threading.main_thread() not in threads
+        monkeypatch.setattr(strato.conormal, "ThreadPoolExecutor", InlineExecutor)
+        threads.clear()
+        assert main([*argv, str(tmp_path / "inline.csv")]) == 0
+        assert threads and set(threads) == {threading.main_thread()}
+        assert (tmp_path / "threaded.csv").read_bytes() == (tmp_path / "inline.csv").read_bytes()
+
+    def test_conormal_tracer_error_surfaces_and_helper_exits(self, tmp_path, monkeypatch):
+        start = threading.active_count()
+        monkeypatch.setattr(strato.conormal, "_SPACING_COLLAPSE", 0.5)  # every curve fails its check
+        raised = []
+        tracers = strato.conormal.advect_boundary
+
+        def checked(*args):
+            try:
+                return tracers(*args)
+            except ValueError:
+                raised.append(threading.current_thread())
+                raise
+
+        monkeypatch.setattr(strato.conormal, "advect_boundary", checked)
+        cfg_path = self._conormal_config(tmp_path)
+        with pytest.raises(ValueError, match="tracer spacing collapsed"):
+            main(["conormal", str(cfg_path), "--mu", "1e-3", "--t", "0.1",
+                  "--samples", "3", "--csv", str(tmp_path / "series.csv")])
+        assert raised and threading.main_thread() not in raised
+        assert threading.active_count() == start
+
+    def test_conormal_helper_exits_when_legs_closed(self, tmp_path):
+        start = threading.active_count()
+        config = SweepConfig.from_json(self._conormal_config(tmp_path))
+        omega0, rho0 = config.initial_fields()
+        params = SimParams(mu=1.0e-3, dt=config.dt, t_final=0.2, kappa=config.kappa)
+        checkpoints = np.linspace(0.0, 0.2, 3)
+        trajectory = strato.solver.march(omega0, rho0, params, record_every_step=True, sample_times=checkpoints)
+        family = initial_vector_family(config.patch, config.grid, epsilon=config.patch.epsilon)
+        legs = strato.conormal.advect_legs(trajectory, checkpoints, family, boundary_curve(config.patch))
+        next(legs)
+        next(legs)  # the first leg has started the helper thread
+        assert threading.active_count() == start + 1
+        legs.close()
+        assert threading.active_count() == start
+
     @pytest.mark.parametrize("samples", ["1", "0"])
     def test_conormal_needs_two_samples(self, tmp_path, capsys, samples):
         cfg_path = self._conormal_config(tmp_path)
@@ -655,6 +733,27 @@ class TestCli:
         setting = "STRATO_WORKERS" if env else "workers"
         assert f"strato sweep: error: {setting} must be an integer >= 1" in err
         assert "Traceback" not in err
+
+
+class InlineExecutor:
+    """Stand-in for a one-thread pool: submit runs the call at once in the caller's thread."""
+
+    def __init__(self, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
 def dense_reference_rows(config, mu, t_final, samples):

@@ -253,10 +253,47 @@ class TestLivePanels:
 
     def test_one_pass_velocity_profile_matches_per_piece(self, monkeypatch):
         taus = [1e-12, 1e-5, 1e-3, 0.3]
+        rankine._speed_profile.cache_clear()
         one_pass = [velocity_lp_error(tau, p) for tau in taus for p in (1.0, 2.5, 8.0)]
         panel_profile = rankine._panel_profile
         monkeypatch.setattr(rankine, "_panel_profile", lambda fn, *a: panel_profile(rankine._by_row(fn), *a))
+        rankine._speed_profile.cache_clear()  # else the per-piece route is never built
         assert [velocity_lp_error(tau, p) for tau in taus for p in (1.0, 2.5, 8.0)] == one_pass
+        rankine._speed_profile.cache_clear()
+
+
+def uncached_velocity_lp_error(tau, p):
+    """The velocity error with each order's profile built afresh for every p."""
+    inner, outer = rankine._layer_bounds(tau)
+
+    def speed(r):
+        return np.divide(np.abs(rankine._running_moment(tau, r)), r, out=np.zeros_like(r), where=r > 0.0)
+
+    sides = ((inner, 1.0), (1.0, outer))
+    return rankine._adaptive_panel(lambda order: [rankine._panel_profile(speed, a, b, order) for a, b in sides], p)
+
+
+class TestVelocityProfileCache:
+    def test_one_profile_per_tau_and_order(self, monkeypatch):
+        calls = []
+        panel_profile = rankine._panel_profile
+        monkeypatch.setattr(rankine, "_panel_profile", lambda *a: calls.append(1) or panel_profile(*a))
+        rankine._speed_profile.cache_clear()
+        taus = np.geomspace(1e-4, 1e-1, 8)
+        for tau in taus:
+            for p in (2.0, 4.0):
+                velocity_lp_error(tau, p)
+        assert rankine._speed_profile.cache_info().misses == 16  # 8 tau x orders 64 and 128
+        assert len(calls) == 2 * 16  # one per side of the rim
+        rankine._speed_profile.cache_clear()
+
+    def test_bit_identical_to_uncached_route(self):
+        rankine._speed_profile.cache_clear()
+        for tau in [1e-300, 1e-12, *np.geomspace(1e-6, 3.7, 6)]:
+            for p in (1.0, 2.0, 2.5, 8.0):
+                assert repr(velocity_lp_error(tau, p)) == repr(uncached_velocity_lp_error(tau, p))
+        assert not any(arr.flags.writeable for side in rankine._speed_profile(1e-3, 64) for arr in side)
+        rankine._speed_profile.cache_clear()
 
 
 class TestSimilarityWindow:
