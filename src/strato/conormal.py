@@ -167,30 +167,28 @@ def _gradient_spectra(kern: Any, h: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def _gradient_at(h: np.ndarray, grid: GridSpec, pts: np.ndarray) -> list[np.ndarray]:
-    """_eval_at(_gradient_spectra(h)) with three phase-basis contractions, not six: G = h/|k|^2 against
-    axis-0 weights 1, ik1 and ik1^2, then axis-1 weights ik2 and ik2^2; and d2 v2 = -d1 v1."""
+    """_eval_at(_gradient_spectra(h)) from three phase-basis contractions instead of six.
+
+    With s1 = v1 h and s2 = v2 h: e1 @ s1 gives v1 and d2 v1, e1 @ s2 gives v2 and d2 v2 = -d1 v1, and
+    (e1 ik1) @ s2 gives d1 v2; the ik2 factors are applied along axis 1.
+    """
     kern = grid._kernel
     if len(pts) > 512:  # _eval_at's bicubic branch
         return _eval_at(_gradient_spectra(kern, h), grid, pts)
     e1, e2 = _phase_basis(grid, pts)
-    g, ik1 = kern.inv_ksq * h, kern.ik1[:, 0]
-    a0 = e1 @ g
-    e1 *= ik1
-    a1 = e1 @ g
-    e1 *= ik1
-    a2 = e1 @ g
+    s2 = kern.v2 * h
+    a1, a2 = e1 @ (kern.v1 * h), e1 @ s2
+    e1 *= kern.ik1[:, 0]
+    c2 = e1 @ s2
     w = kern.ik2 * e2
-    v1, v2, d1v1, d2v1, d1v2 = (np.einsum("ij,ij->i", a, x).real / grid.n**2
-                                for a, x in ((a0, w), (a1, -e2), (a1, w), (a0, kern.ik2 * w), (a2, -e2)))
-    return [v1, v2, d1v1, d2v1, d1v2, -d1v1]
+    v1, d2v1, v2, d2v2, d1v2 = (np.einsum("ij,ij->i", a, x).real / grid.n**2
+                                for a, x in ((a1, e2), (a1, w), (a2, e2), (a2, w), (c2, e2)))
+    return [v1, v2, -d2v2, d2v1, d1v2, d2v2]
 
 
 def _advect_stretch_rhs(comps: list[np.ndarray], vel: tuple, grid: GridSpec) -> list[np.ndarray]:
-    """RHS of d/dt X = -(v . grad) X + (X . grad) v for stacked components.
-
-    Flux form: div v = 0 makes (v . grad) X_i = d1(v1 X_i) + d2(v2 X_i), so each
-    component takes three forward transforms and one inverse.
-    """
+    """RHS of d/dt X = -(v . grad) X + (X . grad) v for stacked components, in flux form: div v = 0
+    makes (v . grad) X_i = d1(v1 X_i) + d2(v2 X_i), three forward transforms and one inverse each."""
     v1, v2, (d1v1, d2v1, d1v2, d2v2) = vel
     kern = grid._kernel
     out = []
@@ -219,10 +217,9 @@ def _rk4(
 ) -> Iterator[tuple[float, list[np.ndarray]]]:
     """Classic RK4 across the trajectory's span; yields (t, state) after each step.
 
-    velocity(t) is called once per distinct stage time (a step's end velocity
-    starts the next step), and only one stage velocity is held at a time.  dt
-    defaults to the largest sample gap, so a short remainder step at the end
-    of a leg does not set the step for all of it.
+    velocity(t) is called once per distinct stage time, and only one stage
+    velocity is held at a time.  dt defaults to the largest sample gap, so a
+    short remainder step at the end of a leg does not set the step for all of it.
     """
     t0, t1 = interp.span
     if dt is None:

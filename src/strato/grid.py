@@ -88,7 +88,7 @@ class _HalfKernel:
     zero, which is what taking the real part does to an odd multiplier on
     the full complex spectrum), ``ksq`` is |k|^2, ``v1`` and ``v2`` map
     vorticity to Biot-Savart velocity (zero mode gauged to 0) and ``keep``
-    is the 2/3 dealiasing mask; ``inv_ksq`` is 1/|k|^2 with the zero mode 0.
+    is the 2/3 dealiasing mask.
     """
 
     def __init__(self, grid: GridSpec):
@@ -101,10 +101,10 @@ class _HalfKernel:
         self.ksq = k1**2 + k2**2
         self.ik1 = 1j * np.where(np.abs(m1) == n // 2, 0.0, k1)
         self.ik2 = 1j * np.where(m2 == n // 2, 0.0, k2)
-        self.inv_ksq = np.zeros_like(self.ksq)
-        np.divide(1.0, self.ksq, out=self.inv_ksq, where=self.ksq != 0.0)
-        self.v1 = self.ik2 * self.inv_ksq
-        self.v2 = -self.ik1 * self.inv_ksq
+        inv_ksq = np.zeros_like(self.ksq)
+        np.divide(1.0, self.ksq, out=inv_ksq, where=self.ksq != 0.0)
+        self.v1 = self.ik2 * inv_ksq
+        self.v2 = -self.ik1 * inv_ksq
         self.keep = (np.abs(m1) <= n // 3) & (m2 <= n // 3)
 
     def real(self, half: np.ndarray) -> np.ndarray:

@@ -249,7 +249,7 @@ def velocity_lp_error(tau: float, p: float) -> float:
     return _adaptive_panel(partial(_speed_profile, tau), p)
 
 
-@lru_cache(maxsize=64)  # sized as _layer_profile
+@lru_cache(maxsize=4)  # one tau's orders: strato rankine loops p inside tau; a whole ladder pins ~2 MiB of heap
 def _speed_profile(tau: float, order: int) -> tuple:
     """_panel_profile of the velocity discrepancy |M(r)|/r on each side of the rim."""
     inner, outer = _layer_bounds(tau)
