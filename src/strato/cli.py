@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import logging
 import sys
@@ -130,10 +131,10 @@ def _cmd_conormal(args: argparse.Namespace) -> int:
     config = SweepConfig.from_json(args.config)
     mu = args.mu if args.mu is not None else config.mu_values[0]
     t_final = args.t if args.t is not None else config.t_final
-    omega0, rho0 = config.initial_fields()
     params = SimParams(mu=mu, dt=config.dt, t_final=t_final, kappa=config.kappa)
     checkpoints = np.linspace(0.0, t_final, args.samples)
-    trajectory = march(omega0, rho0, params, record_every_step=True, sample_times=checkpoints)
+    # the march holds the initial fields only until it has their masked spectra
+    trajectory = march(*config.initial_fields(), params, record_every_step=True, sample_times=checkpoints)
     family = initial_vector_family(config.patch, config.grid, epsilon=config.patch.epsilon)
     legs = advect_legs(trajectory, checkpoints, family, boundary_curve(config.patch))
     rows = []
@@ -142,6 +143,7 @@ def _cmd_conormal(args: argparse.Namespace) -> int:
         rows.append((t, family_floor(family), diag["gradv_sup_integral"], adapted,
                      holder_quotient(curve.params, curve.tangents, family.epsilon),
                      _log_estimate_ratio(omega, adapted)))
+        del omega  # else the checkpoint sample outlives its gap beside the march's three
 
     out = Path(args.csv) if args.csv else Path(config.output_dir) / "conormal.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -248,7 +250,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_heap() -> None:
+    """Have glibc keep freed pages (FFT temporaries would otherwise be unmapped and faulted back in
+    on every transform); forked sweep workers inherit it.  A no-op where mallopt is missing."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "group", None) == "":

@@ -170,17 +170,23 @@ def _gradient_at(h: np.ndarray, grid: GridSpec, pts: np.ndarray) -> list[np.ndar
     """_eval_at(_gradient_spectra(h)) from three phase-basis contractions instead of six.
 
     With s1 = v1 h and s2 = v2 h: e1 @ s1 gives v1 and d2 v1, e1 @ s2 gives v2 and d2 v2 = -d1 v1, and
-    (e1 ik1) @ s2 gives d1 v2; the ik2 factors are applied along axis 1.
+    (e1 ik1) @ s2 gives d1 v2; the ik2 factors are applied along axis 1.  A spectrum that
+    vanishes beyond the 2/3 band, as march samples and their interpolants do, is summed
+    over the kept modes only.
     """
     kern = grid._kernel
     if len(pts) > 512:  # _eval_at's bicubic branch
         return _eval_at(_gradient_spectra(kern, h), grid, pts)
-    e1, e2 = _phase_basis(grid, pts)
-    s2 = kern.v2 * h
-    a1, a2 = e1 @ (kern.v1 * h), e1 @ s2
-    e1 *= kern.ik1[:, 0]
+    b = grid.n // 3  # kern.keep is |m1|, m2 <= n // 3
+    band = None if np.any(h[b + 1 : -b]) or np.any(h[:, b + 1 :]) else b
+    rows, cols = (slice(None), slice(None)) if band is None else (np.r_[0 : b + 1, -b:0], slice(b + 1))
+    e1, e2 = _phase_basis(grid, pts, band)
+    h = h[rows, cols]
+    s2 = kern.v2[rows, cols] * h
+    a1, a2 = e1 @ (kern.v1[rows, cols] * h), e1 @ s2
+    e1 *= kern.ik1[rows, 0]
     c2 = e1 @ s2
-    w = kern.ik2 * e2
+    w = kern.ik2[:, cols] * e2
     v1, d2v1, v2, d2v2, d1v2 = (np.einsum("ij,ij->i", a, x).real / grid.n**2
                                 for a, x in ((a1, e2), (a1, w), (a2, e2), (a2, w), (c2, e2)))
     return [v1, v2, -d2v2, d2v1, d1v2, d2v2]
@@ -260,10 +266,13 @@ def advect_family(
     rhs = partial(_advect_stretch_rhs, grid=g)
     for _, comps in _rk4(comps, velocity, rhs, interp, dt):
         pass
-    members = []
-    for i in range(0, len(comps), 2):
-        members.append(VelocityField(ScalarField(g, comps[i]), ScalarField(g, comps[i + 1])))
-    return VectorFieldFamily(members=tuple(members), epsilon=family.epsilon, level_set=None)
+    return _family_of(comps, family)
+
+
+def _family_of(comps: list[np.ndarray], like: VectorFieldFamily) -> VectorFieldFamily:
+    g = like.grid
+    members = (VelocityField(ScalarField(g, comps[i]), ScalarField(g, comps[i + 1])) for i in range(0, len(comps), 2))
+    return VectorFieldFamily(members=tuple(members), epsilon=like.epsilon)
 
 
 def transport_scalar(f: ScalarField, omega_series: TimeSeries, dt: float | None = None) -> ScalarField:
@@ -364,34 +373,52 @@ def advect_legs(
     family: VectorFieldFamily,
     curve: BoundaryCurve,
 ) -> Iterator[tuple[float, ScalarField, VectorFieldFamily, BoundaryCurve, dict]]:
-    """Push a family and boundary tracers along a dense trajectory, leg by leg.
+    """Push a family and boundary tracers along a dense trajectory, one sample gap at a time.
 
-    trajectory is ``solver.march`` with record_every_step, landing on every
-    checkpoint.  Yields (t, omega, family, curve, diagnostics) at each
-    checkpoint, advected over the leg since the previous one.  Holds only
-    the current leg's vorticity samples and no density sample.  The tracers advance
-    on a helper thread beside the family (both release the GIL), each as it would alone.
+    trajectory is ``solver.march`` with record_every_step, landing on every checkpoint; yields
+    (t, omega, family, curve, diagnostics) at each.  A one-thread helper marches one sample ahead
+    and moves the tracers over each gap; the caller's thread takes the gap's RK4 family step from
+    the last step's end velocity.  At most three vorticity samples are alive (the two around the
+    step and the one being marched) and no density sample.  Each side computes what it would alone.
     """
-    # itemgetter drops the density sample as soon as it is yielded
-    samples = map(itemgetter(0, 1, 3), trajectory)
-    leg_t, leg_w = [], []
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="strato-tracers") as helper:
+    comps = [c.values for m in family.members for c in (m.u1, m.u2)]
+    rhs = partial(_advect_stretch_rhs, grid=family.grid)
+    end = [None, None]  # the last stage's time and velocity, reused as the next step's first
+
+    def velocity(t: float) -> tuple:  # at t in the current gap
+        if t != end[0]:
+            end[:] = t, None  # one stage velocity at a time
+            end[1] = _velocity_and_gradient(interp, t)
+        return end[1]
+
+    stream = _with_tracers(trajectory, curve)
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="strato-helper") as helper:
+        ahead = helper.submit(next, stream, None)
         for mark in checkpoints:
-            for t, omega, diag in samples:
-                leg_t.append(t)
-                leg_w.append(omega)
+            while (sample := ahead.result()) is not None:
+                t, omega, diag, curve, gap = sample
+                interp = None if gap is None else VelocityInterpolant(gap)  # frees the last gap's start
+                ahead = helper.submit(next, stream, None)  # beside this family step and the checkpoint
+                if interp is not None:
+                    for _, comps in _rk4(comps, velocity, rhs, interp, None):
+                        pass
                 if t >= mark - 1.0e-12:
                     break
             else:
                 return
-            if len(leg_w) > 1:
-                leg = TimeSeries(np.array(leg_t), tuple(leg_w))
-                tracers = helper.submit(advect_boundary, curve.params, curve.points, curve.tangents, leg)
-                family = advect_family(family, leg)
-                curve = tracers.result()
-                del leg, tracers  # else the leg lives on beside the next one
-            leg_t, leg_w = [t], [omega]
+            family = _family_of(comps, family)  # rebinding frees the last checkpoint's members
             yield t, omega, family, curve, diag
+
+
+def _with_tracers(trajectory: Iterable[tuple], curve: BoundaryCurve) -> Iterator[tuple]:
+    """(t, omega, diagnostics, curve, gap) per march sample, the tracers advected over the gap."""
+    last = gap = None
+    for t, omega, diag in map(itemgetter(0, 1, 3), trajectory):  # drops each density sample as it arrives
+        if last is not None:
+            gap = TimeSeries(np.array([last[0], t]), (last[1], omega))
+            curve = advect_boundary(curve.params, curve.points, curve.tangents, gap)
+        last = t, omega
+        yield t, omega, diag, curve, gap
 
 
 def holder_quotient(params: np.ndarray, tangents: np.ndarray, epsilon: float, period: float = 2.0 * np.pi) -> float:

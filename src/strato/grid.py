@@ -262,15 +262,20 @@ def sample_at(f: ScalarField, points: np.ndarray, spectral_cutoff: int = 512) ->
     return _eval_at([f.half_spectrum], f.grid, pts, spectral_cutoff)[0]
 
 
-def _phase_basis(grid: GridSpec, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _phase_basis(grid: GridSpec, pts: np.ndarray, band: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """e1 (m, n) and e2 (m, n/2 + 1): half spectrum h is ((e1 @ h) * e2).sum(axis=1).real / n**2 at pts.
 
     The fft coefficients expand f in exp(i k . (x + L)), so shift by L.  The unpaired
     Nyquist modes enter as cosines, which keeps the sum the same for a field and its
-    transpose; the columns 0 < m2 < n/2 stand for their conjugate mirrors too.
+    transpose; the columns 0 < m2 < n/2 stand for their conjugate mirrors too.  A band b < n/2
+    gives e1 (m, 2b + 1) on rows m1 = 0..b, -b..-1 and e2 (m, b + 1), for spectra zero beyond it.
     """
     n, half_length = grid.n, grid.half_length
     scale = np.pi / half_length
+    if band is not None:
+        e1, e2 = (np.exp(1j * np.outer(x + half_length, scale * np.arange(band + 1))) for x in pts.T)
+        e2[:, 1:] *= 2.0
+        return np.hstack([e1, e1[:, :0:-1].conj()]), e2
     e1 = np.exp(1j * np.outer(pts[:, 0] + half_length, scale * _fft.fftfreq(n, d=1.0 / n)))
     e2 = np.exp(1j * np.outer(pts[:, 1] + half_length, scale * _fft.rfftfreq(n, d=1.0 / n)))
     e1[:, n // 2] = e1[:, n // 2].real

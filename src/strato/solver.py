@@ -242,6 +242,7 @@ def _march(omega0: ScalarField, rho0: ScalarField, params: SimParams, samples: n
     kern = engine.kern
     what = omega0.half_spectrum * kern.keep
     rhat = rho0.half_spectrum * kern.keep
+    del omega0, rho0  # the march holds their masked spectra; the caller may free the fields
 
     t = 0.0
     nsteps = 0

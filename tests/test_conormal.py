@@ -473,6 +473,25 @@ class TestTracerEvaluator:
                 assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
+    @pytest.mark.parametrize("beyond", [False, True])
+    def test_band_and_full_sums_match_eval_at(self, grid256, monkeypatch, beyond):
+        kern = grid256._kernel
+        pts = np.random.default_rng(7).uniform(-8.0, 8.0, (300, 2))
+        h = random_field(grid256, 70).half_spectrum * kern.keep  # as a march sample
+        if beyond:
+            h[grid256.n // 2 - 1, 3] = 1.0  # one mode outside the 2/3 band
+        bands = []
+        basis = strato.conormal._phase_basis
+        monkeypatch.setattr(strato.conormal, "_phase_basis", lambda *a: bands.append(a[2]) or basis(*a))
+        six = [kern.v1 * h, kern.v2 * h]
+        six += [ik * s for s in six for ik in (kern.ik1, kern.ik2)]
+        want = _eval_at(six, grid256, pts)
+        got = strato.conormal._gradient_at(h, grid256, pts)
+        assert bands == [None if beyond else grid256.n // 3]
+        for a, b in zip(got, want):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+
 class TestBoundaryAdvection:
     def test_tracer_closed_form_spectral_branch(self, pi_grid):
         th, pts, tan = circle_tracers(256)

@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -13,11 +14,13 @@ import weakref
 from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import strato.cli
 import strato.conormal
 import strato.harness
 import strato.rankine
@@ -617,7 +620,9 @@ class TestCli:
         rows = dense_reference_rows(SweepConfig.from_json(cfg_path), 1.0e-3, 0.13, 3)
         assert csv_path.read_text().splitlines()[1:] == rows
 
-    def test_conormal_holds_one_leg_and_no_density(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("samples", ["3", "2"])  # legs of 3 samples, then one leg of 5
+    @pytest.mark.parametrize("inline", [True, False])
+    def test_conormal_holds_three_vorticity_samples_and_no_density(self, tmp_path, monkeypatch, samples, inline):
         # weak references to every sample the solver builds, omega then rho
         made = []
 
@@ -628,25 +633,39 @@ class TestCli:
                 made.append(weakref.ref(f))
                 return f
 
-        legs = []
-        advect_family = strato.conormal.advect_family
+        held = []
+        rhs = strato.conormal._advect_stretch_rhs
 
-        def checked(family, leg):
+        def checked(*args, **kwargs):
             gc.collect()
-            alive = [(i % 2, r()) for i, r in enumerate(made) if r() is not None]
-            assert not [f for kind, f in alive if kind == 1], "a density sample is held"
-            held = [f for kind, f in alive if kind == 0]
-            assert all(any(f is g for g in leg.fields) for f in held)
-            legs.append(len(leg))
-            return advect_family(family, leg)
+            alive = [(i % 2, r()) for i, r in enumerate(list(made)) if r() is not None]
+            held.append(sum(kind == 0 for kind, _ in alive))
+            # a helper thread takes each density sample's norms before dropping it
+            assert not inline or not [f for kind, f in alive if kind == 1], "a density sample is held"
+            return rhs(*args, **kwargs)
 
         monkeypatch.setattr(strato.solver, "ScalarField", Tracked)
-        monkeypatch.setattr(strato.conormal, "advect_family", checked)
+        monkeypatch.setattr(strato.conormal, "_advect_stretch_rhs", checked)
+        if inline:
+            monkeypatch.setattr(strato.conormal, "ThreadPoolExecutor", InlineExecutor)
+        cfg_path = self._conormal_config(tmp_path)
+        assert main(["conormal", str(cfg_path), "--mu", "1e-3", "--t", "0.2",
+                     "--samples", samples, "--csv", str(tmp_path / "series.csv")]) == 0
+        assert len(held) == 4 * 4  # four RK4 stages in each of the four sample gaps
+        assert max(held) <= 3
+        assert not inline or max(held) == 3  # the inline helper marches ahead at once
+        assert len(made) == 2 * 5
+
+    def test_conormal_velocity_once_per_stage_time(self, tmp_path, monkeypatch):
+        calls = []
+        velocity = strato.conormal._velocity_and_gradient
+        monkeypatch.setattr(strato.conormal, "_velocity_and_gradient",
+                            lambda interp, t: calls.append(t) or velocity(interp, t))
         cfg_path = self._conormal_config(tmp_path)
         assert main(["conormal", str(cfg_path), "--mu", "1e-3", "--t", "0.2",
                      "--samples", "3", "--csv", str(tmp_path / "series.csv")]) == 0
-        assert legs == [3, 3]
-        assert len(made) == 2 * 5
+        assert len(calls) == 2 * 4 + 1  # four sample gaps: each end velocity starts the next step
+        assert len(set(calls)) == len(calls)
 
     def test_conormal_norm_once_per_checkpoint(self, tmp_path, monkeypatch):
         calls = []
@@ -693,6 +712,25 @@ class TestCli:
         assert raised and threading.main_thread() not in raised
         assert threading.active_count() == start
 
+    def test_conormal_blowup_surfaces_and_helper_exits(self, tmp_path, monkeypatch):
+        start = threading.active_count()
+        raised = []
+        advance = strato.solver._Engine.advance
+
+        def failing(self, what, rhat, t, h):
+            if t > 0.05:
+                raised.append(threading.current_thread())
+                raise strato.solver.SolverBlowupError(t + h, 0, "omega")
+            return advance(self, what, rhat, t, h)
+
+        monkeypatch.setattr(strato.solver._Engine, "advance", failing)
+        cfg_path = self._conormal_config(tmp_path)
+        with pytest.raises(strato.solver.SolverBlowupError, match="omega became non-finite"):
+            main(["conormal", str(cfg_path), "--mu", "1e-3", "--t", "0.2",
+                  "--samples", "3", "--csv", str(tmp_path / "series.csv")])
+        assert raised and threading.main_thread() not in raised
+        assert threading.active_count() == start
+
     def test_conormal_helper_exits_when_legs_closed(self, tmp_path):
         start = threading.active_count()
         config = SweepConfig.from_json(self._conormal_config(tmp_path))
@@ -707,6 +745,33 @@ class TestCli:
         assert threading.active_count() == start + 1
         legs.close()
         assert threading.active_count() == start
+
+    def test_keep_freed_heap_is_noop_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(strato.cli.ctypes, "CDLL", lambda name: object())
+        strato.cli._keep_freed_heap()
+        calls = []
+        monkeypatch.setattr(strato.cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=lambda *a: calls.append(a)))
+        strato.cli._keep_freed_heap()
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mallopt")
+    def test_keep_freed_heap_stops_fft_page_faults(self):
+        # minor page faults per irfft2 at n = 256 after warm-up, in a fresh interpreter each
+        code = (
+            "import resource, sys, numpy as np, scipy.fft\n"
+            "from strato.cli import _keep_freed_heap\n"
+            "if sys.argv[1] == '1': _keep_freed_heap()\n"
+            "h = scipy.fft.rfft2(np.random.default_rng(0).standard_normal((256, 256)))\n"
+            "for _ in range(5): scipy.fft.irfft2(h, s=(256, 256))\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(20): scipy.fft.irfft2(h, s=(256, 256))\n"
+            "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        faults = [float(subprocess.run([sys.executable, "-c", code, flag], env=env, capture_output=True,
+                                       text=True, check=True, timeout=120).stdout) for flag in ("0", "1")]
+        assert faults[1] <= 1.0, faults
+        assert faults[0] > faults[1]
 
     @pytest.mark.parametrize("samples", ["1", "0"])
     def test_conormal_needs_two_samples(self, tmp_path, capsys, samples):
@@ -757,10 +822,10 @@ class InlineExecutor:
 
 
 def dense_reference_rows(config, mu, t_final, samples):
-    """The conormal CSV rows as computed from one dense run sliced into legs.
+    """The conormal CSV rows as computed from one dense run, one RK4 step per sample gap.
 
-    The command before the march was streamed: the whole trajectory is
-    held, and each leg is cut out of it with ``searchsorted``.
+    The whole trajectory is held; the family and the tracers are advected
+    over each pair of consecutive samples in turn.
     """
     omega0, rho0 = config.initial_fields()
     params = SimParams(mu=mu, dt=config.dt, t_final=t_final, kappa=config.kappa)
@@ -775,12 +840,12 @@ def dense_reference_rows(config, mu, t_final, samples):
     prev = 0
     for t in checkpoints:
         k = int(np.searchsorted(series_t, t - 1.0e-12))
-        if k > prev:
-            leg = TimeSeries(series_t[prev:k + 1], result.omega.fields[prev:k + 1])
-            family = advect_family(family, leg)
-            moved = advect_boundary(curve.params, pts, tan, leg)
+        for j in range(prev, k):
+            gap = TimeSeries(series_t[j:j + 2], result.omega.fields[j:j + 2])
+            family = advect_family(family, gap)
+            moved = advect_boundary(curve.params, pts, tan, gap)
             pts, tan = moved.points, moved.tangents
-            prev = k
+        prev = k
         omega_t = result.omega.fields[k]
         row = (float(t), family_floor(family), float(np.interp(t, d.times, d.gradv_sup_integral)),
                conormal_norm(omega_t, family), holder_quotient(curve.params, tan, family.epsilon),
