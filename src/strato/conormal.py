@@ -177,16 +177,15 @@ def _gradient_at(h: np.ndarray, grid: GridSpec, pts: np.ndarray) -> list[np.ndar
     kern = grid._kernel
     if len(pts) > 512:  # _eval_at's bicubic branch
         return _eval_at(_gradient_spectra(kern, h), grid, pts)
-    b = grid.n // 3  # kern.keep is |m1|, m2 <= n // 3
+    b = kern.cols - 1  # kern.keep is |m1|, m2 <= b
     band = None if np.any(h[b + 1 : -b]) or np.any(h[:, b + 1 :]) else b
-    rows, cols = (slice(None), slice(None)) if band is None else (np.r_[0 : b + 1, -b:0], slice(b + 1))
+    op, h = (kern, h) if band is None else (kern.band, kern.cut(h))
     e1, e2 = _phase_basis(grid, pts, band)
-    h = h[rows, cols]
-    s2 = kern.v2[rows, cols] * h
-    a1, a2 = e1 @ (kern.v1[rows, cols] * h), e1 @ s2
-    e1 *= kern.ik1[rows, 0]
+    s2 = op.v2 * h
+    a1, a2 = e1 @ (op.v1 * h), e1 @ s2
+    e1 *= op.ik1[:, 0]
     c2 = e1 @ s2
-    w = kern.ik2[:, cols] * e2
+    w = op.ik2 * e2
     v1, d2v1, v2, d2v2, d1v2 = (np.einsum("ij,ij->i", a, x).real / grid.n**2
                                 for a, x in ((a1, e2), (a1, w), (a2, e2), (a2, w), (c2, e2)))
     return [v1, v2, -d2v2, d2v1, d1v2, d2v2]

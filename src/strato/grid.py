@@ -3,15 +3,16 @@
 Fields live on the square [-L, L)^2 sampled on an n x n uniform mesh with
 n a power of two.  Wavenumbers are integer multiples of pi/L.  Every
 spectral operator (derivatives, Biot-Savart, inverse Laplacian, heat
-propagator, dyadic blocks, the solver march) acts on real half spectra
-(``rfft2`` / ``irfft2``) through one per-grid multiplier kernel; the zero
-mode of any inverse-Laplacian style operator is gauged to zero.
+propagator, dyadic blocks, the solver march) acts on real half spectra,
+the march on their 2/3 band only, through one per-grid multiplier kernel;
+the zero mode of any inverse-Laplacian style operator is gauged to zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -88,7 +89,8 @@ class _HalfKernel:
     zero, which is what taking the real part does to an odd multiplier on
     the full complex spectrum), ``ksq`` is |k|^2, ``v1`` and ``v2`` map
     vorticity to Biot-Savart velocity (zero mode gauged to 0) and ``keep``
-    is the 2/3 dealiasing mask.
+    is the 2/3 dealiasing mask.  ``band`` holds the five multipliers on the
+    band arrays' modes only: rows m1 = 0..b, -b..-1, columns m2 = 0..b, b = n // 3.
     """
 
     def __init__(self, grid: GridSpec):
@@ -106,10 +108,42 @@ class _HalfKernel:
         self.v1 = self.ik2 * inv_ksq
         self.v2 = -self.ik1 * inv_ksq
         self.keep = (np.abs(m1) <= n // 3) & (m2 <= n // 3)
+        self.rows, self.cols = np.r_[0 : n // 3 + 1, n - n // 3 : n], n // 3 + 1
+
+    @cached_property
+    def band(self) -> SimpleNamespace:  # built on first use, so a process that never marches does not hold it
+        return SimpleNamespace(ksq=self.cut(self.ksq), ik1=self.ik1[self.rows], ik2=self.ik2[:, : self.cols],
+                               v1=self.cut(self.v1), v2=self.cut(self.v2))
 
     def real(self, half: np.ndarray) -> np.ndarray:
         """Grid values of a half spectrum."""
         return _fft.irfft2(half, s=self.shape)
+
+    def cut(self, half: np.ndarray) -> np.ndarray:
+        """The band of a half spectrum that is zero outside it."""
+        return half[self.rows, : self.cols]
+
+    def embed(self, band: np.ndarray) -> np.ndarray:
+        """The half spectrum that is ``band`` on the band and zero elsewhere."""
+        half = np.zeros(self.ksq.shape, dtype=band.dtype)
+        half[self.rows, : self.cols] = band
+        return half
+
+    def band_real(self, band: np.ndarray) -> np.ndarray:
+        """Grid values of a band, bitwise equal to ``real(embed(band))``."""
+        return _fft.irfft(self._columns(_fft.ifft, self.embed(band)), self.shape[1], axis=1)
+
+    def band_spectrum(self, values: np.ndarray) -> np.ndarray:
+        """The band of ``rfft2(values)``, bitwise equal to ``cut(rfft2(values) * keep)``."""
+        return self.cut(self._columns(_fft.fft, _fft.rfft(values, axis=1)))
+
+    def _columns(self, transform: Callable, half: np.ndarray) -> np.ndarray:
+        """half with the 1-d ``transform`` applied along axis 0 to the band's columns only, in place."""
+        view = half[:, : self.cols]
+        out = transform(view, axis=0, overwrite_x=True)
+        if not np.may_share_memory(out, half):  # scipy declined to overwrite
+            view[...] = out
+        return half
 
     def dealias(self, values: np.ndarray) -> np.ndarray:
         """Grid values with the 2/3 rule applied."""
@@ -121,8 +155,8 @@ class ScalarField:
     """Real scalar field on a :class:`GridSpec`; values are immutable.
 
     The real half spectrum (scipy.fft.rfft2) is computed on first access
-    and cached.  Construct via ``from_values``, ``from_function`` or
-    ``from_half_spectrum``.
+    and cached.  Construct via ``from_values``, ``from_function``,
+    ``from_half_spectrum`` or (for a band of the 2/3 rule) ``from_band``.
     """
 
     grid: GridSpec
@@ -151,6 +185,13 @@ class ScalarField:
     def from_half_spectrum(cls, grid: GridSpec, half: np.ndarray) -> "ScalarField":
         f = cls(grid, grid._kernel.real(half))
         f.__dict__["half_spectrum"] = half
+        return f
+
+    @classmethod
+    def from_band(cls, grid: GridSpec, band: np.ndarray) -> "ScalarField":
+        """The field whose half spectrum is the kernel's ``embed(band)``."""
+        f = cls(grid, grid._kernel.band_real(band))
+        f.__dict__["half_spectrum"] = grid._kernel.embed(band)
         return f
 
     @cached_property

@@ -9,10 +9,11 @@ Diffusion is integrated exactly through integrating factors; advection
 and the buoyancy source are treated explicitly inside a classic RK4
 cycle.  All quadratic products use the 2/3 dealiasing rule, which makes
 the truncated advection exactly energy- and mean-preserving in space.
-The march runs on real half spectra (``rfft2`` / ``irfft2``) with the
-multipliers of the grid's kernel, built once per grid.  An adaptive
-guard halves any step whose advective CFL number would exceed the
-configured cap; the velocity it checks is reused by the first stage.
+The march keeps its state on the 2/3 band of the grid's kernel and never
+touches the zero modes outside it; each sample still exposes full half
+spectra (the band embedded in zeros).  An adaptive guard halves any step
+whose advective CFL number would exceed the configured cap; the velocity
+it checks is reused by the first stage.
 
 The module also carries the damped combination (1 - mu) w - u, with u
 the zero-order singular integral of rho, whose evolution equation has a
@@ -48,20 +49,20 @@ __all__ = [
 class SolverBlowupError(RuntimeError):
     """Raised when the march cannot go on.
 
-    Carries the failure time, the CFL halving depth of the failing step
-    and ``field``: which of "omega", "rho" or "both" went non-finite, or
-    None when a finite state still broke the CFL cap after 24 halvings.
+    Carries the failure time, the CFL halving depth of the failing step,
+    ``field``: which of "omega", "rho" or "both" went non-finite, or None
+    when a finite state still broke the CFL cap after 24 halvings, and then
+    ``cfl``, the advective CFL number |v|_inf h / dx of that step (else None).
     """
 
-    def __init__(self, time: float, depth: int, field: str | None):
-        if field is None:
-            what = "velocity still broke the CFL cap"
-        else:
-            what = f"{field} became non-finite"
-        super().__init__(f"{what} at t={time:.6g}, halving depth {depth}")
+    def __init__(self, time: float, depth: int, field: str | None, cfl: float | None = None):
+        what = f"{field} became non-finite" if field else "velocity still broke the CFL cap"
+        cfl_note = "" if cfl is None else f", CFL number {cfl:.6g}"
+        super().__init__(f"{what} at t={time:.6g}, halving depth {depth}{cfl_note}")
         self.time = time
         self.depth = depth
         self.field = field
+        self.cfl = cfl
 
 
 @dataclass(frozen=True)
@@ -129,12 +130,13 @@ class RunResult:
 
 
 class _Engine:
-    """Stage evaluation for one grid on masked real half spectra."""
+    """Stage evaluation for one grid on band arrays (the kernel's ``cut`` of masked half spectra)."""
 
     def __init__(self, grid: GridSpec, params: SimParams):
         self.grid = grid
         self.params = params
         self.kern = grid._kernel
+        self.op = self.kern.band
         # integrating factors of the current step size only, so the cache
         # stays one entry however many remainder or halved steps a run takes
         self._exp_cache: dict[float, tuple[np.ndarray, ...]] = {}
@@ -143,7 +145,7 @@ class _Engine:
         """exp(-nu s |k|^2) for (nu, s) = (mu, h), (mu, h/2), (kappa, h), (kappa, h/2)."""
         got = self._exp_cache.get(h)
         if got is None:
-            p, ksq = self.params, self.kern.ksq
+            p, ksq = self.params, self.op.ksq
             got = tuple(np.exp(-nu * s * ksq) for nu in (p.mu, p.kappa) for s in (h, h / 2.0))
             self._exp_cache.clear()
             self._exp_cache[h] = got
@@ -152,21 +154,21 @@ class _Engine:
     def velocity(self, what: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         if self.params.frozen_velocity:
             return None
-        return self.kern.real(self.kern.v1 * what), self.kern.real(self.kern.v2 * what)
+        return self.kern.band_real(self.op.v1 * what), self.kern.band_real(self.op.v2 * what)
 
     def nonlinear(self, what: np.ndarray, rhat: np.ndarray, vel=None) -> tuple[np.ndarray, np.ndarray]:
         """Right-hand side of the transport; vel, if given, is velocity(what)."""
-        kern = self.kern
-        buoy = kern.ik1 * rhat
+        kern, op = self.kern, self.op
+        buoy = op.ik1 * rhat
         if self.params.frozen_velocity:
             return buoy, np.zeros_like(rhat)
         v1, v2 = vel if vel is not None else self.velocity(what)
-        adv_w = kern.real(kern.ik1 * what) * v1
-        adv_w += kern.real(kern.ik2 * what) * v2
-        adv_r = kern.real(kern.ik1 * rhat) * v1
-        adv_r += kern.real(kern.ik2 * rhat) * v2
-        buoy -= _fft.rfft2(adv_w) * kern.keep
-        return buoy, -(_fft.rfft2(adv_r) * kern.keep)
+        adv_w = kern.band_real(op.ik1 * what) * v1
+        adv_w += kern.band_real(op.ik2 * what) * v2
+        adv_r = kern.band_real(op.ik1 * rhat) * v1
+        adv_r += kern.band_real(op.ik2 * rhat) * v2
+        buoy -= kern.band_spectrum(adv_w)
+        return buoy, -kern.band_spectrum(adv_r)
 
     def rk4(self, what: np.ndarray, rhat: np.ndarray, h: float, vel=None) -> tuple[np.ndarray, np.ndarray]:
         ew, ew2, er, er2 = self.decay(h)
@@ -185,11 +187,12 @@ class _Engine:
         CFL limit and is reused by the first stage of the step, or by the
         first half of a halved step.
         """
-        if depth > 24:
-            raise SolverBlowupError(t, depth, _nonfinite(what, rhat))
         if vel is None:
             vel = self.velocity(what)
         vmax = float(np.max(np.hypot(*vel))) if vel is not None else 0.0
+        if depth > 24:
+            field = _nonfinite(what, rhat)
+            raise SolverBlowupError(t, depth, field, None if field else vmax * h / self.grid.dx)
         limit = self.params.cfl_cap * self.grid.dx / max(vmax, 1.0e-300)
         if h > limit:
             what, rhat, t = self.advance(what, rhat, t, h / 2.0, depth + 1, vel)
@@ -239,10 +242,9 @@ def _march(omega0: ScalarField, rho0: ScalarField, params: SimParams, samples: n
            record_every_step: bool, track_gradients: bool):
     g = omega0.grid
     engine = _Engine(g, params)
-    kern = engine.kern
-    what = omega0.half_spectrum * kern.keep
-    rhat = rho0.half_spectrum * kern.keep
-    del omega0, rho0  # the march holds their masked spectra; the caller may free the fields
+    kern, op = engine.kern, engine.op
+    what, rhat = kern.cut(omega0.half_spectrum), kern.cut(rho0.half_spectrum)
+    del omega0, rho0  # the march holds their bands; the caller may free the fields
 
     t = 0.0
     nsteps = 0
@@ -252,13 +254,11 @@ def _march(omega0: ScalarField, rho0: ScalarField, params: SimParams, samples: n
     last_gradrho = np.nan
 
     def gradv_now() -> float:
-        s1, s2 = kern.v1 * what, kern.v2 * what
-        sq = sum(kern.real(ik * s) ** 2 for s in (s1, s2) for ik in (kern.ik1, kern.ik2))
+        sq = sum(kern.band_real(ik * (v * what)) ** 2 for v in (op.v1, op.v2) for ik in (op.ik1, op.ik2))
         return float(np.sqrt(sq).max())
 
     def gradrho_now() -> float:
-        d1 = kern.real(kern.ik1 * rhat)
-        d2 = kern.real(kern.ik2 * rhat)
+        d1, d2 = (kern.band_real(ik * rhat) for ik in (op.ik1, op.ik2))
         return float(np.sqrt((np.hypot(d1, d2) ** 2).sum() * g.dx**2))
 
     if track_gradients:
@@ -268,9 +268,9 @@ def _march(omega0: ScalarField, rho0: ScalarField, params: SimParams, samples: n
     # builds the yielded tuple without binding it here, so a sample lives
     # only as long as the consumer keeps it
     def sample(sample_t: float) -> tuple[float, ScalarField, ScalarField, dict[str, float]]:
-        fo = ScalarField.from_half_spectrum(g, what)
-        fr = ScalarField.from_half_spectrum(g, rhat)
-        v1, v2 = kern.real(kern.v1 * what), kern.real(kern.v2 * what)
+        fo = ScalarField.from_band(g, what)
+        fr = ScalarField.from_band(g, rhat)
+        v1, v2 = kern.band_real(op.v1 * what), kern.band_real(op.v2 * what)
         return float(sample_t), fo, fr, {
             "omega_l2": lp_norm(fo, 2.0),
             "omega_sup": lp_norm(fo, np.inf),

@@ -628,8 +628,8 @@ class TestCli:
 
         class Tracked(ScalarField):
             @classmethod
-            def from_half_spectrum(cls, grid, half):
-                f = super().from_half_spectrum(grid, half)
+            def from_band(cls, grid, band):
+                f = super().from_band(grid, band)
                 made.append(weakref.ref(f))
                 return f
 

@@ -228,6 +228,10 @@ class TestStepping:
         assert info.value.depth == 25
         assert info.value.field is None
         assert "halving depth 25" in str(info.value)
+        # the CFL number of the depth-25 step, which still breaks the cap
+        cfl = info.value.cfl
+        assert np.isfinite(cfl) and cfl > params.cfl_cap
+        assert str(info.value).endswith(f"halving depth 25, CFL number {cfl:.6g}")
 
     @pytest.mark.parametrize("huge, field", [("omega", "omega"), ("rho", "both")])
     def test_blowup_names_nonfinite_field(self, grid64, huge, field):
@@ -240,7 +244,9 @@ class TestStepping:
             run(w0, r0, params, track_gradients=False)
         assert info.value.field == field
         assert info.value.depth == 0
+        assert info.value.cfl is None
         assert f"{field} became non-finite" in str(info.value)
+        assert "CFL number" not in str(info.value)
 
     def test_exp_cache_bounded_across_remainder_steps(self, grid64, monkeypatch):
         # irregular sample times give a different remainder step before
@@ -280,15 +286,44 @@ class TestStepping:
             run(random_field(grid64, 11), random_field(grid128, 12), params)
 
 
+def full_spectrum_advance(g, params, what, rhat, h, vel=None):
+    """One CFL-guarded RK4 step on whole masked half spectra, as the march took it
+    before it kept its state on the 2/3 band; a reference for the band march."""
+    kern = g._kernel
+
+    def velocity(w):
+        return kern.real(kern.v1 * w), kern.real(kern.v2 * w)
+
+    def nonlinear(w, r, vel=None):
+        v1, v2 = vel if vel is not None else velocity(w)
+        adv_w = kern.real(kern.ik1 * w) * v1 + kern.real(kern.ik2 * w) * v2
+        adv_r = kern.real(kern.ik1 * r) * v1 + kern.real(kern.ik2 * r) * v2
+        return kern.ik1 * r - fft.rfft2(adv_w) * kern.keep, -(fft.rfft2(adv_r) * kern.keep)
+
+    if vel is None:
+        vel = velocity(what)
+    if h > params.cfl_cap * g.dx / float(np.max(np.hypot(*vel))):
+        what, rhat = full_spectrum_advance(g, params, what, rhat, h / 2.0, vel)
+        return full_spectrum_advance(g, params, what, rhat, h / 2.0)
+    ew, ew2, er, er2 = (np.exp(-nu * s * kern.ksq) for nu in (params.mu, params.kappa) for s in (h, h / 2.0))
+    k1w, k1r = nonlinear(what, rhat, vel)
+    k2w, k2r = nonlinear(ew2 * (what + 0.5 * h * k1w), er2 * (rhat + 0.5 * h * k1r))
+    k3w, k3r = nonlinear(ew2 * what + 0.5 * h * k2w, er2 * rhat + 0.5 * h * k2r)
+    k4w, k4r = nonlinear(ew * what + h * ew2 * k3w, er * rhat + h * er2 * k3r)
+    new_w = ew * what + (h / 6.0) * (ew * k1w + 2.0 * ew2 * (k2w + k3w) + k4w)
+    new_r = er * rhat + (h / 6.0) * (er * k1r + 2.0 * er2 * (k2r + k3r) + k4r)
+    return new_w, new_r
+
+
 class TestHalfSpectrumKernel:
     def test_nonlinear_matches_full_complex_reference(self, grid64):
         # band 10 reaches past the 2/3 cut, so the input mask matters too
         g = grid64
         w = random_field(g, 18, band=10.0)
         r = random_field(g, 19, band=10.0)
-        keep = g._kernel.keep
+        kern = g._kernel
         got_w, got_r = _Engine(g, SimParams(mu=0.01, dt=0.05, t_final=0.1)).nonlinear(
-            w.half_spectrum * keep, r.half_spectrum * keep
+            kern.cut(w.half_spectrum * kern.keep), kern.cut(r.half_spectrum * kern.keep)
         )
 
         ref = FullSpectrum(g)
@@ -303,23 +338,25 @@ class TestHalfSpectrumKernel:
         want_r = -masked_advection(rm)
         for got, want in ((got_w, want_w), (got_r, want_r)):
             sup = np.abs(want).max()
-            assert np.abs(g._kernel.real(got) - want).max() <= 1e-12 * sup
+            assert np.abs(kern.real(kern.embed(got)) - want).max() <= 1e-12 * sup
 
     @pytest.mark.parametrize("halvings", [0, 1])
     def test_advance_transform_count(self, grid64, monkeypatch, halvings):
         # unhalved: 2 for the CFL velocity, reused by stage 1, which adds 4
         # inverse and 2 forward transforms; stages 2-4 take 6 + 2 each.
-        # Halved once: the first half reuses the velocity the guard checked,
-        # so the step costs exactly two unhalved steps.
+        # Each band inverse is one ifft plus one irfft, each band forward
+        # one rfft plus one fft, and no 2-d transform runs.  Halved once:
+        # the first half reuses the velocity the guard checked, so the
+        # step costs exactly two unhalved steps.
         g = grid64
         params = SimParams(mu=0.01, dt=0.01, t_final=0.1)
         engine = _Engine(g, params)
-        keep = g._kernel.keep
-        what = random_field(g, 21, band=4.0).half_spectrum * keep
-        rhat = random_field(g, 22, band=4.0).half_spectrum * keep
+        kern = g._kernel
+        what = kern.cut(random_field(g, 21, band=4.0).half_spectrum)
+        rhat = kern.cut(random_field(g, 22, band=4.0).half_spectrum)
         vmax = np.max(np.hypot(*engine.velocity(what)))
         h = (1.5 if halvings else 0.5) * params.cfl_cap * g.dx / vmax
-        calls = {name: 0 for name in ("rfft2", "irfft2", "fft2", "ifft2")}
+        calls = {name: 0 for name in ("fft", "ifft", "rfft", "irfft", "rfft2", "irfft2", "fft2", "ifft2")}
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(fft, name), **kwargs):
                 calls[_name] += 1
@@ -329,7 +366,25 @@ class TestHalfSpectrumKernel:
         *_, t = engine.advance(what, rhat, 0.0, h)
         assert t == h
         steps = 2**halvings
-        assert calls == {"rfft2": 8 * steps, "irfft2": 24 * steps, "fft2": 0, "ifft2": 0}
+        assert calls == {"ifft": 24 * steps, "irfft": 24 * steps, "rfft": 8 * steps, "fft": 8 * steps,
+                         "rfft2": 0, "irfft2": 0, "fft2": 0, "ifft2": 0}
+
+    @pytest.mark.parametrize("halvings", [0, 1])
+    def test_advance_matches_full_spectrum_step(self, grid64, halvings):
+        # the band march takes bit for bit the step of the full-spectrum one
+        g = grid64
+        kern = g._kernel
+        params = SimParams(mu=0.01, dt=0.01, t_final=0.1, kappa=0.5)
+        what = random_field(g, 23, band=10.0).half_spectrum * kern.keep
+        rhat = random_field(g, 24, band=10.0).half_spectrum * kern.keep
+        vmax = np.max(np.hypot(*(kern.real(v * what) for v in (kern.v1, kern.v2))))
+        h = (1.5 if halvings else 0.5) * params.cfl_cap * g.dx / vmax
+        new_w, new_r, t = _Engine(g, params).advance(kern.cut(what), kern.cut(rhat), 0.0, h)
+        want_w, want_r = full_spectrum_advance(g, params, what, rhat, h)
+        assert t == h
+        assert np.array_equal(kern.embed(new_w), want_w)
+        assert np.array_equal(kern.embed(new_r), want_r)
+        assert np.array_equal(kern.band_real(new_w), kern.real(want_w))
 
 
 class TestDampedCombination:
