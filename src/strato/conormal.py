@@ -20,9 +20,8 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
-import scipy.fft as _fft
 
-from .grid import GridSpec, ScalarField, VelocityField, _eval_at, _phase_basis, lp_norm, velocity_gradient_sup
+from .grid import GridSpec, ScalarField, VelocityField, _eval_at, _phase_basis, lp_norm, rfft2, velocity_gradient_sup
 from .littlewood_paley import BesovParams, DyadicPartition, TimeSeries, besov_norm
 
 __all__ = [
@@ -88,7 +87,7 @@ def directional_derivative(u: ScalarField, x: VelocityField) -> ScalarField:
     if x.grid != g:
         raise ValueError("field and family member live on different grids")
     kern = g._kernel
-    p1, p2, p3 = (_fft.rfft2(u.values * c) * kern.keep for c in (x.u1.values, x.u2.values, divergence(x).values))
+    p1, p2, p3 = (rfft2(u.values * c) * kern.keep for c in (x.u1.values, x.u2.values, divergence(x).values))
     return ScalarField.from_half_spectrum(g, kern.ik1 * p1 + kern.ik2 * p2 - p3)
 
 
@@ -200,9 +199,9 @@ def _advect_stretch_rhs(comps: list[np.ndarray], vel: tuple, grid: GridSpec) -> 
     for i in range(0, len(comps), 2):
         x1, x2 = comps[i], comps[i + 1]
         for x, g1, g2 in ((x1, d1v1, d2v1), (x2, d1v2, d2v2)):
-            r = _fft.rfft2(x1 * g1 + x2 * g2)
-            r -= kern.ik1 * _fft.rfft2(v1 * x)
-            r -= kern.ik2 * _fft.rfft2(v2 * x)
+            r = rfft2(x1 * g1 + x2 * g2)
+            r -= kern.ik1 * rfft2(v1 * x)
+            r -= kern.ik2 * rfft2(v2 * x)
             r *= kern.keep
             out.append(kern.real(r))
     return out
@@ -285,7 +284,7 @@ def transport_scalar(f: ScalarField, omega_series: TimeSeries, dt: float | None 
 
     def rhs(state: list[np.ndarray], vel: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
         v1, v2 = vel
-        s = _fft.rfft2(state[0])
+        s = rfft2(state[0])
         return [kern.dealias(-(v1 * kern.real(kern.ik1 * s) + v2 * kern.real(kern.ik2 * s)))]
 
     state = [f.values]

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
-import scipy.fft as _fft
+import numpy.fft as _fft
 
 __all__ = [
     "GridSpec",
@@ -32,6 +32,12 @@ __all__ = [
     "velocity_gradient_sup",
     "sample_at",
 ]
+
+
+def rfft2(values: np.ndarray) -> np.ndarray:
+    """Real half spectrum of a 2-d array: ``rfft`` along axis 1, then ``fft`` along axis 0 in place."""
+    half = _fft.rfft(values, axis=1)
+    return _fft.fft(half, axis=0, out=half)
 
 
 def _is_pow2(m: int) -> bool:
@@ -140,21 +146,19 @@ class _HalfKernel:
     def _columns(self, transform: Callable, half: np.ndarray) -> np.ndarray:
         """half with the 1-d ``transform`` applied along axis 0 to the band's columns only, in place."""
         view = half[:, : self.cols]
-        out = transform(view, axis=0, overwrite_x=True)
-        if not np.may_share_memory(out, half):  # scipy declined to overwrite
-            view[...] = out
+        transform(view, axis=0, out=view)
         return half
 
     def dealias(self, values: np.ndarray) -> np.ndarray:
         """Grid values with the 2/3 rule applied."""
-        return self.real(_fft.rfft2(values) * self.keep)
+        return self.real(rfft2(values) * self.keep)
 
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
     """Real scalar field on a :class:`GridSpec`; values are immutable.
 
-    The real half spectrum (scipy.fft.rfft2) is computed on first access
+    The real half spectrum (:func:`rfft2`) is computed on first access
     and cached.  Construct via ``from_values``, ``from_function``,
     ``from_half_spectrum`` or (for a band of the 2/3 rule) ``from_band``.
     """
@@ -196,7 +200,7 @@ class ScalarField:
 
     @cached_property
     def half_spectrum(self) -> np.ndarray:
-        return _fft.rfft2(self.values)
+        return rfft2(self.values)
 
     @property
     def mean(self) -> float:

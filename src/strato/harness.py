@@ -30,11 +30,9 @@ from itertools import repeat
 from pathlib import Path
 
 import numpy as np
-import scipy
-import scipy.fft as _fft
 
 from . import __version__, fieldio
-from .grid import GridSpec, ScalarField, lp_norm
+from .grid import GridSpec, ScalarField, lp_norm, rfft2
 from .initdata import DensitySpec, PatchSpec, make_density, rasterize_patch
 from .solver import SimParams, run
 
@@ -199,7 +197,7 @@ def velocity_distance(omega_a: ScalarField, omega_b: ScalarField, p: float = 2.0
     """Lp size of the velocity gap induced by two vorticity fields."""
     g = omega_a.grid
     kern = g._kernel
-    diff = _fft.rfft2(omega_a.values - omega_b.values)
+    diff = rfft2(omega_a.values - omega_b.values)
     v1, v2 = kern.real(kern.v1 * diff), kern.real(kern.v2 * diff)
     return lp_norm(np.hypot(v1, v2), p, grid=g)
 
@@ -296,8 +294,7 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:
     provenance = {
         "workers": workers,
         "rungs": stats,
-        "versions": {"python": platform.python_version(), "numpy": np.__version__,
-                     "scipy": scipy.__version__, "strato": __version__},
+        "versions": {"python": platform.python_version(), "numpy": np.__version__, "strato": __version__},
     }
     return SweepResult(config=config, rows=tuple(rows), slopes=slopes, fields=fields, provenance=provenance)
 

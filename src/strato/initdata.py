@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as _fft
 
 from .conormal import BoundaryCurve, VectorFieldFamily, family_floor
 from .grid import GridSpec, ScalarField, VelocityField, derivative, heat_propagate
@@ -142,8 +141,9 @@ def _boundary_samples(spec: PatchSpec, m: int) -> tuple[np.ndarray, np.ndarray, 
     """theta grid, boundary radius, and its spectral theta-derivative."""
     theta = 2.0 * np.pi * np.arange(m) / m
     r = spec.boundary_radius(theta)
-    modes = _fft.fftfreq(m, d=1.0 / m)
-    dr = _fft.ifft(1j * modes * _fft.fft(r)).real
+    modes = np.fft.fftfreq(m, d=1.0 / m)
+    half = np.fft.rfft(r)  # r is real: the full spectrum is the half one and its conjugate mirror
+    dr = np.fft.ifft(1j * modes * np.concatenate([half, half[1 : (m + 1) // 2][::-1].conj()])).real
     return theta, r, dr
 
 

@@ -28,9 +28,8 @@ from pathlib import Path
 from typing import Iterator
 
 import numpy as np
-import scipy.fft as _fft
 
-from .grid import GridSpec, ScalarField, VelocityField, biot_savart, dx1_inv_laplacian, laplacian, lp_norm
+from .grid import GridSpec, ScalarField, VelocityField, biot_savart, dx1_inv_laplacian, laplacian, lp_norm, rfft2
 from .littlewood_paley import TimeSeries
 
 __all__ = [
@@ -341,7 +340,7 @@ def _masked_advection(v: VelocityField, f: ScalarField) -> ScalarField:
     d1 = kern.real(kern.ik1 * f.half_spectrum)
     d2 = kern.real(kern.ik2 * f.half_spectrum)
     prod = v.u1.values * d1 + v.u2.values * d2
-    return ScalarField.from_half_spectrum(f.grid, _fft.rfft2(prod) * kern.keep)
+    return ScalarField.from_half_spectrum(f.grid, rfft2(prod) * kern.keep)
 
 
 def commutator_source(omega: ScalarField, rho: ScalarField) -> ScalarField:

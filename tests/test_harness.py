@@ -301,7 +301,7 @@ class TestRunSweep:
         assert [r["mu"] for r in prov["rungs"]] == [0.0] + sorted(cfg.mu_values)
         assert all(r["nominal_steps"] == 4 and r["wall_s"] > 0.0 for r in prov["rungs"])
         assert 1 <= prov["workers"] <= len(cfg.mu_values) + 1
-        assert set(prov["versions"]) == {"python", "numpy", "scipy", "strato"}
+        assert set(prov["versions"]) == {"python", "numpy", "strato"}
 
     def test_rows_sorted_and_consistent(self, tiny_sweep):
         cfg, result = tiny_sweep
@@ -756,15 +756,18 @@ class TestCli:
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc mallopt")
     def test_keep_freed_heap_stops_fft_page_faults(self):
-        # minor page faults per irfft2 at n = 256 after warm-up, in a fresh interpreter each
+        # minor page faults per kernel inverse (numpy.fft.irfft2) at n = 256 after warm-up, in a fresh
+        # interpreter each
         code = (
-            "import resource, sys, numpy as np, scipy.fft\n"
+            "import resource, sys, numpy as np\n"
             "from strato.cli import _keep_freed_heap\n"
+            "from strato.grid import GridSpec, rfft2\n"
             "if sys.argv[1] == '1': _keep_freed_heap()\n"
-            "h = scipy.fft.rfft2(np.random.default_rng(0).standard_normal((256, 256)))\n"
-            "for _ in range(5): scipy.fft.irfft2(h, s=(256, 256))\n"
+            "kern = GridSpec(n=256)._kernel\n"
+            "h = rfft2(np.random.default_rng(0).standard_normal((256, 256)))\n"
+            "for _ in range(5): kern.real(h)\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "for _ in range(20): scipy.fft.irfft2(h, s=(256, 256))\n"
+            "for _ in range(20): kern.real(h)\n"
             "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -772,6 +775,22 @@ class TestCli:
                                        text=True, check=True, timeout=120).stdout) for flag in ("0", "1")]
         assert faults[1] <= 1.0, faults
         assert faults[0] > faults[1]
+
+    def test_no_scipy_module_is_loaded(self):
+        # scipy serves only the bicubic fallback of off-grid sampling: importing strato and running
+        # a ladder, in a fresh interpreter, loads none of it
+        code = (
+            "import sys, strato, strato.cli\n"
+            "def scipy_modules(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "after_import = scipy_modules()\n"
+            "strato.cli.main(['rankine', '--p', '2', '--points', '6', '--tau-min', '1e-3', '--tau-max', '1e-1'])\n"
+            "print(after_import, scipy_modules())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+                             timeout=120).stdout
+        assert "vorticity p=2: slope" in out
+        assert out.splitlines()[-1] == "[] []"
 
     @pytest.mark.parametrize("samples", ["1", "0"])
     def test_conormal_needs_two_samples(self, tmp_path, capsys, samples):

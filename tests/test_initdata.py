@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from strato.grid import GridSpec, derivative, lp_norm
 from strato.initdata import (
+    _boundary_samples,
     BoundaryCurve,
     DensitySpec,
     PatchSpec,
@@ -150,6 +152,14 @@ class TestBvNorm:
         # area pi*2*1 plus the elliptic-integral perimeter for axes (2, 1)
         got = bv_norm(PatchSpec(kind="ellipse", axes=(2.0, 1.0)))
         assert got - 2.0 * np.pi == pytest.approx(9.688448220547679, rel=1e-12)
+
+    @pytest.mark.parametrize("m", [64, 1001, 1 << 14])
+    def test_boundary_derivative_matches_scipy_full_spectrum(self, m):
+        # the real-input rfft and its conjugate mirror give scipy.fft.fft's spectrum, bit for bit
+        for spec in (PatchSpec(kind="ellipse", axes=(2.0, 1.0)), PatchSpec(kind="star", amplitude=0.15, base_mode=7)):
+            _, r, dr = _boundary_samples(spec, m)
+            modes = scipy.fft.fftfreq(m, d=1.0 / m)
+            assert np.array_equal(dr, scipy.fft.ifft(1j * modes * scipy.fft.fft(r)).real)
 
     def test_star_longer_than_disc(self):
         disc = bv_norm(PatchSpec(kind="disc"))

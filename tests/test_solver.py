@@ -358,11 +358,11 @@ class TestHalfSpectrumKernel:
         h = (1.5 if halvings else 0.5) * params.cfl_cap * g.dx / vmax
         calls = {name: 0 for name in ("fft", "ifft", "rfft", "irfft", "rfft2", "irfft2", "fft2", "ifft2")}
         for name in calls:
-            def counted(*args, _name=name, _fn=getattr(fft, name), **kwargs):
+            def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
 
-            monkeypatch.setattr(fft, name, counted)
+            monkeypatch.setattr(np.fft, name, counted)
         *_, t = engine.advance(what, rhat, 0.0, h)
         assert t == h
         steps = 2**halvings
