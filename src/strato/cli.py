@@ -105,15 +105,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_besov(args: argparse.Namespace) -> int:
     from . import fieldio
-    from .littlewood_paley import BesovParams, DyadicPartition, besov_sum, block_norms
+    from .littlewood_paley import BesovParams, besov_sum, block_norms
 
+    # bad exponents are a usage error before the snapshot is read
+    try:
+        params = BesovParams(s=args.s, p=args.p, r=args.r, homogeneous=args.homogeneous)
+    except ValueError as exc:
+        args.error(str(exc))
     f = fieldio.read_snapshot(args.snapshot)
-    part = DyadicPartition(f.grid)
-    params = BesovParams(s=args.s, p=args.p, r=args.r, homogeneous=args.homogeneous)
-    norms = block_norms(f, params, part)
+    norms = block_norms(f, params)
     total = besov_sum(norms, params)
     print(f"grid n={f.grid.n} L={f.grid.half_length:g}, blocks q in "
-          f"[{min(norms)}, {part.q_max}]")
+          f"[{min(norms)}, {max(norms)}]")
     for q, norm in norms.items():
         print(f"  q={q:+d}: 2^(qs)|block|_p = {2.0 ** (q * args.s) * norm:.6e}")
     print(f"besov norm (s={args.s:g}, p={args.p:g}, r={args.r:g}): {total:.6e}")
@@ -229,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-p", type=float, default=np.inf, help="Lebesgue exponent")
     p.add_argument("-r", type=float, default=np.inf, help="summation exponent")
     p.add_argument("--homogeneous", action="store_true")
-    p.set_defaults(func=_cmd_besov)
+    p.set_defaults(func=_cmd_besov, error=p.error)
 
     p = sub.add_parser("conormal", help="advected family health report")
     p.add_argument("config", help="JSON experiment config")

@@ -91,7 +91,7 @@ def directional_derivative(u: ScalarField, x: VelocityField) -> ScalarField:
     return ScalarField.from_half_spectrum(g, kern.ik1 * p1 + kern.ik2 * p2 - p3)
 
 
-def _vector_holder(x: VelocityField, s: float, part: DyadicPartition) -> float:
+def _vector_holder(x: VelocityField, s: float, part: DyadicPartition | None) -> float:
     prm = BesovParams(s=s)
     return max(besov_norm(x.u1, prm, part), besov_norm(x.u2, prm, part))
 
@@ -109,7 +109,6 @@ def conormal_norm(
     norms of the directional derivatives, normalized by the family floor.
     epsilon defaults to the family's own index.
     """
-    part = partition if partition is not None else DyadicPartition(u.grid)
     floor = family_floor(family)
     if floor <= 0.0:
         raise ValueError("degenerate family: floor is zero")
@@ -118,8 +117,8 @@ def conormal_norm(
     dir_reg = 0.0
     prm_lo = BesovParams(s=eps - 1.0)
     for x in family.members:
-        fam_reg = max(fam_reg, _vector_holder(x, eps, part) + besov_norm(divergence(x), BesovParams(s=eps), part))
-        dir_reg = max(dir_reg, besov_norm(directional_derivative(u, x), prm_lo, part))
+        fam_reg = max(fam_reg, _vector_holder(x, eps, partition) + besov_norm(divergence(x), BesovParams(s=eps), partition))
+        dir_reg = max(dir_reg, besov_norm(directional_derivative(u, x), prm_lo, partition))
     return (lp_norm(u, np.inf) * fam_reg + dir_reg) / floor
 
 

@@ -139,13 +139,21 @@ class _HalfKernel:
         """Grid values of a band, bitwise equal to ``real(embed(band))``."""
         return _fft.irfft(self._columns(_fft.ifft, self.embed(band)), self.shape[1], axis=1)
 
+    def pad(self, head: np.ndarray) -> np.ndarray:
+        """The half spectrum that is ``head`` on its first columns and zero beyond them."""
+        return np.pad(head, ((0, 0), (0, self.ksq.shape[1] - head.shape[1])))
+
+    def head_real(self, head: np.ndarray) -> np.ndarray:
+        """Grid values of ``pad(head)``, bitwise equal to ``real(pad(head))``; the column pass skips the zeros."""
+        return _fft.irfft(self._columns(_fft.ifft, self.pad(head), head.shape[1]), self.shape[1], axis=1)
+
     def band_spectrum(self, values: np.ndarray) -> np.ndarray:
         """The band of ``rfft2(values)``, bitwise equal to ``cut(rfft2(values) * keep)``."""
         return self.cut(self._columns(_fft.fft, _fft.rfft(values, axis=1)))
 
-    def _columns(self, transform: Callable, half: np.ndarray) -> np.ndarray:
-        """half with the 1-d ``transform`` applied along axis 0 to the band's columns only, in place."""
-        view = half[:, : self.cols]
+    def _columns(self, transform: Callable, half: np.ndarray, cols: int | None = None) -> np.ndarray:
+        """half with the 1-d ``transform`` applied along axis 0 to its first ``cols`` columns (the band's), in place."""
+        view = half[:, : self.cols if cols is None else cols]
         transform(view, axis=0, out=view)
         return half
 
@@ -189,6 +197,13 @@ class ScalarField:
     def from_half_spectrum(cls, grid: GridSpec, half: np.ndarray) -> "ScalarField":
         f = cls(grid, grid._kernel.real(half))
         f.__dict__["half_spectrum"] = half
+        return f
+
+    @classmethod
+    def from_head(cls, grid: GridSpec, head: np.ndarray) -> "ScalarField":
+        """The field whose half spectrum is the kernel's ``pad(head)``."""
+        f = cls(grid, grid._kernel.head_real(head))
+        f.__dict__["half_spectrum"] = grid._kernel.pad(head)
         return f
 
     @classmethod

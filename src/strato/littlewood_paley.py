@@ -9,13 +9,19 @@ partition of unity on every resolved frequency.
 Inhomogeneous blocks run from q = -1 (the low-pass) up to a grid cutoff
 q_max; homogeneous blocks extend downward to a box-scale floor q_low with
 the zero mode discarded.
+
+A block is zero beyond some column of the half spectrum and is inverted on
+those columns only (the kernel's ``head_real``, bitwise equal to the full
+inverse), with multipliers cut to them once per grid and ladder kind in a
+bounded cache that holds no grid or kernel.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -74,7 +80,6 @@ class DyadicPartition:
     """
 
     grid: GridSpec
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def q_max(self) -> int:
@@ -98,26 +103,42 @@ class DyadicPartition:
                 raise ValueError(f"q={q} below q_low={self.q_low}")
         elif q < -1:
             raise ValueError(f"q={q} below the inhomogeneous floor -1")
-        key = (q, homogeneous and q < 0)
-        got = self._cache.get(key)
-        if got is None:
-            kmag = self.kmag
-            if q == -1 and not homogeneous:
-                got = lowpass_profile(kmag)
-            else:
-                got = annulus_profile(kmag * 2.0 ** (-q))
-            got.setflags(write=False)
-            self._cache[key] = got
-        return got
+        if q == -1 and not homogeneous:
+            return lowpass_profile(self.kmag)
+        return annulus_profile(self.kmag * 2.0 ** (-q))
 
     def qs(self, homogeneous: bool = False) -> range:
         return range(self.q_low if homogeneous else -1, self.q_max + 1)
 
 
+def _bound(grid: GridSpec, partition: DyadicPartition | None) -> DyadicPartition:
+    """partition, or the grid's own; a partition bound to another grid would give wrong blocks."""
+    if partition is None:
+        return DyadicPartition(grid)
+    if partition.grid != grid:
+        raise ValueError(f"partition is bound to {partition.grid}, but the field lives on {grid}")
+    return partition
+
+
+@lru_cache(maxsize=8)
+def _ladder(n: int, half_length: float, homogeneous: bool) -> MappingProxyType:
+    """q -> read-only copy of ``multiplier(q)`` cut to its columns up to the last nonzero one."""
+    part = DyadicPartition(GridSpec(n, half_length))  # dropped on return, kernel and all
+    heads = {}
+    for q in part.qs(homogeneous):
+        m = part.multiplier(q, homogeneous)
+        heads[q] = m[:, : int(np.flatnonzero(m.any(axis=0)).max(initial=-1)) + 1].copy()
+        heads[q].setflags(write=False)
+    return MappingProxyType(heads)
+
+
 def block(f: ScalarField, q: int, partition: DyadicPartition | None = None, homogeneous: bool = False) -> ScalarField:
     """Dyadic frequency block of a field (q = -1 is the inhomogeneous low pass)."""
-    part = partition if partition is not None else DyadicPartition(f.grid)
-    return ScalarField.from_half_spectrum(f.grid, part.multiplier(q, homogeneous) * f.half_spectrum)
+    part = _bound(f.grid, partition)
+    m = _ladder(f.grid.n, f.grid.half_length, homogeneous).get(q)
+    if m is None:
+        part.multiplier(q, homogeneous)  # off the ladder: raises its range error
+    return ScalarField.from_head(f.grid, m * f.half_spectrum[:, : m.shape[1]])
 
 
 @dataclass(frozen=True)
@@ -130,6 +151,8 @@ class BesovParams:
     homogeneous: bool = False
 
     def __post_init__(self) -> None:
+        if not np.isfinite(self.s):
+            raise ValueError(f"s must be finite, got {self.s}")
         if not (self.p >= 1.0):
             raise ValueError(f"p must be >= 1, got {self.p}")
         if not (self.r >= 1.0):
@@ -151,10 +174,11 @@ def _block_weight(q: int, s: float, homogeneous: bool) -> float:
 
 
 def block_norms(f: ScalarField, params: BesovParams, partition: DyadicPartition | None = None) -> dict[int, float]:
-    """Unweighted |block_q f|_Lp for every q on the ladder of params, in ladder order."""
-    part = partition if partition is not None else DyadicPartition(f.grid)
-    qs = part.qs(params.homogeneous)
-    return {q: lp_norm(block(f, q, part, homogeneous=params.homogeneous), params.p) for q in qs}
+    """Unweighted |block_q f|_Lp for every q on the ladder of params, in ladder order (0.0 for an empty block)."""
+    _bound(f.grid, partition)
+    g, half = f.grid, f.half_spectrum
+    return {q: lp_norm(g._kernel.head_real(m * half[:, : m.shape[1]]), params.p, g) if m.shape[1] else 0.0
+            for q, m in _ladder(g.n, g.half_length, params.homogeneous).items()}
 
 
 def besov_sum(norms: dict[int, float], params: BesovParams) -> float:
@@ -184,8 +208,7 @@ def bernstein_ratio(
     """
     if b < p:
         raise ValueError(f"need p <= b, got p={p}, b={b}")
-    part = partition if partition is not None else DyadicPartition(f.grid)
-    bf = block(f, q, part)
+    bf = block(f, q, partition)
     base = lp_norm(bf, p)
     if base == 0.0:
         raise ValueError(f"block q={q} vanishes; Bernstein ratios undefined")
@@ -207,7 +230,7 @@ def bony_decompose(
     """
     if u.grid != v.grid:
         raise ValueError("operands must share a grid")
-    part = partition if partition is not None else DyadicPartition(u.grid)
+    part = _bound(u.grid, partition)
     band = 2.0 ** (part.q_max - 2)
     outside = part.kmag > band
     for name, f in (("u", u), ("v", v)):
@@ -289,11 +312,10 @@ def time_besov_norm(
     """
     if not (beta >= 1.0):
         raise ValueError(f"beta must be >= 1 or inf, got {beta}")
-    part = partition if partition is not None else DyadicPartition(series.grid)
-    qs = list(part.qs(params.homogeneous))
-    per_block = np.array([list(block_norms(f, params, part).values()) for f in series.fields]).T
-    weights = np.array([_block_weight(q, params.s, params.homogeneous) for q in qs])
-    tilde_terms = np.array([_time_lbeta(per_block[i], series.times, beta) for i in range(len(qs))])
+    norms = [block_norms(f, params, partition) for f in series.fields]
+    per_block = np.array([list(d.values()) for d in norms]).T
+    weights = np.array([_block_weight(q, params.s, params.homogeneous) for q in norms[0]])
+    tilde_terms = np.array([_time_lbeta(row, series.times, beta) for row in per_block])
     tilde = _lr(weights * tilde_terms, params.r)
     plain_t = np.array([_lr(weights * per_block[:, j], params.r) for j in range(len(series))])
     plain = _time_lbeta(plain_t, series.times, beta)

@@ -126,6 +126,22 @@ class TestBandTransforms:
             assert kern._columns(getattr(np.fft, name), half) is half
             assert np.array_equal(half, want)
 
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_head_real_matches_2d_inverse(self, n):
+        # a half spectrum zero beyond its first c columns, inverted on those columns only, bit for bit
+        g = GridSpec(n=n, half_length=2.0)
+        kern = g._kernel
+        spectrum = fft.rfft2(1e3 * random_field(g, n + 7).values)
+        for c in (0, 1, 5, n // 3 + 1, n // 2, n // 2 + 1):
+            half = spectrum.copy()
+            half[:, c:] = 0.0
+            head = spectrum[:, :c]
+            assert np.array_equal(kern.pad(head), half)
+            got = kern.head_real(head)
+            assert np.array_equal(got, kern.real(half)) and got.tobytes() == kern.real(half).tobytes()
+            f = ScalarField.from_head(g, head)
+            assert np.array_equal(f.values, got) and np.array_equal(f.half_spectrum, half)
+
     def test_band_multipliers_are_cut_from_the_half_spectrum(self, grid64):
         kern = grid64._kernel
         shape = kern.ksq.shape

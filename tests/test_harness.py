@@ -580,6 +580,24 @@ class TestCli:
         want = besov_norm(f, BesovParams(s=0.5), DyadicPartition(grid64))
         assert f"besov norm (s=0.5, p=inf, r=inf): {want:.6e}" in out
 
+    @pytest.mark.parametrize("flags, message", [
+        (["-s", "nan"], "s must be finite, got nan"),
+        (["-s", "inf"], "s must be finite, got inf"),
+        (["-p", "0.5"], "p must be >= 1, got 0.5"),
+        (["-r", "nan"], "r must be >= 1, got nan"),
+    ])
+    def test_besov_bad_exponent_is_usage_error(self, tmp_path, monkeypatch, capsys, flags, message):
+        reads = []
+        monkeypatch.setattr(fieldio, "read_snapshot", lambda path: reads.append(path))
+        with pytest.raises(SystemExit) as info:
+            main(["besov", str(tmp_path / "field.slf"), *flags])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"strato besov: error: {message}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert reads == []
+
     def test_conormal_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         csv_path = tmp_path / "series.csv"

@@ -1,18 +1,23 @@
 """Dyadic analysis: profiles, partitions, Besov norms, paraproducts."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strato.grid import GridSpec, ScalarField, lp_norm
+from strato.grid import GridSpec, ScalarField, _HalfKernel, lp_norm
 from strato.littlewood_paley import (
     BesovParams,
     DyadicPartition,
     TimeSeries,
+    _ladder,
     annulus_profile,
     bernstein_ratio,
     besov_norm,
     block,
+    block_norms,
     bony_decompose,
     lowpass_profile,
     smooth_ramp,
@@ -155,6 +160,11 @@ class TestBesovNorm:
         a = besov_norm(f, params)
         b = besov_norm(shifted, params)
         assert a == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_regularity_rejected(self, s):
+        with pytest.raises(ValueError, match="s must be finite"):
+            BesovParams(s=s)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -318,3 +328,86 @@ class TestTimeSeries:
         series = TimeSeries(np.array([0.0, 1.0]), (f, f))
         with pytest.raises(ValueError):
             time_besov_norm(series, 0.5, BesovParams(s=0.0))
+
+
+class TestPrunedLadder:
+    """Blocks inverted on their nonzero columns only, from multipliers cached per grid, bit for bit."""
+
+    @pytest.mark.parametrize("n,half_length", [(128, 8.0), (256, 2.0)])
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_block_norms_match_full_inverse(self, n, half_length, homogeneous, monkeypatch):
+        g = GridSpec(n=n, half_length=half_length)
+        part = DyadicPartition(g)
+        f = random_field(g, n + 11)
+        empty = [q for q in part.qs(homogeneous) if not part.multiplier(q, homogeneous).any()]
+        # the lowest homogeneous blocks have no lattice point in their annulus
+        assert bool(empty) == homogeneous and empty == list(part.qs(homogeneous))[: len(empty)]
+        inverses = []
+        head_real = _HalfKernel.head_real
+        monkeypatch.setattr(_HalfKernel, "head_real", lambda kern, head: inverses.append(head) or head_real(kern, head))
+        for p in (1.0, 2.0, 4.0, np.inf):
+            inverses.clear()
+            got = block_norms(f, BesovParams(s=0.5, p=p, homogeneous=homogeneous), part)
+            assert list(got) == list(part.qs(homogeneous))
+            assert len(inverses) == len(got) - len(empty)  # an empty block costs no transform
+            for q, norm in got.items():
+                full = ScalarField.from_half_spectrum(g, part.multiplier(q, homogeneous) * f.half_spectrum)
+                assert norm == lp_norm(full, p)
+                assert type(norm) is float and (q not in empty or norm == 0.0)
+            for q in part.qs(homogeneous):
+                full = ScalarField.from_half_spectrum(g, part.multiplier(q, homogeneous) * f.half_spectrum)
+                assert np.array_equal(block(f, q, part, homogeneous).values, full.values)
+
+    def test_equal_grids_share_one_ladder(self):
+        _ladder.cache_clear()
+        g1, g2 = GridSpec(n=32, half_length=3.0), GridSpec(n=32, half_length=3.0)
+        assert g1 is not g2
+        params = BesovParams(s=0.5, p=2.0)
+        a = block_norms(random_field(g1, 1), params)
+        b = block_norms(random_field(g2, 1), params, DyadicPartition(g2))
+        assert a == b
+        info = _ladder.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_cache_keeps_no_kernel_alive(self):
+        g = GridSpec(n=32, half_length=3.7)
+        f = random_field(g, 2)
+        kernel = weakref.ref(g._kernel)
+        besov_norm(f, BesovParams(s=0.5, p=2.0))
+        besov_norm(f, BesovParams(s=0.5, p=2.0, homogeneous=True))
+        del f, g
+        gc.collect()
+        assert kernel() is None
+        # nor the kernel the cache built its multipliers on
+        fundamental = (np.pi / 3.7) ** 2
+        assert not [k for k in gc.get_objects() if isinstance(k, _HalfKernel) and k.ksq[0, 1] == fundamental]
+
+
+class TestGridMismatch:
+    """A partition bound to another grid is refused, naming both grids."""
+
+    CALLS = {
+        "block": lambda f, part: block(f, 1, part),
+        "block_norms": lambda f, part: block_norms(f, BesovParams(s=0.5), part),
+        "besov_norm": lambda f, part: besov_norm(f, BesovParams(s=0.5), part),
+        "bernstein_ratio": lambda f, part: bernstein_ratio(f, 1, 2.0, np.inf, part),
+        "bony_decompose": lambda f, part: bony_decompose(f, f, part),
+        "time_besov_norm": lambda f, part: time_besov_norm(
+            TimeSeries(np.array([0.0, 1.0]), (f, f)), 1.0, BesovParams(s=0.5), part),
+    }
+
+    @pytest.mark.parametrize("other", [GridSpec(n=128, half_length=8.0), GridSpec(n=64, half_length=2.0)],
+                             ids=["half_length", "n"])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_partition_on_another_grid_is_refused(self, name, other):
+        g = GridSpec(n=128, half_length=2.0)
+        f = random_field(g, 3, band=2.0)
+        with pytest.raises(ValueError, match="partition is bound to") as info:
+            self.CALLS[name](f, DyadicPartition(other))
+        assert repr(other) in str(info.value) and repr(g) in str(info.value)
+
+    def test_same_grid_in_another_instance_is_accepted(self):
+        g = GridSpec(n=128, half_length=2.0)
+        f = random_field(g, 4, band=2.0)
+        params = BesovParams(s=0.5)
+        assert besov_norm(f, params, DyadicPartition(GridSpec(n=128, half_length=2.0))) == besov_norm(f, params)
