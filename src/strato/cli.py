@@ -22,10 +22,22 @@ from pathlib import Path
 import numpy as np
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .harness import SweepConfig, _worker_count, emit_report, run_sweep
+def _config(args: argparse.Namespace):
+    """The command's SweepConfig; a file that does not make one is a usage error, not a traceback."""
+    from .harness import SweepConfig
 
-    config = SweepConfig.from_json(args.config)
+    try:
+        return SweepConfig.from_json(args.config)
+    except KeyError as exc:
+        args.error(f"{args.config}: missing key {exc}")
+    except (OSError, TypeError, ValueError) as exc:  # a JSON syntax error is a ValueError
+        args.error(f"{args.config}: {exc}")
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .harness import _worker_count, emit_report, run_sweep
+
+    config = _config(args)
     try:
         workers = _worker_count(args.workers, len(config.mu_values) + 1)
     except ValueError as exc:
@@ -81,10 +93,9 @@ def _cmd_rankine(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from . import fieldio
-    from .harness import SweepConfig
     from .solver import SimParams, run
 
-    config = SweepConfig.from_json(args.config)
+    config = _config(args)
     mu = args.mu if args.mu is not None else config.mu_values[0]
     omega0, rho0 = config.initial_fields()
     params = SimParams(mu=mu, dt=config.dt, t_final=config.t_final, kappa=config.kappa)
@@ -125,13 +136,12 @@ def _cmd_besov(args: argparse.Namespace) -> int:
 
 def _cmd_conormal(args: argparse.Namespace) -> int:
     from .conormal import _log_estimate_ratio, advect_legs, conormal_norm, family_floor, holder_quotient
-    from .harness import SweepConfig
     from .initdata import boundary_curve, initial_vector_family
     from .solver import SimParams, march
 
     if args.samples < 2:
         args.error(f"--samples must be at least 2, got {args.samples}")
-    config = SweepConfig.from_json(args.config)
+    config = _config(args)
     mu = args.mu if args.mu is not None else config.mu_values[0]
     t_final = args.t if args.t is not None else config.t_final
     params = SimParams(mu=mu, dt=config.dt, t_final=t_final, kappa=config.kappa)
@@ -224,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=None, help="override diffusivity")
     p.add_argument("--out", default="results", help="output directory")
     p.add_argument("--snapshots", action="store_true", help="write field snapshots")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, error=p.error)
 
     p = sub.add_parser("besov", help="dyadic-block norms of a snapshot")
     p.add_argument("snapshot", help=".slf snapshot path")

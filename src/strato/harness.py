@@ -9,7 +9,9 @@ requested sample times.  The discrepancy functional is
 
 with the velocity difference reconstructed from the vorticity
 difference, plus the plain vorticity Lp gap as a second observable.
-Reports are written as rates.csv / slopes.json / manifest.json with
+Each worker process receives the config and the initial fields once,
+when it starts; a rung's task carries only its diffusivity.  Reports
+are written as rates.csv / slopes.json / manifest.json with
 full-precision floats and rows in a canonical order, so the bytes do
 not depend on how many worker processes produced them; what does
 (timings, worker count, versions) goes to provenance.json.
@@ -26,7 +28,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +231,19 @@ def _worker_count(workers: int | str | None, rungs: int) -> int:
     return min(int(text), rungs)
 
 
+_inputs: tuple = ()  # (config, omega0, rho0) of the sweep this process is running
+
+
+def _hand_over(*inputs) -> None:
+    """Keep a sweep's inputs for the rungs this process runs; the pool's worker initializer."""
+    global _inputs
+    _inputs = inputs
+
+
+def _rung(mu: float) -> tuple:
+    return run_single(_inputs[0], mu, *_inputs[1:])
+
+
 def _logged(out: tuple) -> tuple:
     stats = out[-1]
     log.info("rung mu=%g: %d nominal steps in %.3f s", stats["mu"], stats["nominal_steps"], stats["wall_s"])
@@ -239,42 +253,48 @@ def _logged(out: tuple) -> tuple:
 def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:
     """Run the ladder plus the zero-diffusivity reference and tabulate rates.
 
-    The initial fields are built once and shared by every rung.  The
-    worker count is ``workers`` if given, else STRATO_WORKERS, else the
-    number of cores this process may run on, capped at the rung count;
-    a count of 1 runs every rung in this process.  Tasks are dispatched
-    in ladder order and collected in that same order, so the emitted
-    tables are identical however the work was scheduled.  The reference
-    comes first, so each rung is measured as it arrives, while later
-    rungs still run, and then dropped.
+    The initial fields are built once and handed to each worker process
+    as it starts (inherited under fork, pickled once per worker
+    otherwise); a rung's task is only its diffusivity, and the inputs
+    are let go before this returns.  The worker count is ``workers`` if
+    given, else STRATO_WORKERS, else the number of cores this process
+    may run on, capped at the rung count; a count of 1 runs every rung
+    in this process.  Tasks are dispatched in ladder order and collected
+    in that same order, so the emitted tables are identical however the
+    work was scheduled.  The reference comes first, so each rung is
+    measured as it arrives, while later rungs still run, and then
+    dropped.
     """
     ladder = tuple(sorted(config.mu_values))
     mus = (0.0,) + ladder
     workers = _worker_count(workers, len(mus))
     grid = config.grid
     p = config.error_p
-    omega0, rho0 = config.initial_fields()
-    args = (run_single, repeat(config), mus, repeat(omega0), repeat(rho0))
+    _hand_over(config, *config.initial_fields())
 
     rows: list[RateRow] = []
     stats, fields = [], {}
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for mu, times, om, rh, rung in map(_logged, pool.map(*args, chunksize=1) if pool else map(*args)):
-            stats.append(rung)
-            if config.save_fields:
-                fields[mu] = (times, om, rh)
-            if mu == 0.0:
-                ref_om, ref_rh = om, rh
-                continue
-            for j, t in enumerate(times):
-                wa = ScalarField(grid, om[j])
-                wb = ScalarField(grid, ref_om[j])
-                verr = velocity_distance(wa, wb, p)
-                derr = field_distance(ScalarField(grid, rh[j]), ScalarField(grid, ref_rh[j]), p)
-                werr = field_distance(wa, wb, p)
-                rows.append(RateRow(mu=mu, time=float(t), velocity_error=verr, density_error=derr,
-                                    discrepancy=verr + derr, vorticity_error=werr))
-            del om, rh, wa, wb  # before the next rung arrives
+    try:
+        with (ProcessPoolExecutor(workers, initializer=_hand_over, initargs=_inputs)
+              if workers > 1 else nullcontext()) as pool:
+            for mu, times, om, rh, rung in map(_logged, (pool.map if pool else map)(_rung, mus)):
+                stats.append(rung)
+                if config.save_fields:
+                    fields[mu] = (times, om, rh)
+                if mu == 0.0:
+                    ref_om, ref_rh = om, rh
+                    continue
+                for j, t in enumerate(times):
+                    wa = ScalarField(grid, om[j])
+                    wb = ScalarField(grid, ref_om[j])
+                    verr = velocity_distance(wa, wb, p)
+                    derr = field_distance(ScalarField(grid, rh[j]), ScalarField(grid, ref_rh[j]), p)
+                    werr = field_distance(wa, wb, p)
+                    rows.append(RateRow(mu=mu, time=float(t), velocity_error=verr, density_error=derr,
+                                        discrepancy=verr + derr, vorticity_error=werr))
+                del om, rh, wa, wb  # before the next rung arrives
+    finally:
+        _hand_over()
     rows.sort(key=lambda r: (r.time, r.mu))
 
     slopes: dict = {}

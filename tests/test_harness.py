@@ -4,7 +4,9 @@ import gc
 import json
 import logging
 import math
+import multiprocessing
 import os
+import pickle
 import platform
 import shutil
 import subprocess
@@ -441,6 +443,52 @@ class TestDeterminism:
         assert json.loads(default["provenance"].read_text())["workers"] == 2
 
 
+    def test_pooled_task_carries_only_its_viscosity(self, tmp_path, monkeypatch):
+        # spawn inherits nothing, so these rungs can only run if the initializer handed the inputs over
+        pools = []
+
+        class Recording(strato.harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, mp_context=multiprocessing.get_context("spawn"), **kwargs)
+                self.made_with, self.tasks = kwargs, []
+                pools.append(self)
+
+            def map(self, fn, *iterables, **kwargs):
+                tasks = list(zip(*iterables))  # zip stops with the shortest, so a repeat() is fine
+                self.tasks += [pickle.dumps((fn, *task)) for task in tasks]
+                return super().map(fn, *zip(*tasks), **kwargs)
+
+        monkeypatch.setattr(strato.harness, "ProcessPoolExecutor", Recording)
+        cfg = SweepConfig.from_dict(tiny_config_dict(out_dir=tmp_path, mus=(1.0e-3, 1.0e-2)))
+        pooled = emit_report(run_sweep(cfg, workers=2), tmp_path / "pooled")
+        [pool] = pools
+        assert len(pool.tasks) == 3
+        assert all(len(task) < 1024 for task in pool.tasks)
+        assert pool.made_with["initializer"] is strato.harness._hand_over
+        config, omega0, rho0 = pool.made_with["initargs"]
+        want = cfg.initial_fields()
+        assert config == cfg
+        assert np.array_equal(omega0.values, want[0].values) and np.array_equal(rho0.values, want[1].values)
+        serial = emit_report(run_sweep(cfg, workers=1), tmp_path / "serial")
+        for key in ("rates", "slopes", "manifest"):
+            assert serial[key].read_bytes() == pooled[key].read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_lets_go_of_its_inputs(self, workers, tmp_path, monkeypatch):
+        refs, initial_fields = [], SweepConfig.initial_fields
+
+        def tracked(config):
+            fields = initial_fields(config)
+            refs.extend(weakref.ref(x) for f in fields for x in (f, f.values))
+            return fields
+
+        monkeypatch.setattr(SweepConfig, "initial_fields", tracked)
+        result = run_sweep(SweepConfig.from_dict(tiny_config_dict(out_dir=tmp_path)), workers=workers)
+        assert len(refs) == 4 and strato.harness._inputs == ()
+        del result
+        assert [r() for r in refs] == [None] * 4
+
+
 class TestCli:
     def test_parser_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -552,6 +600,26 @@ class TestCli:
         assert [line.split(":")[0] for line in err] == ["rung mu=0", "rung mu=0.001", "rung mu=0.003", "rung mu=0.01"]
         assert all("4 nominal steps" in line for line in err)
         assert (logger.level, list(logger.handlers)) == before
+
+    @pytest.mark.parametrize("command", ["sweep", "simulate", "conormal"])
+    @pytest.mark.parametrize("text, message", [
+        (json.dumps({**tiny_config_dict(), "sweep": {"mu": [1.0e-3, 1.0e-3]}}), "mu ladder has repeated entries"),
+        (json.dumps({**tiny_config_dict(), "params": {"dt": 0.05}}), "missing key 't_final'"),
+        (json.dumps({**tiny_config_dict(), "grid": 64}), "'int' object is not subscriptable"),
+        ("{", "Expecting property name enclosed in double quotes"),
+        (None, "No such file or directory"),
+    ])
+    def test_bad_config_is_usage_error(self, command, text, message, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        if text is not None:
+            cfg_path.write_text(text)
+        with pytest.raises(SystemExit) as info:
+            main([command, str(cfg_path)])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"strato {command}: error: {cfg_path}: " in captured.err and message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_simulate_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
