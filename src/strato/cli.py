@@ -34,6 +34,16 @@ def _config(args: argparse.Namespace):
         args.error(f"{args.config}: {exc}")
 
 
+def _params(args: argparse.Namespace, config, mu: float, t_final: float):
+    """The command's SimParams; flags that do not make one are a usage error, not a traceback."""
+    from .solver import SimParams
+
+    try:
+        return SimParams(mu=mu, dt=config.dt, t_final=t_final, kappa=config.kappa)
+    except ValueError as exc:
+        args.error(str(exc))
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .harness import _worker_count, emit_report, run_sweep
 
@@ -93,12 +103,12 @@ def _cmd_rankine(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from . import fieldio
-    from .solver import SimParams, run
+    from .solver import run
 
     config = _config(args)
     mu = args.mu if args.mu is not None else config.mu_values[0]
+    params = _params(args, config, mu, config.t_final)
     omega0, rho0 = config.initial_fields()
-    params = SimParams(mu=mu, dt=config.dt, t_final=config.t_final, kappa=config.kappa)
     result = run(omega0, rho0, params, sample_times=list(config.sample_times))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -137,14 +147,14 @@ def _cmd_besov(args: argparse.Namespace) -> int:
 def _cmd_conormal(args: argparse.Namespace) -> int:
     from .conormal import _log_estimate_ratio, advect_legs, conormal_norm, family_floor, holder_quotient
     from .initdata import boundary_curve, initial_vector_family
-    from .solver import SimParams, march
+    from .solver import march
 
     if args.samples < 2:
         args.error(f"--samples must be at least 2, got {args.samples}")
     config = _config(args)
     mu = args.mu if args.mu is not None else config.mu_values[0]
     t_final = args.t if args.t is not None else config.t_final
-    params = SimParams(mu=mu, dt=config.dt, t_final=t_final, kappa=config.kappa)
+    params = _params(args, config, mu, t_final)
     checkpoints = np.linspace(0.0, t_final, args.samples)
     # the march holds the initial fields only until it has their masked spectra
     trajectory = march(*config.initial_fields(), params, record_every_step=True, sample_times=checkpoints)

@@ -175,8 +175,7 @@ def _gradient_at(h: np.ndarray, grid: GridSpec, pts: np.ndarray) -> list[np.ndar
     kern = grid._kernel
     if len(pts) > 512:  # _eval_at's bicubic branch
         return _eval_at(_gradient_spectra(kern, h), grid, pts)
-    b = kern.cols - 1  # kern.keep is |m1|, m2 <= b
-    band = None if np.any(h[b + 1 : -b]) or np.any(h[:, b + 1 :]) else b
+    band = kern.cols - 1 if kern.in_band(h) else None  # kern.keep is |m1|, m2 <= band
     op, h = (kern, h) if band is None else (kern.band, kern.cut(h))
     e1, e2 = _phase_basis(grid, pts, band)
     s2 = op.v2 * h
@@ -191,23 +190,30 @@ def _gradient_at(h: np.ndarray, grid: GridSpec, pts: np.ndarray) -> list[np.ndar
 
 def _advect_stretch_rhs(comps: list[np.ndarray], vel: tuple, grid: GridSpec) -> list[np.ndarray]:
     """RHS of d/dt X = -(v . grad) X + (X . grad) v for stacked components, in flux form: div v = 0
-    makes (v . grad) X_i = d1(v1 X_i) + d2(v2 X_i), three forward transforms and one inverse each."""
+    makes (v . grad) X_i = d1(v1 X_i) + d2(v2 X_i), three forward transforms and one inverse each,
+    all on the 2/3 band."""
     v1, v2, (d1v1, d2v1, d1v2, d2v2) = vel
     kern = grid._kernel
+    op = kern.band
     out = []
     for i in range(0, len(comps), 2):
         x1, x2 = comps[i], comps[i + 1]
         for x, g1, g2 in ((x1, d1v1, d2v1), (x2, d1v2, d2v2)):
-            r = rfft2(x1 * g1 + x2 * g2)
-            r -= kern.ik1 * rfft2(v1 * x)
-            r -= kern.ik2 * rfft2(v2 * x)
-            r *= kern.keep
-            out.append(kern.real(r))
+            r = kern.band_spectrum(x1 * g1 + x2 * g2)
+            r -= op.ik1 * kern.band_spectrum(v1 * x)
+            r -= op.ik2 * kern.band_spectrum(v2 * x)
+            out.append(kern.band_real(r))
     return out
 
 
 def _velocity_and_gradient(interp: VelocityInterpolant, t: float) -> tuple[np.ndarray, ...]:
-    v1, v2, *grad = map(interp.kern.real, _gradient_spectra(interp.kern, interp.omega_spectrum(t)))
+    """Velocity and its gradient at t; a vorticity spectrum zero outside the 2/3 band is inverted on the band."""
+    kern, h = interp.kern, interp.omega_spectrum(t)
+    if kern.in_band(h):
+        spectra, real = _gradient_spectra(kern.band, kern.cut(h)), kern.band_real
+    else:
+        spectra, real = _gradient_spectra(kern, h), kern.real
+    v1, v2, *grad = map(real, spectra)
     return v1, v2, tuple(grad)
 
 

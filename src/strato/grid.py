@@ -129,6 +129,11 @@ class _HalfKernel:
         """The band of a half spectrum that is zero outside it."""
         return half[self.rows, : self.cols]
 
+    def in_band(self, half: np.ndarray) -> bool:
+        """Whether a half spectrum is zero outside the band, as march samples and their blends are."""
+        b = self.cols - 1
+        return not (np.any(half[b + 1 : -b]) or np.any(half[:, b + 1 :]))
+
     def embed(self, band: np.ndarray) -> np.ndarray:
         """The half spectrum that is ``band`` on the band and zero elsewhere."""
         half = np.zeros(self.ksq.shape, dtype=band.dtype)

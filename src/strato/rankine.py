@@ -9,9 +9,12 @@ indicator.  Everything reduces to one radial integral
 with tau = mu t.  The integrand is computed in overflow-safe form through the
 exponentially scaled Bessel function, substituting u = (s - r)/(2 sqrt(tau))
 so the kernel peak at s = r becomes an O(1) Gaussian, and integrating with
-panel-adaptive Gauss-Legendre rules.  The complementary mass (integral over
-s >= 1) gives 1 - w directly, avoiding cancellation deep inside the patch.
-One profile per (tau, order) node set, kept in a bounded cache, serves every p.
+panel-adaptive Gauss-Kronrod pairs: the n-point Gauss-Legendre rule and its
+(2n+1)-point Kronrod extension share the n Gauss nodes, so each accuracy check
+takes both sums from one set of integrand values.  The complementary mass
+(integral over s >= 1) gives 1 - w directly, avoiding cancellation deep inside
+the patch.  One profile per tau (and per rule, when a check escalates), kept
+in a bounded cache, serves every p.
 
 These profiles feed the L^p discrepancy integrals whose decay exponents
 the package's acceptance suite pins: 1/(2p) for vorticity and
@@ -97,8 +100,37 @@ def i0e(x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(order)
+def _kronrod(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (2n+1)-point Gauss-Kronrod rule on [-1, 1]: nodes, their weights, and the n-point
+    Gauss weights of the odd nodes, which are the Gauss-Legendre nodes.
+
+    Laurie's recurrence (Math. Comp. 66 (1997) 1133, as in Gautschi's r_kronrod) completes the
+    Legendre Jacobi matrix to the Kronrod one.  Its eigenvalues are the nodes, and twice the
+    squares of its eigenvectors' first components are the weights; both are then symmetrized."""
+    b = np.zeros(2 * n + 1)  # the recurrence's b_k; its a_k all stay 0 for this symmetric weight
+    k = np.arange(1, (3 * n + 1) // 2 + 1)
+    b[0], b[k] = 2.0, k**2 / (4.0 * k**2 - 1.0)  # monic Legendre recurrence
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        s[k + 1] = np.cumsum(b[k + n + 1] * s[k] - b[m - k] * s[k + 1])
+        s, t = t, s
+    s[1 : n // 2 + 2] = s[: n // 2 + 1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        j = n - 1 - m + k
+        s[j + 1] = np.cumsum(b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1])
+        if m % 2:
+            b[(m + 1) // 2 + n + 1] = s[j[-1] + 1] / s[j[-1] + 2]
+        s, t = t, s
+    off = np.sqrt(b[1:])
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = b[0] * v[0] ** 2
+    rule = ((x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0, np.polynomial.legendre.leggauss(n)[1])
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
 
 
 def truncation_radius(tau: float) -> float:
@@ -106,8 +138,9 @@ def truncation_radius(tau: float) -> float:
     return 3.0 + 12.0 * math.sqrt(tau)
 
 
-def _kernel_mass(tau: float, rs: np.ndarray, s_lo: float, s_hi: float, order: int) -> np.ndarray:
-    """int_{s_lo}^{s_hi} s K_tau(r, s) ds for each r, fixed GL order per panel."""
+def _kernel_mass(tau: float, rs: np.ndarray, s_lo: float, s_hi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """int_{s_lo}^{s_hi} s K_tau(r, s) ds for each r by the n-point Gauss and the (2n+1)-point
+    Kronrod rule on each panel, both from one evaluation of the integrand at the Kronrod nodes."""
     root = math.sqrt(tau)
     rs = np.asarray(rs, dtype=np.float64)
     u_lo = np.maximum((s_lo - rs) / (2.0 * root), -_U_CUT)
@@ -116,30 +149,30 @@ def _kernel_mass(tau: float, rs: np.ndarray, s_lo: float, s_hi: float, order: in
         if math.isinf(s_hi)
         else np.minimum((s_hi - rs) / (2.0 * root), _U_CUT)
     )
-    x, w = _leggauss(order)
+    x, wk, wg = _kronrod(n)
     lo = np.maximum(u_lo, _PANEL_EDGES[:-1, None])  # a row per panel
     hi = np.minimum(u_hi, _PANEL_EDGES[1:, None])
-    live = np.any(hi > lo, axis=1)  # a panel empty for every r would add (vals @ w) * 0.0 = +0.0
+    live = np.any(hi > lo, axis=1)  # a panel empty for every r would add (vals @ w) * 0.0 = +0.0 to both sums
     lo, hi = lo[live], hi[live]
     half = np.maximum(hi - lo, 0.0) / 2.0
     mid = (np.maximum(hi, lo) + lo) / 2.0
     nodes = mid[:, :, None] + half[:, :, None] * x
     s = np.maximum(rs[:, None] + 2.0 * root * nodes, 0.0)
     vals = s * np.exp(-nodes**2) * i0e(rs[:, None] * s / (2.0 * tau))  # one i0e call for every live panel
-    total = np.zeros_like(rs)
+    gauss, kronrod = np.zeros_like(rs), np.zeros_like(rs)
     for v, h in zip(vals, half):
-        total += (v @ w) * h
-    return total / root
+        gauss += (v[:, 1::2] @ wg) * h
+        kronrod += (v @ wk) * h
+    return gauss / root, kronrod / root
 
 
 def _kernel_mass_adaptive(tau: float, rs: np.ndarray, s_lo: float, s_hi: float) -> np.ndarray:
-    coarse = _kernel_mass(tau, rs, s_lo, s_hi, 32)
-    for order in (64, 128, 256):
-        fine = _kernel_mass(tau, rs, s_lo, s_hi, order)
-        if np.max(np.abs(fine - coarse)) <= 1.0e-13 * max(1.0, float(np.max(np.abs(fine)))):
-            return fine
-        coarse = fine
-    return coarse
+    """The Kronrod sum of the first pair (G32, K65), (G64, K129), (G128, K257) whose sums agree to 1e-13."""
+    for n in (32, 64, 128):
+        gauss, kronrod = _kernel_mass(tau, rs, s_lo, s_hi, n)
+        if np.max(np.abs(kronrod - gauss)) <= 1.0e-13 * max(1.0, float(np.max(np.abs(kronrod)))):
+            break
+    return kronrod
 
 
 def _check_tau(tau: float) -> None:
@@ -185,13 +218,13 @@ def _layer_bounds(tau: float) -> tuple[float, float]:
     return inner, outer
 
 
-def _panel_profile(fn, a: float, b: float, order: int, pieces: int = 8) -> tuple:
-    """Nodes on equal pieces of [a, b] (a row each, none if b <= a), half-widths, fn of all nodes.
+def _panel_profile(fn, a: float, b: float, n: int, pieces: int = 8) -> tuple:
+    """Kronrod (2n+1)-nodes on equal pieces of [a, b] (a row each, none if b <= a), half-widths, fn of all nodes.
 
     The arrays are read-only: the cached profiles share them with every caller."""
     edges = np.linspace(a, b, pieces + 1 if b > a else 1)
     half = (edges[1:] - edges[:-1]) / 2.0
-    nodes = ((edges[1:] + edges[:-1]) / 2.0)[:, None] + half[:, None] * _leggauss(order)[0]
+    nodes = ((edges[1:] + edges[:-1]) / 2.0)[:, None] + half[:, None] * _kronrod(n)[0]
     profile = (nodes, half, fn(nodes))
     for arr in profile:
         arr.setflags(write=False)
@@ -199,38 +232,43 @@ def _panel_profile(fn, a: float, b: float, order: int, pieces: int = 8) -> tuple
 
 
 def _by_row(fn):
-    """fn called on one row of nodes at a time, so each piece keeps its own adaptive order check."""
+    """fn called on one row of nodes at a time, so each piece keeps its own adaptive rule check."""
     return lambda nodes: np.array([fn(r) for r in nodes]).reshape(nodes.shape)
 
 
-def _panel_quadrature(p: float, nodes: np.ndarray, half: np.ndarray, values: np.ndarray) -> float:
-    """int |f|^p 2 pi r dr over the panels, from f's values at their nodes."""
-    _, w = _leggauss(nodes.shape[1])
-    total = 0.0
+def _panel_quadrature(p: float, nodes: np.ndarray, half: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+    """int |f|^p 2 pi r dr over the panels by the Gauss and the Kronrod rule, from f's values at the Kronrod nodes."""
+    _, wk, wg = _kronrod(nodes.shape[1] // 2)
+    gauss = kronrod = 0.0
     for r, h, v in zip(nodes, half, values):
-        total += float((v**p * 2.0 * np.pi * r) @ w) * h
-    return total
+        f = v**p * 2.0 * np.pi * r
+        gauss += float(f[1::2] @ wg) * h
+        kronrod += float(f @ wk) * h
+    return gauss, kronrod
 
 
 def _adaptive_panel(profile, p: float) -> float:
-    """(int |f|^p 2 pi r dr)^(1/p) over the layer sides listed by profile(order).  Each side
-    takes its 128-node rule, or its 256-node rule if the 64- and 128-node ones differ by 1e-12."""
+    """(int |f|^p 2 pi r dr)^(1/p) over the layer sides listed by profile(n).  Each side takes
+    its 129-node Kronrod sum, or the 257-node one if the former and its 64-node Gauss sum differ by 1e-12."""
     _check_p(p)
-    coarse, fine = ([_panel_quadrature(p, *side) for side in profile(order)] for order in (64, 128))
     total = 0.0
-    for k, (c, f) in enumerate(zip(coarse, fine)):
-        total += _panel_quadrature(p, *profile(256)[k]) if abs(f - c) > 1.0e-12 * max(1.0, abs(f)) else f
+    for k, side in enumerate(profile(64)):
+        gauss, kronrod = _panel_quadrature(p, *side)
+        if abs(kronrod - gauss) > 1.0e-12 * max(1.0, abs(kronrod)):
+            kronrod = _panel_quadrature(p, *profile(128)[k])[1]
+        total += kronrod
     return total ** (1.0 / p)
 
 
-# Entry: 2 sides x (nodes, values: 8 x order float64), 64 KiB at order 256, so 4 MiB at most.
-# 64 entries keep both orders of the 20 tau of criterion 01's ladders across its p loop.
+# Entry: 2 sides x (nodes, values: 8 x (2n+1) float64), 64 KiB at n = 128, so 4 MiB at most.
+# 64 entries keep the n = 64 profiles of the 20 tau of criterion 01's ladders across its
+# p loop, with room for the n = 128 ones of the tau whose checks escalate.
 @lru_cache(maxsize=64)
-def _layer_profile(tau: float, order: int) -> tuple:
+def _layer_profile(tau: float, n: int) -> tuple:
     """_panel_profile of the deficit inside the rim and of the profile beyond it."""
     inner, outer = _layer_bounds(tau)
-    return (_panel_profile(_by_row(partial(patch_deficit, tau)), inner, 1.0, order),
-            _panel_profile(_by_row(partial(exact_vorticity, tau)), 1.0, outer, order))
+    return (_panel_profile(_by_row(partial(patch_deficit, tau)), inner, 1.0, n),
+            _panel_profile(_by_row(partial(exact_vorticity, tau)), 1.0, outer, n))
 
 
 def vorticity_lp_error(tau: float, p: float) -> float:
@@ -299,15 +337,17 @@ def velocity_lp_error(tau: float, p: float) -> float:
     return _adaptive_panel(partial(_speed_profile, tau), p)
 
 
-@lru_cache(maxsize=4)  # one tau's orders: strato rankine loops p inside tau; a whole ladder pins ~2 MiB of heap
-def _speed_profile(tau: float, order: int) -> tuple:
+# Room for a tau's n = 64 profile and any n = 128 one: strato rankine loops p inside tau.
+# A whole ladder would pin ~2 MiB of heap.
+@lru_cache(maxsize=4)
+def _speed_profile(tau: float, n: int) -> tuple:
     """_panel_profile of the velocity discrepancy |M(r)|/r on each side of the rim."""
     inner, outer = _layer_bounds(tau)
 
     def speed(r: np.ndarray) -> np.ndarray:
         return np.divide(np.abs(_running_moment(tau, r)), r, out=np.zeros_like(r), where=r > 0.0)
 
-    return tuple(_panel_profile(speed, a, b, order) for a, b in ((inner, 1.0), (1.0, outer)))
+    return tuple(_panel_profile(speed, a, b, n) for a, b in ((inner, 1.0), (1.0, outer)))
 
 
 def similarity_deficit(tau: float, radius: float | np.ndarray) -> float | np.ndarray:

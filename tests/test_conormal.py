@@ -21,6 +21,7 @@ from strato.grid import (
     derivative,
     _eval_at,
     lp_norm,
+    rfft2,
     sample_at,
 )
 from strato.littlewood_paley import BesovParams, DyadicPartition, TimeSeries, besov_norm
@@ -32,7 +33,7 @@ from strato.initdata import (
     make_density,
     rasterize_patch,
 )
-from strato.solver import SimParams, run
+from strato.solver import SimParams, march, run
 from strato.conormal import (
     BoundaryCurve,
     VectorFieldFamily,
@@ -456,6 +457,72 @@ class TestFluxFormRhs:
         ref = advect_family(VectorFieldFamily(members=(x,)), series, dt=0.01).members[0]
         for a, b in ((flux.u1, ref.u1), (flux.u2, ref.u2)):
             assert np.abs(a.values - b.values).max() <= 1e-12 * np.abs(b.values).max()
+
+
+def full_spectrum_stretch_rhs(comps, vel, grid):
+    """The flux-form family RHS on the full half spectrum, cut to the 2/3 band by the mask."""
+    v1, v2, (d1v1, d2v1, d1v2, d2v2) = vel
+    kern = grid._kernel
+    out = []
+    for i in range(0, len(comps), 2):
+        x1, x2 = comps[i], comps[i + 1]
+        for x, g1, g2 in ((x1, d1v1, d2v1), (x2, d1v2, d2v2)):
+            r = rfft2(x1 * g1 + x2 * g2)
+            r -= kern.ik1 * rfft2(v1 * x)
+            r -= kern.ik2 * rfft2(v2 * x)
+            r *= kern.keep
+            out.append(kern.real(r))
+    return out
+
+
+def full_spectrum_velocity(interp, t):
+    """Velocity and gradient at t from full half spectra."""
+    v1, v2, *grad = map(interp.kern.real, strato.conormal._gradient_spectra(interp.kern, interp.omega_spectrum(t)))
+    return v1, v2, tuple(grad)
+
+
+@pytest.fixture(scope="module")
+def march_gaps():
+    """A star patch's dense march at n = 64 (samples at 0, 0.02, 0.04, 0.06) and its family."""
+    grid = GridSpec(n=64, half_length=4.0)
+    spec = PatchSpec(kind="star", center=(0.0, 0.0), radius=1.0, amplitude=0.1, base_mode=5, octaves=1, epsilon=0.5)
+    rho0 = make_density(DensitySpec(kind="gaussian", amplitude=0.1, width=0.5, center=(0.0, 0.2)), grid)
+    params = SimParams(mu=1.0e-3, dt=0.02, t_final=0.06)
+    samples = [(t, om) for t, om, _, _ in march(rasterize_patch(spec, grid), rho0, params,
+                                              sample_times=[0.0, 0.06], record_every_step=True)]
+    series = TimeSeries(times=np.array([t for t, _ in samples]), fields=tuple(om for _, om in samples))
+    return series, initial_vector_family(spec, grid)
+
+
+class TestBandFamilyStep:
+    """The family step on the 2/3 band against the full-spectrum formulas, bit for bit."""
+
+    @pytest.mark.parametrize("source", ["march", "shear"])
+    def test_bit_identical_to_full_spectrum(self, source, march_gaps, pi_grid, monkeypatch):
+        if source == "march":
+            series, family = march_gaps
+        else:  # sampled sin(x2) has round-off outside the band: the full-spectrum fallback
+            series = shear_series(pi_grid, t_final=0.1)
+            x = VelocityField(random_field(pi_grid, 81, band=6.0), random_field(pi_grid, 82, band=6.0))
+            family = VectorFieldFamily(members=(x,))
+        interp = VelocityInterpolant(series)
+        grid, kern = series.grid, interp.kern
+        comps = [c.values for m in family.members for c in (m.u1, m.u2)]
+        t0, t1 = interp.span
+        for t in (t0, 0.3 * t0 + 0.7 * t1, t1):
+            assert kern.in_band(interp.omega_spectrum(t)) == (source == "march")
+            got, want = strato.conormal._velocity_and_gradient(interp, t), full_spectrum_velocity(interp, t)
+            for a, b in zip((*got[:2], *got[2]), (*want[:2], *want[2])):
+                assert np.array_equal(a, b)
+            band_rhs = strato.conormal._advect_stretch_rhs(comps, got, grid)
+            for a, b in zip(band_rhs, full_spectrum_stretch_rhs(comps, want, grid)):
+                assert np.array_equal(a, b)
+        moved = advect_family(family, series, dt=0.01)
+        monkeypatch.setattr(strato.conormal, "_velocity_and_gradient", full_spectrum_velocity)
+        monkeypatch.setattr(strato.conormal, "_advect_stretch_rhs", full_spectrum_stretch_rhs)
+        ref = advect_family(family, series, dt=0.01)
+        for a, b in zip(moved.members, ref.members):
+            assert np.array_equal(a.u1.values, b.u1.values) and np.array_equal(a.u2.values, b.u2.values)
 
 
 class TestTracerEvaluator:

@@ -621,6 +621,29 @@ class TestCli:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command, flags, message", [
+        ("simulate", ["--mu", "-1"], "diffusivities must be nonnegative and finite"),
+        ("simulate", ["--mu", "nan"], "diffusivities must be nonnegative and finite"),
+        ("conormal", ["--mu", "nan"], "diffusivities must be nonnegative and finite"),
+        ("conormal", ["--t", "-1"], "dt and t_final must be positive and finite"),
+        ("conormal", ["--t", "0"], "dt and t_final must be positive and finite"),
+        ("conormal", ["--t", "inf"], "dt and t_final must be positive and finite"),
+    ])
+    def test_bad_run_flags_are_usage_error(self, command, flags, message, tmp_path, monkeypatch, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config_dict(out_dir=tmp_path / "unused")))
+        built = []
+        monkeypatch.setattr(SweepConfig, "initial_fields", lambda self: built.append(self))
+        with pytest.raises(SystemExit) as info:
+            main([command, str(cfg_path), *flags])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"strato {command}: error: {message}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert built == []  # rejected before any field is built
+        assert not (tmp_path / "unused").exists()
+
     def test_simulate_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(tiny_config_dict()))

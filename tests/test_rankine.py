@@ -3,10 +3,17 @@
 The reference values below were produced by two independent quadrature
 routes (direct 2-d polar integration of the heat kernel over the disc,
 and adaptive 1-d quadrature of the kernel mass) agreeing to 1e-14; they
-pin the implementation bit-for-bit up to quadrature tolerance.
+pin the implementation bit-for-bit up to quadrature tolerance.  The
+Gauss-Kronrod pairs that rankine integrates with are checked as rules,
+against reference routes in the same form bit for bit, and against an
+independent Gauss-Legendre-only route to 1e-13.
 """
 
 import math
+import os
+import subprocess
+import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -124,29 +131,34 @@ class TestMassAndErrors:
         assert slope == pytest.approx(0.25, abs=0.02)
 
 
+def gk_panels(fn, a, b, n):
+    """Gauss and Kronrod sums of fn over 8 equal pieces of [a, b], fn evaluated once per piece."""
+    x, wk, wg = rankine._kronrod(n)
+    edges = np.linspace(a, b, 9)
+    gauss = kronrod = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        half = (hi - lo) / 2.0
+        f = fn((hi + lo) / 2.0 + half * x)
+        gauss += float(f[1::2] @ wg) * half
+        kronrod += float(f @ wk) * half
+    return gauss, kronrod
+
+
+def gk_adaptive(fn, a, b):
+    """The K129 sum, or the K257 one if K129 and G64 differ by 1e-12."""
+    if b <= a:
+        return 0.0
+    gauss, kronrod = gk_panels(fn, a, b, 64)
+    if abs(kronrod - gauss) > 1.0e-12 * max(1.0, abs(kronrod)):
+        kronrod = gk_panels(fn, a, b, 128)[1]
+    return kronrod
+
+
 def closure_vorticity_lp_error(tau, p):
     """The uncached route: the profile is evaluated inside the integrand, once per p."""
     inner, outer = rankine._layer_bounds(tau)
-
-    def panels(fn, a, b, order):
-        x, w = np.polynomial.legendre.leggauss(order)
-        edges = np.linspace(a, b, 9)
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = (hi - lo) / 2.0
-            total += float(fn((hi + lo) / 2.0 + half * x) @ w) * half
-        return total
-
-    def adaptive(fn, a, b):
-        if b <= a:
-            return 0.0
-        coarse, fine = panels(fn, a, b, 64), panels(fn, a, b, 128)
-        if abs(fine - coarse) > 1.0e-12 * max(1.0, abs(fine)):
-            fine = panels(fn, a, b, 256)
-        return fine
-
-    inside = adaptive(lambda r: patch_deficit(tau, r) ** p * 2.0 * np.pi * r, inner, 1.0)
-    beyond = adaptive(lambda r: exact_vorticity(tau, r) ** p * 2.0 * np.pi * r, 1.0, outer)
+    inside = gk_adaptive(lambda r: patch_deficit(tau, r) ** p * 2.0 * np.pi * r, inner, 1.0)
+    beyond = gk_adaptive(lambda r: exact_vorticity(tau, r) ** p * 2.0 * np.pi * r, 1.0, outer)
     return (inside + beyond) ** (1.0 / p)
 
 
@@ -195,8 +207,8 @@ class TestProfileCache:
         assert fresh_profiles.cache_info().currsize == maxsize
 
 
-def all_panel_kernel_mass(tau, rs, s_lo, s_hi, order):
-    """The kernel mass before empty panels were skipped: all 8 panels for every r."""
+def all_panel_kernel_mass(tau, rs, s_lo, s_hi, n):
+    """The kernel mass's Gauss and Kronrod sums before empty panels were skipped: all 8 panels for every r."""
     root = math.sqrt(tau)
     rs = np.asarray(rs, dtype=np.float64)
     u_lo = np.maximum((s_lo - rs) / (2.0 * root), -rankine._U_CUT)
@@ -205,8 +217,8 @@ def all_panel_kernel_mass(tau, rs, s_lo, s_hi, order):
         if math.isinf(s_hi)
         else np.minimum((s_hi - rs) / (2.0 * root), rankine._U_CUT)
     )
-    x, w = np.polynomial.legendre.leggauss(order)
-    total = np.zeros_like(rs)
+    x, wk, wg = rankine._kronrod(n)
+    gauss, kronrod = np.zeros_like(rs), np.zeros_like(rs)
     for e0, e1 in zip(rankine._PANEL_EDGES[:-1], rankine._PANEL_EDGES[1:]):
         lo = np.maximum(u_lo, e0)
         hi = np.minimum(u_hi, e1)
@@ -215,29 +227,31 @@ def all_panel_kernel_mass(tau, rs, s_lo, s_hi, order):
         nodes = mid[:, None] + half[:, None] * x[None, :]
         s = np.maximum(rs[:, None] + 2.0 * root * nodes, 0.0)
         vals = s * np.exp(-nodes**2) * rankine.i0e(rs[:, None] * s / (2.0 * tau))
-        total += (vals @ w) * half
-    return total / root
+        gauss += (vals[:, 1::2] @ wg) * half
+        kronrod += (vals @ wk) * half
+    return gauss / root, kronrod / root
 
 
-def layer_rows(tau, order):
+def layer_rows(tau, n):
     """Deficit-side and vorticity-side node rows of the layer profile (first, middle, last piece)."""
     inner, outer = rankine._layer_bounds(tau)
     for a, b, s_lo, s_hi in ((inner, 1.0, 1.0, math.inf), (1.0, outer, 0.0, 1.0)):
-        nodes = rankine._panel_profile(lambda r: r, a, b, order)[0]
+        nodes = rankine._panel_profile(lambda r: r, a, b, n)[0]
         for row in nodes[[0, 3, -1]] if len(nodes) else ():
             yield row, s_lo, s_hi
 
 
 KERNEL_TAUS = [1e-300, 1e-30, 1e-12, *np.geomspace(1e-6, 3.7, 7)]
+CROSS_TAUS = list(np.geomspace(1e-8, 3.7, 9))
 
 
 class TestLivePanels:
-    @pytest.mark.parametrize("order", [32, 64, 128, 256])
-    def test_kernel_mass_bit_identical_to_all_panels(self, order):
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_kernel_mass_bit_identical_to_all_panels(self, n):
         for tau in KERNEL_TAUS:
-            for rs, s_lo, s_hi in layer_rows(tau, order):
-                got = rankine._kernel_mass(tau, rs, s_lo, s_hi, order)
-                assert np.array_equal(got, all_panel_kernel_mass(tau, rs, s_lo, s_hi, order))
+            for rs, s_lo, s_hi in layer_rows(tau, n):
+                got = rankine._kernel_mass(tau, rs, s_lo, s_hi, n)
+                assert np.array_equal(got, all_panel_kernel_mass(tau, rs, s_lo, s_hi, n))
 
     def test_deficit_side_skips_panels_below_zero(self, monkeypatch):
         # rs <= 1 = s_lo puts every node at u >= 0: the four panels ending at or below 0 are empty
@@ -277,18 +291,19 @@ class TestI0e:
 
 
 def uncached_velocity_lp_error(tau, p):
-    """The velocity error with each order's profile built afresh for every p."""
+    """The velocity error with its profile evaluated inside the integrand, once per p."""
     inner, outer = rankine._layer_bounds(tau)
 
     def speed(r):
         return np.divide(np.abs(rankine._running_moment(tau, r)), r, out=np.zeros_like(r), where=r > 0.0)
 
     sides = ((inner, 1.0), (1.0, outer))
-    return rankine._adaptive_panel(lambda order: [rankine._panel_profile(speed, a, b, order) for a, b in sides], p)
+    return sum(gk_adaptive(lambda r: speed(r) ** p * 2.0 * np.pi * r, a, b) for a, b in sides) ** (1.0 / p)
 
 
 class TestVelocityProfileCache:
     def test_one_profile_per_tau_and_order(self, monkeypatch):
+        # no check of these tau escalates, so one n = 64 profile per tau serves every p
         calls = []
         panel_profile = rankine._panel_profile
         monkeypatch.setattr(rankine, "_panel_profile", lambda *a: calls.append(1) or panel_profile(*a))
@@ -297,8 +312,8 @@ class TestVelocityProfileCache:
         for tau in taus:
             for p in (2.0, 4.0):
                 velocity_lp_error(tau, p)
-        assert rankine._speed_profile.cache_info().misses == 16  # 8 tau x orders 64 and 128
-        assert len(calls) == 2 * 16  # one per side of the rim
+        assert rankine._speed_profile.cache_info().misses == 8  # 8 tau x n = 64
+        assert len(calls) == 2 * 8  # one per side of the rim
         rankine._speed_profile.cache_clear()
 
     def test_bit_identical_to_uncached_route(self):
@@ -308,6 +323,113 @@ class TestVelocityProfileCache:
                 assert repr(velocity_lp_error(tau, p)) == repr(uncached_velocity_lp_error(tau, p))
         assert not any(arr.flags.writeable for side in rankine._speed_profile(1e-3, 64) for arr in side)
         rankine._speed_profile.cache_clear()
+
+
+class TestKronrodRule:
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_rule(self, n):
+        x, wk, wg = rankine._kronrod(n)
+        assert x.shape == wk.shape == (2 * n + 1,)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(wk, wk[::-1]) and np.all(np.diff(x) > 0.0)
+        assert np.all(wk > 0.0)
+        assert abs(wk.sum() - 2.0) <= 1e-14
+        for d in range(3 * n + 2):
+            assert abs(wk @ x**d - (1.0 + (-1.0) ** d) / (d + 1.0)) <= 1e-14
+        gx, gw = np.polynomial.legendre.leggauss(n)
+        assert np.max(np.abs(x[1::2] - gx)) <= 1e-15
+        assert np.array_equal(wg, gw)
+        assert not any(arr.flags.writeable for arr in (x, wk, wg))
+
+    def test_built_on_first_use(self):
+        code = "import strato.cli, strato.rankine as r; print(r._kronrod.cache_info().currsize)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+                             timeout=120).stdout
+        assert out.split() == ["0"]
+
+
+def gauss_kernel_mass_adaptive(tau, rs, s_lo, s_hi):
+    """The kernel mass by Gauss-Legendre rules alone: G64 if it matches G32 to 1e-13, else G128 or G256."""
+    root = math.sqrt(tau)
+    rs = np.asarray(rs, dtype=np.float64)
+    u_lo = np.maximum((s_lo - rs) / (2.0 * root), -rankine._U_CUT)
+    u_hi = np.minimum((s_hi - rs) / (2.0 * root), rankine._U_CUT)  # +inf - rs -> the cut
+
+    def mass(order):
+        x, w = np.polynomial.legendre.leggauss(order)
+        total = np.zeros_like(rs)
+        for e0, e1 in zip(rankine._PANEL_EDGES[:-1], rankine._PANEL_EDGES[1:]):
+            lo, hi = np.maximum(u_lo, e0), np.minimum(u_hi, e1)
+            half = np.maximum(hi - lo, 0.0) / 2.0
+            nodes = ((np.maximum(hi, lo) + lo) / 2.0)[:, None] + half[:, None] * x
+            s = np.maximum(rs[:, None] + 2.0 * root * nodes, 0.0)
+            total += (s * np.exp(-nodes**2) * scipy_i0e(rs[:, None] * s / (2.0 * tau)) @ w) * half
+        return total / root
+
+    coarse = mass(32)
+    for order in (64, 128, 256):
+        fine = mass(order)
+        if np.max(np.abs(fine - coarse)) <= 1.0e-13 * max(1.0, float(np.max(np.abs(fine)))):
+            return fine
+        coarse = fine
+    return coarse
+
+
+def gauss_lp_errors(tau, ps, side_fns):
+    """(int |f|^p 2 pi r dr)^(1/p) for each p, f = side_fns[k] on layer side k, by Gauss-Legendre rules
+    alone: G128 on 8 pieces, or G256 where G64 and G128 differ by 1e-12.  One profile per order serves every p."""
+    inner, outer = rankine._layer_bounds(tau)
+    totals = dict.fromkeys(ps, 0.0)
+    for fn, (a, b) in zip(side_fns, ((inner, 1.0), (1.0, outer))):
+        if b <= a:
+            continue
+        edges = np.linspace(a, b, 9)
+        half = (edges[1:] - edges[:-1]) / 2.0
+
+        def profile(order):
+            x, w = np.polynomial.legendre.leggauss(order)
+            nodes = ((edges[1:] + edges[:-1]) / 2.0)[:, None] + half[:, None] * x
+            return nodes, np.array([fn(row) for row in nodes]), w
+
+        coarse, fine = profile(64), profile(128)
+        finest = None
+        for p in ps:
+            c, f = (float(sum((v**p * 2.0 * np.pi * r) @ w * h for r, v, h in zip(nodes, vals, half)))
+                    for nodes, vals, w in (coarse, fine))
+            if abs(f - c) > 1.0e-12 * max(1.0, abs(f)):
+                finest = finest or profile(256)
+                nodes, vals, w = finest
+                f = float(sum((v**p * 2.0 * np.pi * r) @ w * h for r, v, h in zip(nodes, vals, half)))
+            totals[p] += f
+    return [totals[p] ** (1.0 / p) for p in ps]
+
+
+def gauss_only_errors(tau, ps):
+    """Vorticity and velocity errors for each p with the Gauss-only kernel mass behind every profile,
+    the moment fits of the velocity error included."""
+    def speed(r):
+        return np.divide(np.abs(rankine._running_moment(tau, r)), r, out=np.zeros_like(r), where=r > 0.0)
+
+    real = rankine._kernel_mass_adaptive
+    rankine._kernel_mass_adaptive = gauss_kernel_mass_adaptive
+    rankine._signed_moment_panels.cache_clear()
+    try:
+        return (gauss_lp_errors(tau, ps, (partial(patch_deficit, tau), partial(exact_vorticity, tau))),
+                gauss_lp_errors(tau, ps, (speed, speed)))
+    finally:
+        rankine._kernel_mass_adaptive = real
+        rankine._signed_moment_panels.cache_clear()
+
+
+class TestGaussOnlyCrossCheck:
+    """The Gauss-Kronrod route against the former Gauss-Legendre-only one, on the closed-form layer."""
+
+    @pytest.mark.parametrize("tau", CROSS_TAUS)
+    def test_within_1e13_of_gauss_only_route(self, tau):
+        ps = (1.0, 2.0, 2.5, 8.0)
+        got = ([vorticity_lp_error(tau, p) for p in ps], [velocity_lp_error(tau, p) for p in ps])
+        for new, old in zip(got, gauss_only_errors(tau, ps)):
+            assert np.allclose(new, old, rtol=1e-13, atol=0.0)
 
 
 class TestSimilarityWindow:
