@@ -32,7 +32,6 @@ __all__ = [
     "directional_derivative",
     "conormal_norm",
     "advect_family",
-    "transport_scalar",
     "advect_boundary",
     "advect_legs",
     "holder_quotient",
@@ -276,26 +275,6 @@ def _family_of(comps: list[np.ndarray], like: VectorFieldFamily) -> VectorFieldF
     g = like.grid
     members = (VelocityField(ScalarField(g, comps[i]), ScalarField(g, comps[i + 1])) for i in range(0, len(comps), 2))
     return VectorFieldFamily(members=tuple(members), epsilon=like.epsilon)
-
-
-def transport_scalar(f: ScalarField, omega_series: TimeSeries, dt: float | None = None) -> ScalarField:
-    """Passive advection of a scalar along the trajectory (no stretching)."""
-    interp = VelocityInterpolant(omega_series)
-    t0, t1 = interp.span
-    if t1 <= t0:
-        return f
-    g = f.grid
-    kern = g._kernel
-
-    def rhs(state: list[np.ndarray], vel: tuple[np.ndarray, np.ndarray]) -> list[np.ndarray]:
-        v1, v2 = vel
-        s = rfft2(state[0])
-        return [kern.dealias(-(v1 * kern.real(kern.ik1 * s) + v2 * kern.real(kern.ik2 * s)))]
-
-    state = [f.values]
-    for _, state in _rk4(state, interp.velocity_values, rhs, interp, dt):
-        pass
-    return ScalarField(g, state[0])
 
 
 _SPACING_COLLAPSE = 4.0

@@ -11,10 +11,13 @@ exponentially scaled Bessel function, substituting u = (s - r)/(2 sqrt(tau))
 so the kernel peak at s = r becomes an O(1) Gaussian, and integrating with
 panel-adaptive Gauss-Kronrod pairs: the n-point Gauss-Legendre rule and its
 (2n+1)-point Kronrod extension share the n Gauss nodes, so each accuracy check
-takes both sums from one set of integrand values.  The complementary mass
-(integral over s >= 1) gives 1 - w directly, avoiding cancellation deep inside
-the patch.  One profile per tau (and per rule, when a check escalates), kept
-in a bounded cache, serves every p.
+takes both sums from one set of integrand values.  Every check walks one
+ladder of pairs, (G16, K33) up to (G128, K257), and stops at the first pair
+whose sums agree.  The complementary mass (integral over s >= 1) gives 1 - w
+directly, avoiding cancellation deep inside the patch.  One profile per tau
+(and per rule, when a check escalates), kept in a bounded cache, serves every p.
+Below tau = 1e-8 the layer at the rim is too thin for these rules, and the
+profile and error functions refuse such a tau.
 
 These profiles feed the L^p discrepancy integrals whose decay exponents
 the package's acceptance suite pins: 1/(2p) for vorticity and
@@ -46,6 +49,11 @@ __all__ = [
 # Gaussian cut in the scaled kernel variable: exp(-U^2) ~ 2.6e-38
 _U_CUT = 9.3
 _PANEL_EDGES = np.array([-_U_CUT, -6.0, -3.0, -1.5, 0.0, 1.5, 3.0, 6.0, _U_CUT])
+# Gauss orders n of the (Gn, K(2n+1)) pairs that every adaptive check walks, coarsest first
+_ORDERS = (16, 32, 64, 128)
+# Smallest tau whose profiles keep the checks' 1e-13 against an independent Gauss-only route:
+# the rim layer thins like sqrt(tau), and the two differ by 4e-14 at 1e-8, 5e-13 at 1e-9, 7e-12 at 1e-12
+_TAU_MIN = 1.0e-8
 
 
 # Chebyshev coefficients of exp(-x) I0(x) on [0, 8] and of sqrt(x) exp(-x) I0(x) on (8, inf), from
@@ -167,8 +175,8 @@ def _kernel_mass(tau: float, rs: np.ndarray, s_lo: float, s_hi: float, n: int) -
 
 
 def _kernel_mass_adaptive(tau: float, rs: np.ndarray, s_lo: float, s_hi: float) -> np.ndarray:
-    """The Kronrod sum of the first pair (G32, K65), (G64, K129), (G128, K257) whose sums agree to 1e-13."""
-    for n in (32, 64, 128):
+    """The Kronrod sum of the first pair on the _ORDERS ladder whose sums agree to 1e-13, else of the last."""
+    for n in _ORDERS:
         gauss, kronrod = _kernel_mass(tau, rs, s_lo, s_hi, n)
         if np.max(np.abs(kronrod - gauss)) <= 1.0e-13 * max(1.0, float(np.max(np.abs(kronrod)))):
             break
@@ -178,6 +186,8 @@ def _kernel_mass_adaptive(tau: float, rs: np.ndarray, s_lo: float, s_hi: float) 
 def _check_tau(tau: float) -> None:
     if not (tau > 0.0 and np.isfinite(tau)):
         raise ValueError(f"tau must be positive and finite, got {tau}")
+    if tau < _TAU_MIN:
+        raise ValueError(f"tau must be >= {_TAU_MIN:g}, below which the rim layer is unresolved, got {tau}")
 
 
 def _check_p(p: float) -> None:
@@ -248,21 +258,23 @@ def _panel_quadrature(p: float, nodes: np.ndarray, half: np.ndarray, values: np.
 
 
 def _adaptive_panel(profile, p: float) -> float:
-    """(int |f|^p 2 pi r dr)^(1/p) over the layer sides listed by profile(n).  Each side takes
-    its 129-node Kronrod sum, or the 257-node one if the former and its 64-node Gauss sum differ by 1e-12."""
+    """(int |f|^p 2 pi r dr)^(1/p) over the two layer sides that profile(n) lists.  Each side
+    walks the _ORDERS ladder and takes the Kronrod sum of the first pair whose sums agree to 1e-12,
+    else of the last; profile(n) is built only for the orders some side reaches."""
     _check_p(p)
     total = 0.0
-    for k, side in enumerate(profile(64)):
-        gauss, kronrod = _panel_quadrature(p, *side)
-        if abs(kronrod - gauss) > 1.0e-12 * max(1.0, abs(kronrod)):
-            kronrod = _panel_quadrature(p, *profile(128)[k])[1]
+    for k in (0, 1):
+        for n in _ORDERS:
+            gauss, kronrod = _panel_quadrature(p, *profile(n)[k])
+            if abs(kronrod - gauss) <= 1.0e-12 * max(1.0, abs(kronrod)):
+                break
         total += kronrod
     return total ** (1.0 / p)
 
 
-# Entry: 2 sides x (nodes, values: 8 x (2n+1) float64), 64 KiB at n = 128, so 4 MiB at most.
-# 64 entries keep the n = 64 profiles of the 20 tau of criterion 01's ladders across its
-# p loop, with room for the n = 128 ones of the tau whose checks escalate.
+# Entry: 2 sides x (nodes, values: 8 x (2n+1) float64), 8 KiB at n = 16, 64 KiB at n = 128,
+# so 4 MiB at most.  64 entries keep the n = 16 profiles of the 20 tau of criterion 01's ladders
+# across its p loop, with room for the higher-order ones of the tau whose checks escalate.
 @lru_cache(maxsize=64)
 def _layer_profile(tau: float, n: int) -> tuple:
     """_panel_profile of the deficit inside the rim and of the profile beyond it."""
@@ -337,8 +349,8 @@ def velocity_lp_error(tau: float, p: float) -> float:
     return _adaptive_panel(partial(_speed_profile, tau), p)
 
 
-# Room for a tau's n = 64 profile and any n = 128 one: strato rankine loops p inside tau.
-# A whole ladder would pin ~2 MiB of heap.
+# Room for one tau's profiles at all four _ORDERS, the most a tau can hold: strato rankine
+# loops p inside tau.  A cache the size of _layer_profile's would pin up to 4 MiB of heap.
 @lru_cache(maxsize=4)
 def _speed_profile(tau: float, n: int) -> tuple:
     """_panel_profile of the velocity discrepancy |M(r)|/r on each side of the rim."""

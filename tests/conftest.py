@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.fft as fft
 
-from strato.grid import GridSpec, ScalarField
+from strato.conormal import VelocityInterpolant, _rk4
+from strato.grid import GridSpec, ScalarField, rfft2
 
 
 @pytest.fixture(scope="session")
@@ -38,6 +39,28 @@ def half_kmag(grid):
     k = (np.pi / grid.half_length) * np.fft.fftfreq(grid.n, d=1.0 / grid.n)
     k2 = (np.pi / grid.half_length) * np.fft.rfftfreq(grid.n, d=1.0 / grid.n)
     return np.hypot(k[:, None], k2[None, :])
+
+
+def transport_scalar(f, omega_series, dt=None):
+    """Passive advection of a scalar along the trajectory (no stretching), by the family's RK4 stepper.
+
+    The reference for divergence transport: the divergence of an advected family moves as a scalar."""
+    interp = VelocityInterpolant(omega_series)
+    t0, t1 = interp.span
+    if t1 <= t0:
+        return f
+    g = f.grid
+    kern = g._kernel
+
+    def rhs(state, vel):
+        v1, v2 = vel
+        s = rfft2(state[0])
+        return [kern.dealias(-(v1 * kern.real(kern.ik1 * s) + v2 * kern.real(kern.ik2 * s)))]
+
+    state = [f.values]
+    for _, state in _rk4(state, interp.velocity_values, rhs, interp, dt):
+        pass
+    return ScalarField(g, state[0])
 
 
 class FullSpectrum:

@@ -46,9 +46,8 @@ from strato.conormal import (
     family_floor,
     holder_quotient,
     log_estimate_ratio,
-    transport_scalar,
 )
-from conftest import FullSpectrum, random_field
+from conftest import FullSpectrum, random_field, transport_scalar
 
 
 def constant_field(grid, value):

@@ -554,6 +554,8 @@ class TestCli:
     @pytest.mark.parametrize("flags, message", [
         (["--points", "3"], "need >= 6 ladder points, got 3"),
         (["--tau-min", "0"], "tau must be positive and finite, got 0.0"),
+        (["--tau-min", "1e-9"], "tau must be >= 1e-08, below which the rim layer is unresolved, got 1e-09"),
+        (["--tau-max", "5e-9", "--tau-min", "1e-11"], "tau must be >= 1e-08"),
         (["--tau-min", "1e-3", "--tau-max", "1e-2"], "ladder must span at least two decades"),
         (["--p", "2", "0.5"], "p must be finite with p >= 1, got 0.5"),
     ])

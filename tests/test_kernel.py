@@ -18,7 +18,7 @@ from strato.grid import (
     laplacian,
     sample_at,
 )
-from strato.conormal import advect_boundary, advect_family, conormal_norm, log_estimate_ratio, transport_scalar
+from strato.conormal import advect_boundary, advect_family, conormal_norm, log_estimate_ratio
 from strato.initdata import PatchSpec, boundary_curve, initial_vector_family, level_set_data, rasterize_patch
 from strato.littlewood_paley import BesovParams, DyadicPartition, besov_norm, bony_decompose
 from strato.solver import SimParams, run
@@ -41,7 +41,6 @@ def test_pipeline_never_calls_full_complex_transforms(monkeypatch):
 
     family0 = initial_vector_family(spec, g)
     family = advect_family(family0, series)
-    moved = transport_scalar(rho0, series)
     curve0 = boundary_curve(spec, m=32)
     curve = advect_boundary(curve0.params, curve0.points, curve0.tangents, series)
     part = DyadicPartition(g)
@@ -56,7 +55,7 @@ def test_pipeline_never_calls_full_complex_transforms(monkeypatch):
     samples = [*sample_at(omega, curve.points), *sample_at(omega, curve.points, spectral_cutoff=0)]
 
     scalars = [norm, ratio, besov, *samples]
-    arrays = [moved.values, smooth.values, g1.values, g2.values]
+    arrays = [smooth.values, g1.values, g2.values]
     arrays += [p.values for p in pieces] + [c.values for m in family.members for c in (m.u1, m.u2)]
     assert np.all(np.isfinite(scalars))
     assert all(np.all(np.isfinite(a)) for a in arrays)

@@ -5,8 +5,9 @@ routes (direct 2-d polar integration of the heat kernel over the disc,
 and adaptive 1-d quadrature of the kernel mass) agreeing to 1e-14; they
 pin the implementation bit-for-bit up to quadrature tolerance.  The
 Gauss-Kronrod pairs that rankine integrates with are checked as rules,
-against reference routes in the same form bit for bit, and against an
-independent Gauss-Legendre-only route to 1e-13.
+against reference routes that walk the same (G16, K33) ... (G128, K257)
+ladder bit for bit, and against an independent Gauss-Legendre-only route
+to 1e-13.  The profile and error functions refuse tau below 1e-8.
 """
 
 import math
@@ -84,6 +85,16 @@ class TestExactVorticity:
         with pytest.raises(ValueError):
             exact_vorticity(-1.0, 0.5)
 
+    @pytest.mark.parametrize("entry", [
+        partial(exact_vorticity, r=0.5), partial(patch_deficit, r=0.5), partial(vorticity_lp_error, p=2.0),
+        partial(velocity_lp_error, p=2.0), mass_defect, partial(similarity_deficit, radius=0.5),
+    ])
+    def test_unresolved_tau_refused(self, entry):
+        for tau in (1e-300, 1e-12, np.nextafter(1e-8, 0.0)):
+            with pytest.raises(ValueError, match="tau must be >= 1e-08"):
+                entry(tau)
+        entry(1e-8)
+
     @settings(max_examples=25, deadline=None)
     @given(
         st.floats(min_value=1e-4, max_value=0.9),
@@ -145,12 +156,14 @@ def gk_panels(fn, a, b, n):
 
 
 def gk_adaptive(fn, a, b):
-    """The K129 sum, or the K257 one if K129 and G64 differ by 1e-12."""
+    """The Kronrod sum of the first pair (G16, K33), (G32, K65), (G64, K129), (G128, K257) whose
+    sums agree to 1e-12, else the K257 one."""
     if b <= a:
         return 0.0
-    gauss, kronrod = gk_panels(fn, a, b, 64)
-    if abs(kronrod - gauss) > 1.0e-12 * max(1.0, abs(kronrod)):
-        kronrod = gk_panels(fn, a, b, 128)[1]
+    for n in (16, 32, 64, 128):
+        gauss, kronrod = gk_panels(fn, a, b, n)
+        if abs(kronrod - gauss) <= 1.0e-12 * max(1.0, abs(kronrod)):
+            break
     return kronrod
 
 
@@ -174,7 +187,7 @@ class TestProfileCache:
     def test_bit_identical_to_uncached_route(self, tau, fresh_profiles):
         for p in (1.0, 2.0, 3.0, 8.0):
             assert vorticity_lp_error(tau, p) == closure_vorticity_lp_error(tau, p)
-        assert not any(arr.flags.writeable for side in fresh_profiles(tau, 64) for arr in side)
+        assert not any(arr.flags.writeable for side in fresh_profiles(tau, 16) for arr in side)
 
     def test_kernel_quadrature_shared_by_exponents(self, monkeypatch, fresh_profiles):
         calls = []
@@ -246,7 +259,7 @@ CROSS_TAUS = list(np.geomspace(1e-8, 3.7, 9))
 
 
 class TestLivePanels:
-    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
     def test_kernel_mass_bit_identical_to_all_panels(self, n):
         for tau in KERNEL_TAUS:
             for rs, s_lo, s_hi in layer_rows(tau, n):
@@ -268,7 +281,9 @@ class TestLivePanels:
             assert np.all(s >= rs[:, None] * (1.0 - 1e-12))
 
     def test_one_pass_velocity_profile_matches_per_piece(self, monkeypatch):
-        taus = [1e-12, 1e-5, 1e-3, 0.3]
+        with pytest.raises(ValueError, match="tau must be >= 1e-08"):
+            velocity_lp_error(1e-12, 1.0)
+        taus = [1e-8, 1e-5, 1e-3, 0.3]
         rankine._speed_profile.cache_clear()
         one_pass = [velocity_lp_error(tau, p) for tau in taus for p in (1.0, 2.5, 8.0)]
         panel_profile = rankine._panel_profile
@@ -303,7 +318,7 @@ def uncached_velocity_lp_error(tau, p):
 
 class TestVelocityProfileCache:
     def test_one_profile_per_tau_and_order(self, monkeypatch):
-        # no check of these tau escalates, so one n = 64 profile per tau serves every p
+        # no check of these tau escalates, so one n = 16 profile per tau serves every p
         calls = []
         panel_profile = rankine._panel_profile
         monkeypatch.setattr(rankine, "_panel_profile", lambda *a: calls.append(1) or panel_profile(*a))
@@ -312,21 +327,24 @@ class TestVelocityProfileCache:
         for tau in taus:
             for p in (2.0, 4.0):
                 velocity_lp_error(tau, p)
-        assert rankine._speed_profile.cache_info().misses == 8  # 8 tau x n = 64
+        assert rankine._speed_profile.cache_info().misses == 8  # 8 tau x n = 16
         assert len(calls) == 2 * 8  # one per side of the rim
         rankine._speed_profile.cache_clear()
 
     def test_bit_identical_to_uncached_route(self):
         rankine._speed_profile.cache_clear()
-        for tau in [1e-300, 1e-12, *np.geomspace(1e-6, 3.7, 6)]:
+        for tau in (1e-300, 1e-12):
+            with pytest.raises(ValueError, match="tau must be >= 1e-08"):
+                velocity_lp_error(tau, 1.0)
+        for tau in [1e-8, *np.geomspace(1e-6, 3.7, 6)]:
             for p in (1.0, 2.0, 2.5, 8.0):
                 assert repr(velocity_lp_error(tau, p)) == repr(uncached_velocity_lp_error(tau, p))
-        assert not any(arr.flags.writeable for side in rankine._speed_profile(1e-3, 64) for arr in side)
+        assert not any(arr.flags.writeable for side in rankine._speed_profile(1e-3, 16) for arr in side)
         rankine._speed_profile.cache_clear()
 
 
 class TestKronrodRule:
-    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("n", [16, 32, 64, 128])
     def test_rule(self, n):
         x, wk, wg = rankine._kronrod(n)
         assert x.shape == wk.shape == (2 * n + 1,)
@@ -346,6 +364,67 @@ class TestKronrodRule:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
                              timeout=120).stdout
         assert out.split() == ["0"]
+
+
+class TestOrderLadder:
+    """Every check starts at (G16, K33) and moves up the ladder only when its sums disagree."""
+
+    def test_kernel_mass_moves_to_next_rule(self, monkeypatch):
+        # a stub whose (G16, K33) sums disagree by 1e-10 and whose (G32, K65) ones agree
+        orders, kronrods = [], {}
+
+        def stub(tau, rs, s_lo, s_hi, n):
+            orders.append(n)
+            kronrods[n] = np.full(3, 1.0 + n)
+            return kronrods[n] + (1e-10 if n == 16 else 0.0), kronrods[n]
+
+        monkeypatch.setattr(rankine, "_kernel_mass", stub)
+        got = rankine._kernel_mass_adaptive(1e-3, np.zeros(3), 0.0, 1.0)
+        assert orders == [16, 32]
+        assert got is kronrods[32]
+
+    def test_kernel_mass_takes_finest_rule_when_no_pair_agrees(self, monkeypatch):
+        orders = []
+
+        def stub(tau, rs, s_lo, s_hi, n):
+            orders.append(n)
+            return np.full(3, 2.0), np.full(3, float(n))
+
+        monkeypatch.setattr(rankine, "_kernel_mass", stub)
+        got = rankine._kernel_mass_adaptive(1e-3, np.zeros(3), 0.0, 1.0)
+        assert orders == [16, 32, 64, 128]
+        assert np.array_equal(got, np.full(3, 128.0))
+
+    def test_profile_side_moves_to_next_rule(self, monkeypatch):
+        # velocity at tau = 3.7, p = 8: beyond the rim the (G16, K33) sums differ by 2.3e-12, the
+        # (G32, K65) ones agree; inside, (G16, K33) already agrees
+        tau, p = 3.7, 8.0
+        rankine._speed_profile.cache_clear()
+        sums = {n: [rankine._panel_quadrature(p, *side) for side in rankine._speed_profile(tau, n)] for n in (16, 32)}
+        agree = {n: [abs(k - g) <= 1.0e-12 * max(1.0, abs(k)) for g, k in row] for n, row in sums.items()}
+        assert agree == {16: [True, False], 32: [True, True]}
+        orders = []
+        speed_profile = rankine._speed_profile
+        monkeypatch.setattr(rankine, "_speed_profile", lambda t, n: orders.append(n) or speed_profile(t, n))
+        assert velocity_lp_error(tau, p) == (sums[16][0][1] + sums[32][1][1]) ** (1.0 / p)
+        assert orders == [16, 16, 32]
+        speed_profile.cache_clear()
+
+    def test_benchmark_ladders_build_only_the_coarsest_rule(self):
+        # the perfbench analysis ladders, in a fresh interpreter: no check escalates
+        code = (
+            "import strato.cli, strato.rankine as r\n"
+            "built, kronrod = [], r._kronrod\n"
+            "r._kronrod = lambda n: built.append(n) or kronrod(n)\n"
+            "for q, ps in (('vorticity', ['2', '3', '4', '8']), ('velocity', ['2', '4'])):\n"
+            "    strato.cli.main(['rankine', '--quantity', q, '--p', *ps, '--tau-min', '1e-4', '--tau-max', '1e-1',\n"
+            "                     '--points', '8'])\n"
+            "print('built', *sorted(set(built)), kronrod.cache_info().currsize)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+                             timeout=120).stdout
+        assert out.splitlines()[-1].split() == ["built", "16", "1"]
 
 
 def gauss_kernel_mass_adaptive(tau, rs, s_lo, s_hi):
