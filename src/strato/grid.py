@@ -162,10 +162,6 @@ class _HalfKernel:
         transform(view, axis=0, out=view)
         return half
 
-    def dealias(self, values: np.ndarray) -> np.ndarray:
-        """Grid values with the 2/3 rule applied."""
-        return self.real(rfft2(values) * self.keep)
-
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:

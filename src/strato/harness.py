@@ -10,8 +10,10 @@ requested sample times.  The discrepancy functional is
 with the velocity difference reconstructed from the vorticity
 difference, plus the plain vorticity Lp gap as a second observable.
 Each worker process receives the config and the initial fields once,
-when it starts; a rung's task carries only its diffusivity.  Reports
-are written as rates.csv / slopes.json / manifest.json with
+when it starts; a rung's task carries only its diffusivity, and it
+hands back the 2/3 bands of its samples, not their grid values.  The
+parent forms each band difference once and takes every gap from it.
+Reports are written as rates.csv / slopes.json / manifest.json with
 full-precision floats and rows in a canonical order, so the bytes do
 not depend on how many worker processes produced them; what does
 (timings, worker count, versions) goes to provenance.json.
@@ -35,7 +37,7 @@ import numpy as np
 from . import __version__, fieldio
 from .grid import GridSpec, ScalarField, lp_norm, rfft2
 from .initdata import DensitySpec, PatchSpec, make_density, rasterize_patch
-from .solver import SimParams, run
+from .solver import SimParams, march
 
 __all__ = [
     "SweepConfig",
@@ -72,6 +74,11 @@ class SweepConfig:
             raise ValueError("mu ladder must be nonempty, positive and finite")
         if len(set(self.mu_values)) != len(self.mu_values):
             raise ValueError("mu ladder has repeated entries")
+        named = {}  # snapshot names hold mu to 6 significant digits
+        for m in self.mu_values if self.save_fields else ():
+            if named.setdefault(f"{m:.6g}", m) != m:
+                raise ValueError(f"save_fields needs mu values that differ in 6 significant digits, "
+                                 f"got {named[f'{m:.6g}']!r} and {m!r}")
         if not self.error_p >= 1.0:
             raise ValueError("error_p must be a Lebesgue exponent >= 1")
         # fail here, not inside a pool worker: SimParams checks dt, t_final and kappa
@@ -204,18 +211,30 @@ def velocity_distance(omega_a: ScalarField, omega_b: ScalarField, p: float = 2.0
 
 
 def run_single(config: SweepConfig, mu: float, omega0: ScalarField, rho0: ScalarField):
-    """Integrate one rung of the ladder; returns plain arrays (picklable) and its stats."""
+    """Integrate one rung; returns (mu, sample times, omega bands, rho bands, stats), all picklable.
+
+    A band is a sample's 2/3 band, bit for bit the march's state and under half the bytes of its
+    grid values, which ``ScalarField.from_band`` gives back exactly."""
     start = time.perf_counter()
-    params = SimParams(
-        mu=mu, dt=config.dt, t_final=config.t_final, kappa=config.kappa
-    )
-    result = run(
-        omega0, rho0, params, sample_times=list(config.sample_times), track_gradients=False
-    )
-    omegas = [f.values for f in result.omega.fields]
-    rhos = [f.values for f in result.rho.fields]
-    stats = {"mu": mu, "wall_s": time.perf_counter() - start, "nominal_steps": result.diagnostics.steps[-1]}
-    return mu, np.asarray(result.omega.times), omegas, rhos, stats
+    params = SimParams(mu=mu, dt=config.dt, t_final=config.t_final, kappa=config.kappa)
+    cut = config.grid._kernel.cut
+    times, omegas, rhos = [], [], []
+    for t, fo, fr, row in march(omega0, rho0, params, list(config.sample_times), track_gradients=False):
+        times.append(t)
+        omegas.append(cut(fo.half_spectrum))
+        rhos.append(cut(fr.half_spectrum))
+        del fo, fr  # before the march takes its next step
+    stats = {"mu": mu, "wall_s": time.perf_counter() - start, "nominal_steps": row["steps"]}
+    return mu, np.asarray(times), omegas, rhos, stats
+
+
+def _gaps(grid: GridSpec, p: float, omega: np.ndarray, rho: np.ndarray, ref_omega: np.ndarray,
+          ref_rho: np.ndarray) -> tuple[float, float, float]:
+    """Velocity, density and vorticity Lp gaps of one sample, from its bands and the reference's."""
+    kern = grid._kernel
+    dw, dr = omega - ref_omega, rho - ref_rho
+    vel = np.hypot(kern.band_real(kern.band.v1 * dw), kern.band_real(kern.band.v2 * dw))
+    return tuple(lp_norm(f, p, grid=grid) for f in (vel, kern.band_real(dr), kern.band_real(dw)))
 
 
 def _worker_count(workers: int | str | None, rungs: int) -> int:
@@ -263,7 +282,7 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:
     in that same order, so the emitted tables are identical however the
     work was scheduled.  The reference comes first, so each rung is
     measured as it arrives, while later rungs still run, and then
-    dropped.
+    dropped.  Grid values are rebuilt from the bands only to save fields.
     """
     ladder = tuple(sorted(config.mu_values))
     mus = (0.0,) + ladder
@@ -280,19 +299,16 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:
             for mu, times, om, rh, rung in map(_logged, (pool.map if pool else map)(_rung, mus)):
                 stats.append(rung)
                 if config.save_fields:
-                    fields[mu] = (times, om, rh)
+                    fields[mu] = (times, [ScalarField.from_band(grid, b).values for b in om],
+                                  [ScalarField.from_band(grid, b).values for b in rh])
                 if mu == 0.0:
                     ref_om, ref_rh = om, rh
                     continue
                 for j, t in enumerate(times):
-                    wa = ScalarField(grid, om[j])
-                    wb = ScalarField(grid, ref_om[j])
-                    verr = velocity_distance(wa, wb, p)
-                    derr = field_distance(ScalarField(grid, rh[j]), ScalarField(grid, ref_rh[j]), p)
-                    werr = field_distance(wa, wb, p)
+                    verr, derr, werr = _gaps(grid, p, om[j], rh[j], ref_om[j], ref_rh[j])
                     rows.append(RateRow(mu=mu, time=float(t), velocity_error=verr, density_error=derr,
                                         discrepancy=verr + derr, vorticity_error=werr))
-                del om, rh, wa, wb  # before the next rung arrives
+                del om, rh  # before the next rung arrives
     finally:
         _hand_over()
     rows.sort(key=lambda r: (r.time, r.mu))

@@ -13,7 +13,8 @@ The march keeps its state on the 2/3 band of the grid's kernel and never
 touches the zero modes outside it; each sample still exposes full half
 spectra (the band embedded in zeros).  An adaptive guard halves any step
 whose advective CFL number would exceed the configured cap; the velocity
-it checks is reused by the first stage.
+it checks is reused by the first stage, and the velocity a sample builds
+for its diagnostics is the one the next step checks.
 
 The module also carries the damped combination (1 - mu) w - u, with u
 the zero-order singular integral of rho, whose evolution equation has a
@@ -179,22 +180,23 @@ class _Engine:
         new_r = er * rhat + (h / 6.0) * (er * k1r + 2.0 * er2 * (k2r + k3r) + k4r)
         return new_w, new_r
 
-    def advance(self, what: np.ndarray, rhat: np.ndarray, t: float, h: float, depth: int = 0, vel=None):
+    def advance(self, what: np.ndarray, rhat: np.ndarray, t: float, h: float, depth: int = 0, vel=None, vmax=None):
         """One step of size h, recursively halved to respect the CFL cap.
 
-        The stage-1 velocity (vel, if given, is velocity(what)) sets the
-        CFL limit and is reused by the first stage of the step, or by the
-        first half of a halved step.
+        The stage-1 velocity (vel, if given, is velocity(what); vmax, if
+        given, its sup) sets the CFL limit and is reused by the first stage
+        of the step, or by the first half of a halved step.
         """
         if vel is None:
             vel = self.velocity(what)
-        vmax = float(np.max(np.hypot(*vel))) if vel is not None else 0.0
+        if vmax is None:
+            vmax = float(np.max(np.hypot(*vel))) if vel is not None else 0.0
         if depth > 24:
             field = _nonfinite(what, rhat)
             raise SolverBlowupError(t, depth, field, None if field else vmax * h / self.grid.dx)
         limit = self.params.cfl_cap * self.grid.dx / max(vmax, 1.0e-300)
         if h > limit:
-            what, rhat, t = self.advance(what, rhat, t, h / 2.0, depth + 1, vel)
+            what, rhat, t = self.advance(what, rhat, t, h / 2.0, depth + 1, vel, vmax)
             return self.advance(what, rhat, t, h / 2.0, depth + 1)
         new_w, new_r = self.rk4(what, rhat, h, vel)
         probe = complex(new_w.sum()) + complex(new_r.sum())
@@ -251,6 +253,7 @@ def _march(omega0: ScalarField, rho0: ScalarField, params: SimParams, samples: n
     gr_integral = 0.0
     last_gradv = np.nan
     last_gradrho = np.nan
+    handoff = ()  # (velocity, its sup) of the last sample, for the CFL guard of the step after it
 
     def gradv_now() -> float:
         sq = sum(kern.band_real(ik * (v * what)) ** 2 for v in (op.v1, op.v2) for ik in (op.ik1, op.ik2))
@@ -267,16 +270,19 @@ def _march(omega0: ScalarField, rho0: ScalarField, params: SimParams, samples: n
     # builds the yielded tuple without binding it here, so a sample lives
     # only as long as the consumer keeps it
     def sample(sample_t: float) -> tuple[float, ScalarField, ScalarField, dict[str, float]]:
+        nonlocal handoff
         fo = ScalarField.from_band(g, what)
         fr = ScalarField.from_band(g, rhat)
-        v1, v2 = kern.band_real(op.v1 * what), kern.band_real(op.v2 * what)
+        vel = kern.band_real(op.v1 * what), kern.band_real(op.v2 * what)
+        vsup = float(np.max(np.hypot(*vel)))
+        handoff = () if params.frozen_velocity else (vel, vsup)
         return float(sample_t), fo, fr, {
             "omega_l2": lp_norm(fo, 2.0),
             "omega_sup": lp_norm(fo, np.inf),
             "rho_l1": lp_norm(fr, 1.0),
             "rho_sup": lp_norm(fr, np.inf),
             "rho_l2": lp_norm(fr, 2.0),
-            "velocity_sup": float(np.max(np.hypot(v1, v2))),
+            "velocity_sup": vsup,
             "gradv_sup": last_gradv if track_gradients else np.nan,
             "gradv_sup_integral": v_integral,
             "gradrho_l2_integral": gr_integral,
@@ -293,7 +299,8 @@ def _march(omega0: ScalarField, rho0: ScalarField, params: SimParams, samples: n
         target = samples[si]
         while t < target - 1.0e-12:
             h = min(params.dt, target - t)
-            what, rhat, t = engine.advance(what, rhat, t, h)
+            what, rhat, t = engine.advance(what, rhat, t, h, 0, *handoff)
+            handoff = ()
             nsteps += 1
             if track_gradients:
                 gv = gradv_now()

@@ -41,6 +41,11 @@ def half_kmag(grid):
     return np.hypot(k[:, None], k2[None, :])
 
 
+def dealias(kern, values):
+    """Grid values with the 2/3 rule of the grid kernel ``kern`` applied."""
+    return kern.real(rfft2(values) * kern.keep)
+
+
 def transport_scalar(f, omega_series, dt=None):
     """Passive advection of a scalar along the trajectory (no stretching), by the family's RK4 stepper.
 
@@ -55,7 +60,7 @@ def transport_scalar(f, omega_series, dt=None):
     def rhs(state, vel):
         v1, v2 = vel
         s = rfft2(state[0])
-        return [kern.dealias(-(v1 * kern.real(kern.ik1 * s) + v2 * kern.real(kern.ik2 * s)))]
+        return [dealias(kern, -(v1 * kern.real(kern.ik1 * s) + v2 * kern.real(kern.ik2 * s)))]
 
     state = [f.values]
     for _, state in _rk4(state, interp.velocity_values, rhs, interp, dt):

@@ -47,7 +47,7 @@ from strato.conormal import (
     holder_quotient,
     log_estimate_ratio,
 )
-from conftest import FullSpectrum, random_field, transport_scalar
+from conftest import FullSpectrum, dealias, random_field, transport_scalar
 
 
 def constant_field(grid, value):
@@ -429,8 +429,8 @@ def advective_stretch_rhs(comps, vel, grid):
         s1, s2 = np.fft.rfft2(x1), np.fft.rfft2(x2)
         d1x1, d2x1 = kern.real(kern.ik1 * s1), kern.real(kern.ik2 * s1)
         d1x2, d2x2 = kern.real(kern.ik1 * s2), kern.real(kern.ik2 * s2)
-        out.append(kern.dealias(-(v1 * d1x1 + v2 * d2x1) + (x1 * d1v1 + x2 * d2v1)))
-        out.append(kern.dealias(-(v1 * d1x2 + v2 * d2x2) + (x1 * d1v2 + x2 * d2v2)))
+        out.append(dealias(kern, -(v1 * d1x1 + v2 * d2x1) + (x1 * d1v1 + x2 * d2v1)))
+        out.append(dealias(kern, -(v1 * d1x2 + v2 * d2x2) + (x1 * d1v2 + x2 * d2v2)))
     return out
 
 

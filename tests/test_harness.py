@@ -60,6 +60,14 @@ from strato.solver import SimParams, run
 from conftest import random_field
 
 
+def field_gaps(grid, p, omega, rho, ref_omega, ref_rho):
+    """Velocity, density and vorticity gaps of one sample from grid values, as sweeps measured them
+    before rungs came back as bands."""
+    wa, wb = ScalarField(grid, omega), ScalarField(grid, ref_omega)
+    return (velocity_distance(wa, wb, p), field_distance(ScalarField(grid, rho), ScalarField(grid, ref_rho), p),
+            field_distance(wa, wb, p))
+
+
 def tiny_config_dict(out_dir="results", mus=(1.0e-3, 3.0e-3, 1.0e-2)):
     return {
         "grid": {"n": 64, "half_length": 8.0},
@@ -103,7 +111,7 @@ class TestSweepConfig:
     @given(
         n=st.sampled_from([16, 32, 64]),
         kind=st.sampled_from(["disc", "ellipse", "star"]),
-        mus=st.lists(st.floats(min_value=1.0e-6, max_value=1.0), min_size=1, max_size=5, unique=True),
+        mus=st.lists(st.floats(min_value=1.0e-6, max_value=1.0), min_size=1, max_size=5, unique_by=lambda m: f"{m:.6g}"),
         dt=st.floats(min_value=1.0e-4, max_value=0.5),
         steps=st.integers(min_value=1, max_value=50),
         fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=4),
@@ -248,7 +256,47 @@ class TestRunSweep:
         assert stats["mu"] == 0.0 and stats["nominal_steps"] == 4 and stats["wall_s"] > 0.0
         assert np.allclose(times, [0.1, 0.2])
         assert len(omegas) == len(rhos) == 2
-        assert omegas[0].shape == (64, 64)
+        assert omegas[0].shape == (43, 22)  # the 2/3 band, (2b + 1, b + 1) with b = 64 // 3
+
+    @pytest.mark.parametrize("mu", [0.0, 1.0e-2])
+    def test_rung_bands_give_back_the_run_samples(self, mu):
+        cfg = SweepConfig.from_dict(tiny_config_dict())
+        omega0, rho0 = cfg.initial_fields()
+        _, times, omegas, rhos, _ = run_single(cfg, mu, omega0, rho0)
+        params = SimParams(mu=mu, dt=cfg.dt, t_final=cfg.t_final, kappa=cfg.kappa)
+        want = run(omega0, rho0, params, sample_times=list(cfg.sample_times), track_gradients=False)
+        assert np.array_equal(times, want.omega.times)
+        b = cfg.grid.n // 3
+        for bands, series in ((omegas, want.omega), (rhos, want.rho)):
+            assert len(bands) == len(series.fields)
+            for band, f in zip(bands, series.fields):
+                assert band.shape == (2 * b + 1, b + 1)
+                assert np.array_equal(ScalarField.from_band(cfg.grid, band).values, f.values)
+
+    def test_pickled_rung_is_at_most_half_its_grid_values(self):
+        cfg = SweepConfig.from_dict(tiny_config_dict())
+        out = run_single(cfg, 1.0e-2, *cfg.initial_fields())
+        mu, times, omegas, rhos, stats = out
+        values = [[ScalarField.from_band(cfg.grid, b).values for b in bands] for bands in (omegas, rhos)]
+        assert len(pickle.dumps(out)) <= 0.5 * len(pickle.dumps((mu, times, *values, stats)))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, math.inf])
+    def test_band_gaps_match_field_formulas(self, p, tmp_path):
+        raw = tiny_config_dict(out_dir=tmp_path)
+        raw["sweep"]["error_p"] = p
+        raw["output"]["save_fields"] = True
+        cfg = SweepConfig.from_dict(raw)
+        result = run_sweep(cfg, workers=1)
+        g, zero = cfg.grid, np.zeros((cfg.grid.n, cfg.grid.n))
+        _, ref_om, ref_rh = result.fields[0.0]
+        assert len(result.rows) == 6
+        for row in result.rows:
+            times, om, rh = result.fields[row.mu]
+            j = list(times).index(row.time)
+            want = field_gaps(g, p, om[j], rh[j], ref_om[j], ref_rh[j])
+            sizes = np.add(field_gaps(g, p, om[j], rh[j], zero, zero), field_gaps(g, p, ref_om[j], ref_rh[j], zero, zero))
+            got = (row.velocity_error, row.density_error, row.vorticity_error)
+            assert np.all(np.abs(np.subtract(got, want)) <= 1.0e-13 * sizes), (row, want)
 
     def test_patch_rasterized_once_per_sweep(self, tmp_path, monkeypatch):
         import strato.harness as harness
@@ -352,6 +400,18 @@ class TestRunSweep:
         times, omegas, _ = result.fields[0.0]
         assert np.array_equal(back.values, omegas[0])
 
+    def test_snapshot_names_must_differ(self, tmp_path):
+        # snapshots are named by mu to 6 significant digits, so two such rungs would share a file
+        raw = tiny_config_dict(out_dir=tmp_path, mus=(1.0e-3, 1.0000001e-3, 1.0e-2))
+        assert len(SweepConfig.from_dict(raw).mu_values) == 3  # no snapshots, no clash
+        raw["output"]["save_fields"] = True
+        with pytest.raises(ValueError, match=r"got 0\.001 and 0\.0010000001$"):
+            SweepConfig.from_dict(raw)
+        raw["sweep"]["mu"] = [1.0e-3, 1.00001e-3]
+        result = run_sweep(SweepConfig.from_dict(raw), workers=1)
+        emit_report(result)
+        assert len(list(tmp_path.glob("omega_mu*.slf"))) == 3 * len(raw["sweep"]["sample_times"])
+
 
 class TestEmitReport:
     def test_files_and_headers(self, tiny_sweep, tmp_path):
@@ -400,7 +460,7 @@ class TestDeterminism:
         # the reference rung comes first; each later rung is measured before the next one runs,
         # and its arrays are gone by then
         events, made = [], {}
-        real_run, real_distance = strato.harness.run_single, strato.harness.velocity_distance
+        real_run, real_gaps = strato.harness.run_single, strato.harness._gaps
 
         def run_rung(config, mu, *fields):
             gc.collect()
@@ -410,8 +470,8 @@ class TestDeterminism:
             return out
 
         monkeypatch.setattr(strato.harness, "run_single", run_rung)
-        monkeypatch.setattr(strato.harness, "velocity_distance",
-                            lambda a, b, p: events.append(("measure",)) or real_distance(a, b, p))
+        monkeypatch.setattr(strato.harness, "_gaps",
+                            lambda *args: events.append(("measure",)) or real_gaps(*args))
         run_sweep(SweepConfig.from_dict(tiny_config_dict(out_dir=tmp_path)), workers=1)
         mus = sorted(tiny_config_dict()["sweep"]["mu"])
         want = [("run", 0.0, [])]
@@ -606,6 +666,8 @@ class TestCli:
     @pytest.mark.parametrize("command", ["sweep", "simulate", "conormal"])
     @pytest.mark.parametrize("text, message", [
         (json.dumps({**tiny_config_dict(), "sweep": {"mu": [1.0e-3, 1.0e-3]}}), "mu ladder has repeated entries"),
+        (json.dumps({**tiny_config_dict(), "sweep": {"mu": [1.0e-3, 1.0000001e-3]}, "output": {"save_fields": True}}),
+         "save_fields needs mu values that differ in 6 significant digits, got 0.001 and 0.0010000001"),
         (json.dumps({**tiny_config_dict(), "params": {"dt": 0.05}}), "missing key 't_final'"),
         (json.dumps({**tiny_config_dict(), "grid": 64}), "'int' object is not subscriptable"),
         ("{", "Expecting property name enclosed in double quotes"),
@@ -828,11 +890,11 @@ class TestCli:
         raised = []
         advance = strato.solver._Engine.advance
 
-        def failing(self, what, rhat, t, h):
+        def failing(self, what, rhat, t, h, *guard):
             if t > 0.05:
                 raised.append(threading.current_thread())
                 raise strato.solver.SolverBlowupError(t + h, 0, "omega")
-            return advance(self, what, rhat, t, h)
+            return advance(self, what, rhat, t, h, *guard)
 
         monkeypatch.setattr(strato.solver._Engine, "advance", failing)
         cfg_path = self._conormal_config(tmp_path)

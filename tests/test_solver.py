@@ -191,6 +191,25 @@ class TestStepping:
         assert np.array_equal(other.omega.fields[-1].values, res.omega.fields[-1].values)
         assert np.array_equal(other.rho.fields[-1].values, res.rho.fields[-1].values)
 
+    @pytest.mark.parametrize("from_zero", [True, False])
+    def test_sample_velocity_guards_next_step(self, from_zero, monkeypatch):
+        # a sample's velocity and its sup are the CFL guard of the step after it, so a dense march
+        # builds the velocity only for RK4 stages 2-4 and takes one hypot per sample; without a
+        # t = 0 sample the first step builds its own
+        g = GridSpec(n=32, half_length=8.0)
+        w0, r0 = random_field(g, 6, band=4.0), random_field(g, 7, band=4.0)
+        builds, hypots = [], []
+        velocity, hypot = _Engine.velocity, np.hypot
+        monkeypatch.setattr(_Engine, "velocity", lambda self, what: builds.append(what) or velocity(self, what))
+        monkeypatch.setattr(np, "hypot", lambda *args: hypots.append(args) or hypot(*args))
+        params = SimParams(mu=0.01, dt=0.05, t_final=0.2)
+        times = [0.0, 0.2] if from_zero else [0.2]
+        got = list(march(w0, r0, params, sample_times=times, record_every_step=True, track_gradients=False))
+        steps = got[-1][3]["steps"]
+        assert steps == 4 and len(got) == steps + from_zero
+        assert len(builds) == 3 * steps + (not from_zero)
+        assert len(hypots) == len(got) + (not from_zero)
+
     def test_march_checks_arguments_on_call(self, grid64, grid128):
         params = SimParams(mu=0.01, dt=0.05, t_final=0.1)
         w0 = random_field(grid64, 10, band=4.0)
@@ -217,6 +236,23 @@ class TestStepping:
         assert res.diagnostics.steps == [1]
         assert len(stages) > 1 and max(stages) < 0.1
         assert sum(stages) == pytest.approx(0.1, abs=1e-12)
+
+    def test_frozen_velocity_never_halves_after_a_sample(self, grid64, monkeypatch):
+        # the t = 0 sample reports the velocity of a field that would force halvings, but a frozen
+        # march does not advect, so its step has no CFL limit
+        stages = []
+        rk4 = _Engine.rk4
+
+        def spy(self, what, rhat, h, vel=None):
+            stages.append(h)
+            return rk4(self, what, rhat, h, vel)
+
+        monkeypatch.setattr(_Engine, "rk4", spy)
+        w0 = ScalarField(grid64, 50.0 * random_field(grid64, 8, band=4.0).values)
+        params = SimParams(mu=0.01, dt=0.1, t_final=0.1, frozen_velocity=True)
+        (*_, first), (*_, last) = march(w0, zero_field(grid64), params, sample_times=[0.0, 0.1])
+        assert first["velocity_sup"] * params.dt / grid64.dx > params.cfl_cap
+        assert stages == [0.1] and last["steps"] == 1
 
     def test_blowup_raises(self, grid64):
         w0 = ScalarField(grid64, 1e12 * random_field(grid64, 9, band=4.0).values)
