@@ -103,11 +103,16 @@ def _cmd_rankine(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from . import fieldio
+    from .harness import _name_clash
     from .solver import run
 
     config = _config(args)
     mu = args.mu if args.mu is not None else config.mu_values[0]
     params = _params(args, config, mu, config.t_final)
+    clash = _name_clash(config.sample_times) if args.snapshots else None
+    if clash:  # snapshot names hold t to 6 significant digits
+        args.error(f"--snapshots needs sample times that differ in 6 significant digits, "
+                   f"got {clash[0]!r} and {clash[1]!r}")
     omega0, rho0 = config.initial_fields()
     result = run(omega0, rho0, params, sample_times=list(config.sample_times))
     out = Path(args.out)

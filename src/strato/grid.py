@@ -4,15 +4,17 @@ Fields live on the square [-L, L)^2 sampled on an n x n uniform mesh with
 n a power of two.  Wavenumbers are integer multiples of pi/L.  Every
 spectral operator (derivatives, Biot-Savart, inverse Laplacian, heat
 propagator, dyadic blocks, the solver march) acts on real half spectra,
-the march on their 2/3 band only, through one per-grid multiplier kernel;
+the march on their 2/3 band only, through one multiplier kernel per grid
+size, shared by the equal grids that are alive and built on first use;
 the zero mode of any inverse-Laplacian style operator is gauged to zero.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -82,44 +84,93 @@ class GridSpec:
         x = self.nodes
         return x[:, None], x[None, :]
 
+    def __reduce__(self):
+        # the two fields only: an unpickled grid looks its kernel up where it lands
+        return GridSpec, (self.n, self.half_length)
+
     @cached_property
     def _kernel(self) -> _HalfKernel:
-        return _HalfKernel(self)
+        """The one kernel of all live grids equal to this one; it dies with the last of them."""
+        key = (self.n, self.half_length)
+        with _kernels_lock:
+            kern = _kernels.get(key)
+            if kern is None:
+                kern = _kernels[key] = _HalfKernel(*key)
+        return kern
 
 
-class _HalfKernel:
-    """Fourier multipliers of one grid on the real half spectrum.
+_kernels: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # (n, half_length) -> kernel
+_kernels_lock = threading.Lock()
 
-    Arrays broadcast against ``rfft2`` output of shape (n, n/2 + 1):
+
+class _Multipliers:
+    """Fourier multipliers on the modes m1 (rows) x m2 (columns) of an n-point grid, each built on first use.
+
     ``ik1`` and ``ik2`` differentiate (their unpaired Nyquist entries are
     zero, which is what taking the real part does to an odd multiplier on
-    the full complex spectrum), ``ksq`` is |k|^2, ``v1`` and ``v2`` map
-    vorticity to Biot-Savart velocity (zero mode gauged to 0) and ``keep``
-    is the 2/3 dealiasing mask.  ``band`` holds the five multipliers on the
-    band arrays' modes only: rows m1 = 0..b, -b..-1, columns m2 = 0..b, b = n // 3.
+    the full complex spectrum), ``ksq`` is |k|^2, and ``v1`` and ``v2`` map
+    vorticity to Biot-Savart velocity (zero mode gauged to 0).  Every entry
+    depends on its own mode alone, so the multipliers of a subset of modes
+    are bitwise those of the full lattice cut to it.  An array is published
+    only once built, so threads that touch one first together may both build
+    it, but none sees it half built.
     """
 
-    def __init__(self, grid: GridSpec):
-        n = grid.n
-        m1 = _fft.fftfreq(n, d=1.0 / n)[:, None]
-        m2 = _fft.rfftfreq(n, d=1.0 / n)[None, :]
-        k1 = (np.pi / grid.half_length) * m1
-        k2 = (np.pi / grid.half_length) * m2
-        self.shape = (n, n)
-        self.ksq = k1**2 + k2**2
-        self.ik1 = 1j * np.where(np.abs(m1) == n // 2, 0.0, k1)
-        self.ik2 = 1j * np.where(m2 == n // 2, 0.0, k2)
-        inv_ksq = np.zeros_like(self.ksq)
-        np.divide(1.0, self.ksq, out=inv_ksq, where=self.ksq != 0.0)
-        self.v1 = self.ik2 * inv_ksq
-        self.v2 = -self.ik1 * inv_ksq
-        self.keep = (np.abs(m1) <= n // 3) & (m2 <= n // 3)
+    def __init__(self, n: int, half_length: float, m1: np.ndarray, m2: np.ndarray):
+        self.n, self.half_length = n, half_length
+        self.m1, self.m2 = m1[:, None], m2[None, :]
+        self.k1, self.k2 = (np.pi / half_length) * self.m1, (np.pi / half_length) * self.m2
+
+    @cached_property
+    def ksq(self) -> np.ndarray:
+        return self.k1**2 + self.k2**2
+
+    @cached_property
+    def ik1(self) -> np.ndarray:
+        return 1j * np.where(np.abs(self.m1) == self.n // 2, 0.0, self.k1)
+
+    @cached_property
+    def ik2(self) -> np.ndarray:
+        return 1j * np.where(self.m2 == self.n // 2, 0.0, self.k2)
+
+    @cached_property
+    def v1(self) -> np.ndarray:
+        return self.ik2 * self._inv_ksq()
+
+    @cached_property
+    def v2(self) -> np.ndarray:
+        return -self.ik1 * self._inv_ksq()
+
+    def _inv_ksq(self) -> np.ndarray:
+        inv = np.zeros_like(self.ksq)
+        np.divide(1.0, self.ksq, out=inv, where=self.ksq != 0.0)
+        return inv
+
+
+class _HalfKernel(_Multipliers):
+    """The multipliers of one grid size on the real half spectrum, and its band transforms.
+
+    Arrays broadcast against ``rfft2`` output of shape (n, n/2 + 1);
+    ``keep`` is the 2/3 dealiasing mask.  ``band`` holds the multipliers on
+    the band arrays' modes only: rows m1 = 0..b, -b..-1, columns m2 = 0..b,
+    b = n // 3.  The constructor builds index data alone; a multiplier is
+    built on first use, so heat and Besov work never builds ``v1``/``v2``
+    and the march never builds a full-size one.
+    """
+
+    def __init__(self, n: int, half_length: float):
+        super().__init__(n, half_length, _fft.fftfreq(n, d=1.0 / n), _fft.rfftfreq(n, d=1.0 / n))
+        self.shape, self.half_shape = (n, n), (n, n // 2 + 1)
         self.rows, self.cols = np.r_[0 : n // 3 + 1, n - n // 3 : n], n // 3 + 1
 
     @cached_property
-    def band(self) -> SimpleNamespace:  # built on first use, so a process that never marches does not hold it
-        return SimpleNamespace(ksq=self.cut(self.ksq), ik1=self.ik1[self.rows], ik2=self.ik2[:, : self.cols],
-                               v1=self.cut(self.v1), v2=self.cut(self.v2))
+    def keep(self) -> np.ndarray:
+        b = self.cols - 1
+        return (np.abs(self.m1) <= b) & (self.m2 <= b)
+
+    @cached_property
+    def band(self) -> _Multipliers:
+        return _Multipliers(self.n, self.half_length, self.m1[self.rows, 0], self.m2[0, : self.cols])
 
     def real(self, half: np.ndarray) -> np.ndarray:
         """Grid values of a half spectrum."""
@@ -136,7 +187,7 @@ class _HalfKernel:
 
     def embed(self, band: np.ndarray) -> np.ndarray:
         """The half spectrum that is ``band`` on the band and zero elsewhere."""
-        half = np.zeros(self.ksq.shape, dtype=band.dtype)
+        half = np.zeros(self.half_shape, dtype=band.dtype)
         half[self.rows, : self.cols] = band
         return half
 
@@ -146,14 +197,22 @@ class _HalfKernel:
 
     def pad(self, head: np.ndarray) -> np.ndarray:
         """The half spectrum that is ``head`` on its first columns and zero beyond them."""
-        return np.pad(head, ((0, 0), (0, self.ksq.shape[1] - head.shape[1])))
+        return np.pad(head, ((0, 0), (0, self.half_shape[1] - head.shape[1])))
 
-    def head_real(self, head: np.ndarray) -> np.ndarray:
-        """Grid values of ``pad(head)``, bitwise equal to ``real(pad(head))``; the column pass skips the zeros."""
-        return _fft.irfft(self._columns(_fft.ifft, self.pad(head), head.shape[1]), self.shape[1], axis=1)
+    def head_real(self, head: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
+        """Grid values of ``pad(head)``, or of ``pad(m * head)`` given ``m``, bitwise equal to ``real`` of it.
+
+        The product is written straight into the padded buffer, and the column pass skips the zeros.
+        """
+        if m is None:
+            half = self.pad(head)
+        else:
+            half = np.zeros(self.half_shape, dtype=np.result_type(m, head))
+            np.multiply(m, head, out=half[:, : head.shape[1]])
+        return _fft.irfft(self._columns(_fft.ifft, half, head.shape[1]), self.shape[1], axis=1)
 
     def band_spectrum(self, values: np.ndarray) -> np.ndarray:
-        """The band of ``rfft2(values)``, bitwise equal to ``cut(rfft2(values) * keep)``."""
+        """The band of ``rfft2(values)``, bitwise equal to ``cut(rfft2(values))``; only the band's columns are transformed."""
         return self.cut(self._columns(_fft.fft, _fft.rfft(values, axis=1)))
 
     def _columns(self, transform: Callable, half: np.ndarray, cols: int | None = None) -> np.ndarray:
@@ -286,9 +345,11 @@ def lp_norm(f: ScalarField | np.ndarray, p: float, grid: GridSpec | None = None)
         vals, g = np.asarray(f), grid
     if not p >= 1.0:
         raise ValueError(f"p must satisfy p >= 1 or be +inf, got {p}")
+    mag = np.abs(vals)
     if np.isinf(p):
-        return float(np.max(np.abs(vals)))
-    return float((np.sum(np.abs(vals) ** p) * g.dx**2) ** (1.0 / p))
+        return float(np.max(mag))
+    mag **= p  # in place: one grid-sized temporary
+    return float((np.sum(mag) * g.dx**2) ** (1.0 / p))
 
 
 def heat_propagate(f: ScalarField, tau: float) -> ScalarField:

@@ -53,6 +53,15 @@ __all__ = [
 log = logging.getLogger("strato")
 
 
+def _name_clash(values) -> tuple[float, float] | None:
+    """Two distinct values that snapshot names, which hold 6 significant digits, would not tell apart."""
+    named = {}
+    for v in values:
+        if named.setdefault(f"{v:.6g}", v) != v:
+            return named[f"{v:.6g}"], v
+    return None
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Declarative description of one vanishing-viscosity experiment."""
@@ -74,11 +83,11 @@ class SweepConfig:
             raise ValueError("mu ladder must be nonempty, positive and finite")
         if len(set(self.mu_values)) != len(self.mu_values):
             raise ValueError("mu ladder has repeated entries")
-        named = {}  # snapshot names hold mu to 6 significant digits
-        for m in self.mu_values if self.save_fields else ():
-            if named.setdefault(f"{m:.6g}", m) != m:
-                raise ValueError(f"save_fields needs mu values that differ in 6 significant digits, "
-                                 f"got {named[f'{m:.6g}']!r} and {m!r}")
+        for what, values in (("mu values", self.mu_values), ("sample times", self.sample_times)):
+            clash = _name_clash(values) if self.save_fields else None
+            if clash:
+                raise ValueError(f"save_fields needs {what} that differ in 6 significant digits, "
+                                 f"got {clash[0]!r} and {clash[1]!r}")
         if not self.error_p >= 1.0:
             raise ValueError("error_p must be a Lebesgue exponent >= 1")
         # fail here, not inside a pool worker: SimParams checks dt, t_final and kappa

@@ -177,7 +177,7 @@ def block_norms(f: ScalarField, params: BesovParams, partition: DyadicPartition 
     """Unweighted |block_q f|_Lp for every q on the ladder of params, in ladder order (0.0 for an empty block)."""
     _bound(f.grid, partition)
     g, half = f.grid, f.half_spectrum
-    return {q: lp_norm(g._kernel.head_real(m * half[:, : m.shape[1]]), params.p, g) if m.shape[1] else 0.0
+    return {q: lp_norm(g._kernel.head_real(half[:, : m.shape[1]], m), params.p, g) if m.shape[1] else 0.0
             for q, m in _ladder(g.n, g.half_length, params.homogeneous).items()}
 
 

@@ -239,12 +239,19 @@ def march(
     return _march(omega0, rho0, params, samples, record_every_step, track_gradients)
 
 
+def _band_of(f: ScalarField) -> np.ndarray:
+    """The band of f's half spectrum: cut from it if f caches it, else taken from the values, caching nothing on f."""
+    kern = f.grid._kernel
+    half = f.__dict__.get("half_spectrum")
+    return kern.band_spectrum(f.values) if half is None else kern.cut(half)
+
+
 def _march(omega0: ScalarField, rho0: ScalarField, params: SimParams, samples: np.ndarray,
            record_every_step: bool, track_gradients: bool):
     g = omega0.grid
     engine = _Engine(g, params)
     kern, op = engine.kern, engine.op
-    what, rhat = kern.cut(omega0.half_spectrum), kern.cut(rho0.half_spectrum)
+    what, rhat = _band_of(omega0), _band_of(rho0)
     del omega0, rho0  # the march holds their bands; the caller may free the fields
 
     t = 0.0

@@ -1,5 +1,11 @@
 """Spectral substrate: grids, fields, multiplier operators, norms."""
 
+import gc
+import pickle
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 import scipy.fft as fft
@@ -20,6 +26,7 @@ from strato.grid import (
     sample_at,
     velocity_gradient_sup,
 )
+from strato.littlewood_paley import BesovParams, block_norms
 from conftest import random_field
 
 
@@ -59,6 +66,71 @@ class TestGridSpec:
         assert not mask[grid64.n // 2, 0]
         assert mask[0, grid64.n // 3]
         assert not mask[0, grid64.n // 3 + 1]
+
+
+class TestSharedKernel:
+    """One kernel per grid size among the live grids, its multipliers built on first use."""
+
+    def test_equal_live_grids_share_one_kernel(self):
+        g1, g2 = GridSpec(n=32, half_length=2.5), GridSpec(n=32, half_length=2)
+        assert g1._kernel is GridSpec(n=32, half_length=2.5)._kernel
+        assert g2._kernel is not g1._kernel and g2._kernel is GridSpec(n=32, half_length=2.0)._kernel
+        assert GridSpec(n=64, half_length=2.5)._kernel is not g1._kernel
+
+    def test_kernel_dies_with_its_last_grid(self):
+        g1, g2 = GridSpec(n=16, half_length=1.25), GridSpec(n=16, half_length=1.25)
+        kernel = weakref.ref(g1._kernel)
+        assert g2._kernel is kernel()
+        del g1
+        gc.collect()
+        assert kernel() is not None
+        del g2
+        gc.collect()
+        assert kernel() is None
+
+    def test_pickle_holds_the_fields_only(self):
+        g = GridSpec(n=256, half_length=1.75)
+        kern = g._kernel
+        kern.v1, kern.v2, kern.keep, kern.band.v1, g.mesh  # every cache built
+        data = pickle.dumps(g)
+        assert len(data) < 1024
+        back = pickle.loads(data)
+        assert back == g and back._kernel is kern
+
+    def test_heat_and_besov_build_no_velocity_multipliers(self):
+        g = GridSpec(n=64, half_length=2.75)
+        f = random_field(g, 12)
+        block_norms(heat_propagate(f, 0.01), BesovParams(s=0.5, p=2.0))
+        kern = g._kernel
+        assert "ksq" in kern.__dict__
+        assert not {"v1", "v2", "band"} & set(kern.__dict__)
+
+    def test_threads_share_one_kernel_and_see_whole_multipliers(self):
+        # threads that touch a kernel or multiplier first together may build a multiplier twice,
+        # but every equal grid gets the one kernel and no thread sees an array half built
+        n, half_length, count = 256, 1.125, 6
+        start, seen = threading.Barrier(count), []
+
+        def touch():
+            g = GridSpec(n=n, half_length=half_length)
+            start.wait(timeout=30)
+            seen.append((g, g._kernel, g._kernel.v1.copy(), g._kernel.band.v2.copy()))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=touch) for _ in range(count)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads) and len(seen) == count
+        kern = seen[0][1]
+        assert all(k is kern for _, k, _, _ in seen)
+        for _, _, v1, v2 in seen:
+            assert v1.tobytes() == kern.v1.tobytes() and v2.tobytes() == kern.band.v2.tobytes()
 
 
 class TestScalarField:
@@ -272,6 +344,12 @@ class TestLpNorms:
         assert lp_norm(c, 1.0) == pytest.approx(2.0 * area)
         assert lp_norm(c, 2.0) == pytest.approx(2.0 * np.sqrt(area))
         assert lp_norm(c, np.inf) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 2.5, 3.0, 4.0, 8.0])
+    def test_bitwise_the_midpoint_sum(self, grid64, p):
+        # the in-place power runs the ufunc of np.abs(vals) ** p, so the sum is bit for bit the same
+        vals = 1e3 * random_field(grid64, 8).values
+        assert lp_norm(vals, p, grid=grid64) == float((np.sum(np.abs(vals) ** p) * grid64.dx**2) ** (1.0 / p))
 
     @pytest.mark.parametrize("p", [0.5, -np.inf])
     def test_rejects_sub_one(self, grid64, p):

@@ -412,6 +412,19 @@ class TestRunSweep:
         emit_report(result)
         assert len(list(tmp_path.glob("omega_mu*.slf"))) == 3 * len(raw["sweep"]["sample_times"])
 
+    def test_snapshot_times_must_differ(self, tmp_path):
+        # snapshots are named by t to 6 significant digits too, so two such samples would share a file
+        raw = tiny_config_dict(out_dir=tmp_path, mus=(1.0e-3,))
+        raw["sweep"]["sample_times"] = [0.1, 0.1000001, 0.2]
+        assert len(SweepConfig.from_dict(raw).sample_times) == 3  # no snapshots, no clash
+        raw["output"]["save_fields"] = True
+        with pytest.raises(ValueError, match=r"sample times that differ in 6 significant digits, got 0\.1 and 0\.1000001$"):
+            SweepConfig.from_dict(raw)
+        raw["sweep"]["sample_times"] = [0.1, 0.10001, 0.1, 0.2]  # a repeated time is one sample, one file
+        result = run_sweep(SweepConfig.from_dict(raw), workers=1)
+        emit_report(result)
+        assert len(list(tmp_path.glob("omega_mu*.slf"))) == 2 * 3
+
 
 class TestEmitReport:
     def test_files_and_headers(self, tiny_sweep, tmp_path):
@@ -722,6 +735,23 @@ class TestCli:
         assert diag[0].startswith("times,omega_l2,omega_sup")
         assert len(sorted((tmp_path / "sim").glob("omega_t*.slf"))) == 2
         assert len(sorted((tmp_path / "sim").glob("rho_t*.slf"))) == 2
+
+    def test_simulate_snapshot_times_must_differ(self, tmp_path, monkeypatch, capsys):
+        raw = tiny_config_dict(out_dir=tmp_path / "unused")
+        raw["sweep"]["sample_times"] = [0.1, 0.1000001, 0.2]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        built = []
+        monkeypatch.setattr(SweepConfig, "initial_fields", lambda self: built.append(self))
+        with pytest.raises(SystemExit) as info:
+            main(["simulate", str(cfg_path), "--out", str(tmp_path / "sim"), "--snapshots"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        err = [line for line in captured.err.splitlines() if not line.startswith("usage:")]
+        assert err == ["strato simulate: error: --snapshots needs sample times that differ in "
+                       "6 significant digits, got 0.1 and 0.1000001"]
+        assert captured.out == ""
+        assert built == [] and not (tmp_path / "sim").exists()
 
     def test_besov_command_matches_direct_norm(self, tmp_path, capsys, grid64):
         from strato.littlewood_paley import BesovParams, DyadicPartition, besov_norm

@@ -344,7 +344,7 @@ class TestPrunedLadder:
         assert bool(empty) == homogeneous and empty == list(part.qs(homogeneous))[: len(empty)]
         inverses = []
         head_real = _HalfKernel.head_real
-        monkeypatch.setattr(_HalfKernel, "head_real", lambda kern, head: inverses.append(head) or head_real(kern, head))
+        monkeypatch.setattr(_HalfKernel, "head_real", lambda kern, head, m=None: inverses.append(head) or head_real(kern, head, m))
         for p in (1.0, 2.0, 4.0, np.inf):
             inverses.clear()
             got = block_norms(f, BesovParams(s=0.5, p=p, homogeneous=homogeneous), part)

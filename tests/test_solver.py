@@ -7,7 +7,7 @@ import pytest
 import scipy.fft as fft
 from hypothesis import given, settings, strategies as st
 
-from strato.grid import GridSpec, ScalarField, dx1_inv_laplacian
+from strato.grid import GridSpec, ScalarField, _HalfKernel, dx1_inv_laplacian
 from strato.initdata import DensitySpec, PatchSpec, make_density, rasterize_patch
 from strato.solver import (
     _Engine,
@@ -190,6 +190,28 @@ class TestStepping:
         other = run(w0, r0, params, sample_times=times, record_every_step=not dense)
         assert np.array_equal(other.omega.fields[-1].values, res.omega.fields[-1].values)
         assert np.array_equal(other.rho.fields[-1].values, res.rho.fields[-1].values)
+
+    def test_march_caches_no_spectrum_on_its_inputs(self, grid64, monkeypatch):
+        # the initial bands come straight from the values, unless a field already caches its
+        # half spectrum, which the march then cuts; the samples are bitwise the same either way
+        values = [random_field(grid64, seed).values for seed in (14, 15)]
+        taken = []
+        band_spectrum = _HalfKernel.band_spectrum
+        monkeypatch.setattr(_HalfKernel, "band_spectrum", lambda kern, v: taken.append(v) or band_spectrum(kern, v))
+        params = SimParams(mu=0.01, dt=0.05, t_final=0.1)
+        runs = {}
+        for cached in (False, True):
+            w0, r0 = (ScalarField(grid64, v) for v in values)
+            if cached:
+                w0.half_spectrum, r0.half_spectrum
+            taken.clear()
+            runs[cached] = list(march(w0, r0, params, sample_times=[0.0, 0.1]))
+            assert ("half_spectrum" in w0.__dict__, "half_spectrum" in r0.__dict__) == (cached, cached)
+            from_values = [any(v is f.values for v in taken) for f in (w0, r0)]
+            assert from_values == [not cached, not cached]
+        for (t, fo, fr, row), (t2, fo2, fr2, row2) in zip(runs[False], runs[True]):
+            assert t == t2 and row == row2
+            assert fo.values.tobytes() == fo2.values.tobytes() and fr.values.tobytes() == fr2.values.tobytes()
 
     @pytest.mark.parametrize("from_zero", [True, False])
     def test_sample_velocity_guards_next_step(self, from_zero, monkeypatch):
