@@ -133,12 +133,12 @@ def _cmd_besov(args: argparse.Namespace) -> int:
     from . import fieldio
     from .littlewood_paley import BesovParams, besov_sum, block_norms
 
-    # bad exponents are a usage error before the snapshot is read
+    # bad exponents are a usage error before the snapshot is read, and so is a snapshot that does not read
     try:
         params = BesovParams(s=args.s, p=args.p, r=args.r, homogeneous=args.homogeneous)
-    except ValueError as exc:
+        f = fieldio.read_snapshot(args.snapshot)
+    except (OSError, ValueError) as exc:
         args.error(str(exc))
-    f = fieldio.read_snapshot(args.snapshot)
     norms = block_norms(f, params)
     total = besov_sum(norms, params)
     print(f"grid n={f.grid.n} L={f.grid.half_length:g}, blocks q in "
@@ -193,16 +193,21 @@ def _cmd_conormal(args: argparse.Namespace) -> int:
 def _cmd_fit(args: argparse.Namespace) -> int:
     from .rankine import RateSeries, fit_exponent
 
-    with open(args.csv_path, newline="") as fh:
-        reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-        rows = list(reader)
+    # a table that cannot be read, or lacks a column or a number, is a usage error, not a traceback
+    groups: dict[str, list[tuple[float, float]]] = {}
+    try:
+        with open(args.csv_path, newline="") as fh:
+            rows = list(csv.DictReader(row for row in fh if not row.startswith("#")))
+        for row in rows:
+            key = row[args.group] if args.group else ""
+            groups.setdefault(key, []).append((float(row[args.x]), float(row[args.y])))
+    except KeyError as exc:
+        args.error(f"{args.csv_path}: no column {exc}")
+    except (OSError, TypeError, ValueError, csv.Error) as exc:  # TypeError: a row short of a column
+        args.error(f"{args.csv_path}: {exc}")
     if not rows:
         print("no data rows", file=sys.stderr)
         return 1
-    groups: dict[str, list[tuple[float, float]]] = {}
-    for row in rows:
-        key = row[args.group] if args.group else ""
-        groups.setdefault(key, []).append((float(row[args.x]), float(row[args.y])))
     for key in sorted(groups):
         pts = sorted(groups[key])
         xs = np.array([a for a, _ in pts])
@@ -273,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", default="discrepancy")
     p.add_argument("--group", default="time", help="column to group by (empty for none)")
     p.add_argument("--reference", type=float, default=None, help="reference exponent for constant bracket")
-    p.set_defaults(func=_cmd_fit)
+    p.set_defaults(func=_cmd_fit, error=p.error)
 
     return parser
 

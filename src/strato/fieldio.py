@@ -10,7 +10,7 @@ Binary layout (little endian throughout):
 
 from __future__ import annotations
 
-import io
+import os
 import struct
 from pathlib import Path
 
@@ -25,22 +25,23 @@ _HEADER = struct.Struct("<4sId")
 
 
 def write_snapshot(f: ScalarField, path: str | Path) -> None:
-    buf = io.BytesIO()
-    buf.write(_HEADER.pack(_MAGIC, f.grid.n, f.grid.half_length))
-    buf.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
-    Path(path).write_bytes(buf.getvalue())
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(_MAGIC, f.grid.n, f.grid.half_length))
+        fh.write(np.ascontiguousarray(f.values, dtype="<f8"))
 
 
 def read_snapshot(path: str | Path) -> ScalarField:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"{path}: truncated header")
-    magic, n, half_length = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
-    expected = _HEADER.size + 8 * n * n
-    if len(raw) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    vals = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(n, n)
-    return ScalarField(GridSpec(n, half_length), vals.copy())
-
+    """The snapshot at path, its values read straight into the field's array once header and size check."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ValueError(f"{path}: truncated header")
+        magic, n, half_length = _HEADER.unpack(head)
+        if magic != _MAGIC:
+            raise ValueError(f"{path}: bad magic {magic!r}")
+        expected = _HEADER.size + 8 * n * n
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise ValueError(f"{path}: expected {expected} bytes, found {size}")
+        vals = np.fromfile(fh, dtype="<f8", count=n * n).reshape(n, n)  # short if the file shrank: reshape raises
+    return ScalarField(GridSpec(n, half_length), vals)

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, fieldio
-from .grid import GridSpec, ScalarField, lp_norm, rfft2
+from .grid import GridSpec, ScalarField, lp_norm
 from .initdata import DensitySpec, PatchSpec, make_density, rasterize_patch
 from .solver import SimParams, march
 
@@ -43,8 +43,6 @@ __all__ = [
     "SweepConfig",
     "RateRow",
     "SweepResult",
-    "field_distance",
-    "velocity_distance",
     "run_single",
     "run_sweep",
     "emit_report",
@@ -202,21 +200,6 @@ class SweepResult:
     slopes: dict
     fields: dict = field(default_factory=dict, repr=False)
     provenance: dict = field(default_factory=dict, repr=False, compare=False)
-
-
-def field_distance(a: ScalarField, b: ScalarField, p: float = 2.0) -> float:
-    if a.grid != b.grid:
-        raise ValueError("fields live on different grids")
-    return lp_norm(ScalarField(a.grid, a.values - b.values), p)
-
-
-def velocity_distance(omega_a: ScalarField, omega_b: ScalarField, p: float = 2.0) -> float:
-    """Lp size of the velocity gap induced by two vorticity fields."""
-    g = omega_a.grid
-    kern = g._kernel
-    diff = rfft2(omega_a.values - omega_b.values)
-    v1, v2 = kern.real(kern.v1 * diff), kern.real(kern.v2 * diff)
-    return lp_norm(np.hypot(v1, v2), p, grid=g)
 
 
 def run_single(config: SweepConfig, mu: float, omega0: ScalarField, rho0: ScalarField):

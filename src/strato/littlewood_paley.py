@@ -12,8 +12,9 @@ the zero mode discarded.
 
 A block is zero beyond some column of the half spectrum and is inverted on
 those columns only (the kernel's ``head_real``, bitwise equal to the full
-inverse), with multipliers cut to them once per grid and ladder kind in a
-bounded cache that holds no grid or kernel.
+inverse).  Its multiplier is evaluated on the columns the block reaches and
+cut to its nonzero ones once per grid and ladder kind, in a bounded cache
+that holds no grid or kernel.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ class DyadicPartition:
         """|k| on the grid's half-spectrum lattice."""
         return np.sqrt(self.grid._kernel.ksq)
 
-    def multiplier(self, q: int, homogeneous: bool = False) -> np.ndarray:
-        """Radial block multiplier on the grid's half-spectrum lattice."""
+    def multiplier(self, q: int, homogeneous: bool = False, cols: int | None = None) -> np.ndarray:
+        """Radial block multiplier on the grid's half-spectrum lattice, or on its first ``cols`` columns."""
         if q > self.q_max:
             raise ValueError(f"q={q} exceeds q_max={self.q_max}")
         if homogeneous:
@@ -104,8 +105,8 @@ class DyadicPartition:
         elif q < -1:
             raise ValueError(f"q={q} below the inhomogeneous floor -1")
         if q == -1 and not homogeneous:
-            return lowpass_profile(self.kmag)
-        return annulus_profile(self.kmag * 2.0 ** (-q))
+            return lowpass_profile(self.kmag[:, :cols])
+        return annulus_profile(self.kmag[:, :cols] * 2.0 ** (-q))
 
     def qs(self, homogeneous: bool = False) -> range:
         return range(self.q_low if homogeneous else -1, self.q_max + 1)
@@ -122,11 +123,12 @@ def _bound(grid: GridSpec, partition: DyadicPartition | None) -> DyadicPartition
 
 @lru_cache(maxsize=8)
 def _ladder(n: int, half_length: float, homogeneous: bool) -> MappingProxyType:
-    """q -> read-only copy of ``multiplier(q)`` cut to its columns up to the last nonzero one."""
+    """q -> read-only copy of ``multiplier(q)`` cut to its columns up to the last nonzero one.  Block q
+    vanishes for |k| >= 2^(q+1), so it is evaluated on the columns with k2 below that, plus one margin."""
     part = DyadicPartition(GridSpec(n, half_length))  # dropped on return, kernel and all
     heads = {}
     for q in part.qs(homogeneous):
-        m = part.multiplier(q, homogeneous)
+        m = part.multiplier(q, homogeneous, math.ceil(2.0 ** (q + 1) * half_length / math.pi) + 1)
         heads[q] = m[:, : int(np.flatnonzero(m.any(axis=0)).max(initial=-1)) + 1].copy()
         heads[q].setflags(write=False)
     return MappingProxyType(heads)

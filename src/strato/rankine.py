@@ -17,7 +17,9 @@ whose sums agree.  The complementary mass (integral over s >= 1) gives 1 - w
 directly, avoiding cancellation deep inside the patch.  One profile per tau
 (and per rule, when a check escalates), kept in a bounded cache, serves every p.
 Below tau = 1e-8 the layer at the rim is too thin for these rules, and the
-profile and error functions refuse such a tau.
+profile and error functions refuse such a tau.  The velocity error integrates
+Chebyshev models of the signed vorticity discrepancy on each side of the rim,
+fitted at the first degree of 64, 128, 256, 512 that passes a probe check.
 
 These profiles feed the L^p discrepancy integrals whose decay exponents
 the package's acceptance suite pins: 1/(2p) for vorticity and
@@ -54,6 +56,8 @@ _ORDERS = (16, 32, 64, 128)
 # Smallest tau whose profiles keep the checks' 1e-13 against an independent Gauss-only route:
 # the rim layer thins like sqrt(tau), and the two differ by 4e-14 at 1e-8, 5e-13 at 1e-9, 7e-12 at 1e-12
 _TAU_MIN = 1.0e-8
+# Chebyshev degrees of the velocity error's moment fits, coarsest first (scripts/velocity_ladder_scan.py)
+_CHEB_DEGREES = (64, 128, 256, 512)
 
 
 # Chebyshev coefficients of exp(-x) I0(x) on [0, 8] and of sqrt(x) exp(-x) I0(x) on (8, inf), from
@@ -289,27 +293,32 @@ def vorticity_lp_error(tau: float, p: float) -> float:
     return _adaptive_panel(partial(_layer_profile, tau), p)
 
 
+def _chebyshev_fit(func, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev model of func on [a, b] and the model's integral from a.  The model is fitted at
+    the first _CHEB_DEGREES degree that matches func to 1e-11 at 37 probe points, else at the last."""
+    def on_panel(xi: np.ndarray) -> np.ndarray:
+        return func(a + (b - a) * (xi + 1.0) / 2.0)
+
+    probe = np.linspace(-0.97, 0.97, 37)
+    exact = on_panel(probe)  # once, for every degree the ladder tries
+    for deg in _CHEB_DEGREES:
+        raw = _cheb.chebinterpolate(on_panel, deg)
+        if np.max(np.abs(_cheb.chebval(probe, raw) - exact)) <= 1.0e-11:
+            break
+    return raw, _cheb.chebint(raw, m=1, lbnd=-1.0, scl=(b - a) / 2.0)
+
+
 @lru_cache(maxsize=64)
 def _signed_moment_panels(tau: float) -> tuple:
-    """Chebyshev models of r * (w(tau, r) - indicator) on the two layer panels.
+    """Chebyshev models of r * (w(tau, r) - indicator) on the two layer panels, each by ``_chebyshev_fit``
+    at the first degree of _CHEB_DEGREES (64, 128, 256, 512) that passes its probe check, else at 512.
 
-    Returns (a0, b0, coef0, moment0, a1, b1, coef1, moment1) where moment
+    Returns (inner, 1.0, coef0, moment0, outer, coef1, moment1) where moment
     coefficients integrate the model from each panel's left edge.
     """
     inner, outer = _layer_bounds(tau)
-
-    def fit(a: float, b: float, func) -> tuple[np.ndarray, np.ndarray]:
-        deg = 220
-        raw = _cheb.chebinterpolate(lambda xi: func(a + (b - a) * (xi + 1.0) / 2.0), deg)
-        probe = np.linspace(-0.97, 0.97, 37)
-        exact = func(a + (b - a) * (probe + 1.0) / 2.0)
-        if np.max(np.abs(_cheb.chebval(probe, raw) - exact)) > 1.0e-11:
-            raw = _cheb.chebinterpolate(lambda xi: func(a + (b - a) * (xi + 1.0) / 2.0), 2 * deg)
-        moment = _cheb.chebint(raw, m=1, lbnd=-1.0, scl=(b - a) / 2.0)
-        return raw, moment
-
-    c0, m0 = fit(inner, 1.0, lambda r: -r * patch_deficit(tau, r))
-    c1, m1 = fit(1.0, outer, lambda r: r * exact_vorticity(tau, r))
+    c0, m0 = _chebyshev_fit(lambda r: -r * patch_deficit(tau, r), inner, 1.0)
+    c1, m1 = _chebyshev_fit(lambda r: r * exact_vorticity(tau, r), 1.0, outer)
     return inner, 1.0, c0, m0, outer, c1, m1
 
 

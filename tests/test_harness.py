@@ -1,5 +1,6 @@
 """Sweep orchestration, report emission, and the command line front end."""
 
+import argparse
 import gc
 import json
 import logging
@@ -29,15 +30,13 @@ import strato.rankine
 import strato.solver
 from strato import fieldio
 from strato.cli import build_parser, main
-from strato.grid import GridSpec, ScalarField, lp_norm
+from strato.grid import GridSpec, ScalarField, lp_norm, rfft2
 from strato.harness import (
     RateRow,
     SweepConfig,
     emit_report,
-    field_distance,
     run_single,
     run_sweep,
-    velocity_distance,
 )
 from strato.conormal import (
     advect_boundary,
@@ -58,6 +57,22 @@ from strato.initdata import (
 from strato.littlewood_paley import TimeSeries
 from strato.solver import SimParams, run
 from conftest import random_field
+
+
+def field_distance(a, b, p=2.0):
+    """Lp size of the gap between two fields on one grid."""
+    if a.grid != b.grid:
+        raise ValueError("fields live on different grids")
+    return lp_norm(ScalarField(a.grid, a.values - b.values), p)
+
+
+def velocity_distance(omega_a, omega_b, p=2.0):
+    """Lp size of the velocity gap induced by two vorticity fields."""
+    g = omega_a.grid
+    kern = g._kernel
+    diff = rfft2(omega_a.values - omega_b.values)
+    v1, v2 = kern.real(kern.v1 * diff), kern.real(kern.v2 * diff)
+    return lp_norm(np.hypot(v1, v2), p, grid=g)
 
 
 def field_gaps(grid, p, omega, rho, ref_omega, ref_rho):
@@ -782,6 +797,47 @@ class TestCli:
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert reads == []
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "No such file or directory"),
+        (b"SLF1\x00\x00", "truncated header"),
+    ], ids=["missing", "six_bytes"])
+    def test_besov_bad_snapshot_is_usage_error(self, tmp_path, capsys, content, message):
+        path = tmp_path / "field.slf"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(SystemExit) as info:
+            main(["besov", str(path)])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert "strato besov: error: " in captured.err and str(path) in captured.err and message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text, flags, message", [
+        (None, [], "No such file or directory"),
+        ("mu,discrepancy\n0.1,0.2\n", ["--group", "", "--x", "nu"], "no column 'nu'"),
+        ("mu,discrepancy\n0.1,0.2\n", ["--group", "", "--y", "gap"], "no column 'gap'"),
+        ("mu,discrepancy\n0.1,0.2\n", [], "no column 'time'"),
+        ("mu,discrepancy\n0.1,abc\n", ["--group", ""], "could not convert string to float: 'abc'"),
+    ], ids=["missing", "x_column", "y_column", "group_column", "not_a_number"])
+    def test_fit_bad_table_is_usage_error(self, tmp_path, capsys, text, flags, message):
+        path = tmp_path / "rates.csv"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as info:
+            main(["fit", str(path), *flags])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"strato fit: error: {path}: " in captured.err and message in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_every_subcommand_reports_usage_errors(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert sorted(sub.choices) == ["besov", "conormal", "fit", "rankine", "simulate", "sweep"]
+        for p in sub.choices.values():
+            assert p.get_default("error") == p.error
 
     def test_conormal_command(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -383,6 +383,46 @@ class TestPrunedLadder:
         assert not [k for k in gc.get_objects() if isinstance(k, _HalfKernel) and k.ksq[0, 1] == fundamental]
 
 
+class TestReachLadder:
+    """Each block's profile is evaluated only on the columns its support reaches, plus one margin column."""
+
+    @pytest.mark.parametrize("half_length", [0.5, 2.0, 8.0])
+    @pytest.mark.parametrize("n", [16, 64, 256, 512, 1024])
+    def test_heads_equal_cropped_multipliers(self, n, half_length):
+        part = DyadicPartition(GridSpec(n=n, half_length=half_length))
+        empty = []
+        for homogeneous in (False, True):
+            heads = _ladder.__wrapped__(n, half_length, homogeneous)  # uncached: built here
+            assert list(heads) == list(part.qs(homogeneous))
+            for q, head in heads.items():
+                full = part.multiplier(q, homogeneous)
+                want = full[:, : int(np.flatnonzero(full.any(axis=0)).max(initial=-1)) + 1]
+                assert head.shape == want.shape and head.dtype == want.dtype
+                assert head.tobytes() == want.tobytes()
+                if not want.size:
+                    empty.append((homogeneous, q))
+        # the lowest homogeneous blocks hold no lattice point (on a small box, neither do low annuli)
+        assert any(homogeneous for homogeneous, _ in empty)
+
+    @pytest.mark.parametrize("n,half_length", [(64, 0.5), (256, 8.0), (512, 2.0)])
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    def test_profiles_evaluated_within_reach(self, n, half_length, homogeneous, monkeypatch):
+        import strato.littlewood_paley as lp
+
+        widths = []
+        ramp = lp.smooth_ramp  # every profile evaluation goes through it: once per low pass, twice per annulus
+        monkeypatch.setattr(lp, "smooth_ramp", lambda x: widths.append(np.shape(x)[1]) or ramp(x))
+        _ladder.__wrapped__(n, half_length, homogeneous)
+        k2 = (np.pi / half_length) * np.arange(n // 2 + 1)
+        bounds = []
+        for q in DyadicPartition(GridSpec(n=n, half_length=half_length)).qs(homogeneous):
+            reach = int(np.count_nonzero(k2 < 2.0 ** (q + 1)))  # block q vanishes for |k| >= 2^(q+1)
+            bounds += [reach + 1] * (1 if q == -1 and not homogeneous else 2)
+        assert len(widths) == len(bounds)
+        assert all(w <= b for w, b in zip(widths, bounds))
+        assert min(widths) < n // 2 + 1
+
+
 class TestGridMismatch:
     """A partition bound to another grid is refused, naming both grids."""
 

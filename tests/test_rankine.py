@@ -17,6 +17,7 @@ import sys
 from functools import partial
 
 import numpy as np
+import numpy.polynomial.chebyshev as cheb
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import i0e as scipy_i0e
@@ -425,6 +426,85 @@ class TestOrderLadder:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
                              timeout=120).stdout
         assert out.splitlines()[-1].split() == ["built", "16", "1"]
+
+
+def fixed_degree_moment_panels(tau):
+    """The moment fits before the degree ladder: degree 220 on each side, refitted at degree 440
+    (unchecked) when the degree-220 model misses the profile by more than 1e-11 at the probe points."""
+    inner, outer = rankine._layer_bounds(tau)
+
+    def fit(a, b, func):
+        raw = cheb.chebinterpolate(lambda xi: func(a + (b - a) * (xi + 1.0) / 2.0), 220)
+        probe = np.linspace(-0.97, 0.97, 37)
+        exact = func(a + (b - a) * (probe + 1.0) / 2.0)
+        if np.max(np.abs(cheb.chebval(probe, raw) - exact)) > 1.0e-11:
+            raw = cheb.chebinterpolate(lambda xi: func(a + (b - a) * (xi + 1.0) / 2.0), 440)
+        return raw, cheb.chebint(raw, m=1, lbnd=-1.0, scl=(b - a) / 2.0)
+
+    c0, m0 = fit(inner, 1.0, lambda r: -r * patch_deficit(tau, r))
+    c1, m1 = fit(1.0, outer, lambda r: r * exact_vorticity(tau, r))
+    return inner, 1.0, c0, m0, outer, c1, m1
+
+
+class TestChebyshevLadder:
+    """Each side of the velocity reference keeps the first degree of 64, 128, 256, 512 that passes the probe check."""
+
+    def test_fit_moves_to_next_degree(self):
+        # T_100 aliases on the 65 nodes of degree 64 and is exact at degree 128
+        sizes = []
+
+        def side(r):
+            sizes.append(len(r))
+            return np.cos(100.0 * np.arccos(np.clip(r, -1.0, 1.0)))
+
+        raw, moment = rankine._chebyshev_fit(side, -1.0, 1.0)
+        assert sizes == [37, 65, 129]  # the probe values once, then one interpolant per degree tried
+        want = cheb.chebinterpolate(lambda xi: side(-1.0 + 2.0 * (xi + 1.0) / 2.0), 128)
+        assert raw.shape == (129,) and np.array_equal(raw, want)
+        assert np.array_equal(moment, cheb.chebint(want, m=1, lbnd=-1.0, scl=1.0))
+
+    def test_fit_takes_last_degree_when_none_passes(self):
+        rng = np.random.default_rng(7)
+        sizes, values = [], []
+
+        def side(r):
+            sizes.append(len(r))
+            values.append(rng.standard_normal(len(r)))
+            return values[-1]
+
+        raw, moment = rankine._chebyshev_fit(side, 0.25, 1.0)
+        assert sizes == [37, 65, 129, 257, 513]
+        want = cheb.chebinterpolate(lambda xi: values[-1], 512)
+        assert raw.shape == (513,) and np.array_equal(raw, want)
+        assert np.array_equal(moment, cheb.chebint(want, m=1, lbnd=-1.0, scl=0.375))
+
+    def test_benchmark_velocity_ladder_fits_at_degree_64(self):
+        # the perfbench analysis velocity ladder, in a fresh interpreter: every side passes at the first rung
+        code = (
+            "import numpy.polynomial.chebyshev as cheb, strato.cli\n"
+            "degrees, interpolate = [], cheb.chebinterpolate\n"
+            "cheb.chebinterpolate = lambda f, deg, args=(): degrees.append(deg) or interpolate(f, deg, args)\n"
+            "strato.cli.main(['rankine', '--quantity', 'velocity', '--p', '2', '4', '--tau-min', '1e-4',\n"
+            "                 '--tau-max', '1e-1', '--points', '8'])\n"
+            "print('degrees', *degrees)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+                             timeout=120).stdout
+        assert out.splitlines()[-1].split() == ["degrees", *["64"] * 16]
+
+    @pytest.mark.parametrize("tau", [1e-8, 1e-6, 1e-4, 1e-2, 1.0, 3.7])
+    def test_matches_fixed_degree_route(self, tau, monkeypatch):
+        # the largest relative change over geomspace(1e-8, 3.7, 23) and p in 1 ... 16 measured 5.8e-13
+        ps = (1.0, 2.0, 8.0, 16.0)
+        rankine._speed_profile.cache_clear()
+        got = [velocity_lp_error(tau, p) for p in ps]
+        assert abs(mass_defect(tau)) < 1e-12
+        monkeypatch.setattr(rankine, "_signed_moment_panels", fixed_degree_moment_panels)
+        rankine._speed_profile.cache_clear()
+        want = [velocity_lp_error(tau, p) for p in ps]
+        rankine._speed_profile.cache_clear()
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def gauss_kernel_mass_adaptive(tau, rs, s_lo, s_hi):
