@@ -21,8 +21,8 @@ from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, VelocityField, _eval_at, _phase_basis, lp_norm, rfft2, velocity_gradient_sup
-from .littlewood_paley import BesovParams, DyadicPartition, TimeSeries, besov_norm
+from .grid import GridSpec, ScalarField, VelocityField, _chunked, _phase_basis, lp_norm, rfft2, velocity_gradient_sup
+from .littlewood_paley import BesovParams, TimeSeries, besov_norm
 
 __all__ = [
     "VectorFieldFamily",
@@ -90,17 +90,12 @@ def directional_derivative(u: ScalarField, x: VelocityField) -> ScalarField:
     return ScalarField.from_half_spectrum(g, kern.ik1 * p1 + kern.ik2 * p2 - p3)
 
 
-def _vector_holder(x: VelocityField, s: float, part: DyadicPartition | None) -> float:
+def _vector_holder(x: VelocityField, s: float) -> float:
     prm = BesovParams(s=s)
-    return max(besov_norm(x.u1, prm, part), besov_norm(x.u2, prm, part))
+    return max(besov_norm(x.u1, prm), besov_norm(x.u2, prm))
 
 
-def conormal_norm(
-    u: ScalarField,
-    family: VectorFieldFamily,
-    epsilon: float | None = None,
-    partition: DyadicPartition | None = None,
-) -> float:
+def conormal_norm(u: ScalarField, family: VectorFieldFamily, epsilon: float | None = None) -> float:
     """Boundary-adapted Hoelder norm of u relative to the family.
 
     Combines the sup norm of u weighted by the family's own epsilon
@@ -116,8 +111,8 @@ def conormal_norm(
     dir_reg = 0.0
     prm_lo = BesovParams(s=eps - 1.0)
     for x in family.members:
-        fam_reg = max(fam_reg, _vector_holder(x, eps, partition) + besov_norm(divergence(x), BesovParams(s=eps), partition))
-        dir_reg = max(dir_reg, besov_norm(directional_derivative(u, x), prm_lo, partition))
+        fam_reg = max(fam_reg, _vector_holder(x, eps) + besov_norm(divergence(x), BesovParams(s=eps)))
+        dir_reg = max(dir_reg, besov_norm(directional_derivative(u, x), prm_lo))
     return (lp_norm(u, np.inf) * fam_reg + dir_reg) / floor
 
 
@@ -164,7 +159,7 @@ def _gradient_spectra(kern: Any, h: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def _gradient_at(h: np.ndarray, grid: GridSpec, pts: np.ndarray) -> list[np.ndarray]:
-    """_eval_at(_gradient_spectra(h)) from three phase-basis contractions instead of six.
+    """v1, v2, d1 v1, d2 v1, d1 v2, d2 v2 at pts from vorticity spectrum h, three phase-basis contractions per chunk.
 
     With s1 = v1 h and s2 = v2 h: e1 @ s1 gives v1 and d2 v1, e1 @ s2 gives v2 and d2 v2 = -d1 v1, and
     (e1 ik1) @ s2 gives d1 v2; the ik2 factors are applied along axis 1.  A spectrum that
@@ -172,19 +167,21 @@ def _gradient_at(h: np.ndarray, grid: GridSpec, pts: np.ndarray) -> list[np.ndar
     over the kept modes only.
     """
     kern = grid._kernel
-    if len(pts) > 512:  # _eval_at's bicubic branch
-        return _eval_at(_gradient_spectra(kern, h), grid, pts)
     band = kern.cols - 1 if kern.in_band(h) else None  # kern.keep is |m1|, m2 <= band
     op, h = (kern, h) if band is None else (kern.band, kern.cut(h))
-    e1, e2 = _phase_basis(grid, pts, band)
     s2 = op.v2 * h
-    a1, a2 = e1 @ (op.v1 * h), e1 @ s2
-    e1 *= op.ik1[:, 0]
-    c2 = e1 @ s2
-    w = op.ik2 * e2
-    v1, d2v1, v2, d2v2, d1v2 = (np.einsum("ij,ij->i", a, x).real / grid.n**2
-                                for a, x in ((a1, e2), (a1, w), (a2, e2), (a2, w), (c2, e2)))
-    return [v1, v2, -d2v2, d2v1, d1v2, d2v2]
+
+    def contract(p: np.ndarray) -> list[np.ndarray]:
+        e1, e2 = _phase_basis(grid, p, band)
+        a1, a2 = e1 @ (op.v1 * h), e1 @ s2
+        e1 *= op.ik1[:, 0]
+        c2 = e1 @ s2
+        w = op.ik2 * e2
+        v1, d2v1, v2, d2v2, d1v2 = (np.einsum("ij,ij->i", a, x).real / grid.n**2
+                                    for a, x in ((a1, e2), (a1, w), (a2, e2), (a2, w), (c2, e2)))
+        return [v1, v2, -d2v2, d2v1, d1v2, d2v2]
+
+    return _chunked(contract, pts)
 
 
 def _advect_stretch_rhs(comps: list[np.ndarray], vel: tuple, grid: GridSpec) -> list[np.ndarray]:
@@ -414,15 +411,13 @@ def holder_quotient(params: np.ndarray, tangents: np.ndarray, epsilon: float, pe
     return float(np.max(num[mask] / dsig[mask] ** epsilon))
 
 
-def log_estimate_ratio(
-    omega: ScalarField, family: VectorFieldFamily, partition: DyadicPartition | None = None
-) -> float:
+def log_estimate_ratio(omega: ScalarField, family: VectorFieldFamily) -> float:
     """Observed gradient sup over its logarithmic bound surrogate.
 
     Returns |grad v|_inf / (|w|_L2 + |w|_inf log(e + |w|_adapted/|w|_inf))
     with v the velocity recovered from the vorticity w.
     """
-    return _log_estimate_ratio(omega, conormal_norm(omega, family, partition=partition))
+    return _log_estimate_ratio(omega, conormal_norm(omega, family))
 
 
 def _log_estimate_ratio(omega: ScalarField, adapted: float) -> float:

@@ -371,17 +371,15 @@ def velocity_gradient_sup(omega: ScalarField) -> float:
     return lp_norm(grad_tensor_magnitude(biot_savart(omega)), np.inf)
 
 
-def sample_at(f: ScalarField, points: np.ndarray, spectral_cutoff: int = 512) -> np.ndarray:
-    """Evaluate a field at off-grid points.
+def sample_at(f: ScalarField, points: np.ndarray) -> np.ndarray:
+    """Evaluate a field at off-grid points: the exact trigonometric interpolant, at any batch size.
 
-    Uses direct spectral summation (exact for the trigonometric
-    interpolant) for at most ``spectral_cutoff`` points, and periodic
-    bicubic interpolation beyond that.  ``points`` has shape (m, 2).
+    ``points`` has shape (m, 2).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[1] != 2:
         raise ValueError(f"points must have shape (m, 2), got {pts.shape}")
-    return _eval_at([f.half_spectrum], f.grid, pts, spectral_cutoff)[0]
+    return _eval_at([f.half_spectrum], f.grid, pts)[0]
 
 
 def _phase_basis(grid: GridSpec, pts: np.ndarray, band: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -406,19 +404,23 @@ def _phase_basis(grid: GridSpec, pts: np.ndarray, band: int | None = None) -> tu
     return e1, e2
 
 
-def _eval_at(
-    halves: list[np.ndarray], grid: GridSpec, pts: np.ndarray, spectral_cutoff: int = 512
-) -> list[np.ndarray]:
-    """Evaluate several real half spectra at the same off-grid points.
+_CHUNK = 512  # points per phase-basis contraction, which bounds its basis at (512, n) complex: 4 MiB at n = 512
 
-    Direct spectral summation over one shared phase basis for at most
-    ``spectral_cutoff`` points; periodic bicubic interpolation of the
-    sampled fields beyond that.
-    """
-    if len(pts) <= spectral_cutoff:
-        e1, e2 = _phase_basis(grid, pts)
+
+def _chunked(evaluate: Callable[[np.ndarray], list[np.ndarray]], pts: np.ndarray) -> list[np.ndarray]:
+    """evaluate(pts), run on slices of at most ``_CHUNK`` points and joined; one call for a batch that fits."""
+    if len(pts) <= _CHUNK:
+        return evaluate(pts)
+    parts = [evaluate(pts[i : i + _CHUNK]) for i in range(0, len(pts), _CHUNK)]
+    return [np.concatenate(p) for p in zip(*parts)]
+
+
+def _eval_at(halves: list[np.ndarray], grid: GridSpec, pts: np.ndarray) -> list[np.ndarray]:
+    """Evaluate several real half spectra at the same off-grid points by direct spectral summation,
+    over one shared phase basis per chunk of points."""
+
+    def contract(p: np.ndarray) -> list[np.ndarray]:
+        e1, e2 = _phase_basis(grid, p)
         return [((e1 @ h) * e2).sum(axis=1).real / grid.n**2 for h in halves]
-    from scipy.ndimage import map_coordinates
 
-    coords = ((pts + grid.half_length) / grid.dx).T
-    return [map_coordinates(grid._kernel.real(h), coords, order=3, mode="grid-wrap") for h in halves]
+    return _chunked(contract, pts)

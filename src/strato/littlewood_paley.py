@@ -26,7 +26,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, derivative, lp_norm
+from .grid import GridSpec, ScalarField, _Multipliers, derivative, lp_norm
 
 __all__ = [
     "smooth_ramp",
@@ -90,10 +90,12 @@ class DyadicPartition:
     def q_low(self) -> int:
         return -math.ceil(math.log2(self.grid.half_length)) - 2
 
-    @cached_property
-    def kmag(self) -> np.ndarray:
-        """|k| on the grid's half-spectrum lattice."""
-        return np.sqrt(self.grid._kernel.ksq)
+    def kmag(self, cols: int | None = None) -> np.ndarray:
+        """|k| on the grid's half-spectrum lattice, or on its first ``cols`` columns, built here and not
+        on the kernel the grid shares."""
+        n = self.grid.n
+        ksq = _Multipliers(n, self.grid.half_length, np.fft.fftfreq(n, d=1.0 / n), np.fft.rfftfreq(n, d=1.0 / n)[:cols]).ksq
+        return np.sqrt(ksq, out=ksq)
 
     def multiplier(self, q: int, homogeneous: bool = False, cols: int | None = None) -> np.ndarray:
         """Radial block multiplier on the grid's half-spectrum lattice, or on its first ``cols`` columns."""
@@ -105,20 +107,11 @@ class DyadicPartition:
         elif q < -1:
             raise ValueError(f"q={q} below the inhomogeneous floor -1")
         if q == -1 and not homogeneous:
-            return lowpass_profile(self.kmag[:, :cols])
-        return annulus_profile(self.kmag[:, :cols] * 2.0 ** (-q))
+            return lowpass_profile(self.kmag(cols))
+        return annulus_profile(self.kmag(cols) * 2.0 ** (-q))
 
     def qs(self, homogeneous: bool = False) -> range:
         return range(self.q_low if homogeneous else -1, self.q_max + 1)
-
-
-def _bound(grid: GridSpec, partition: DyadicPartition | None) -> DyadicPartition:
-    """partition, or the grid's own; a partition bound to another grid would give wrong blocks."""
-    if partition is None:
-        return DyadicPartition(grid)
-    if partition.grid != grid:
-        raise ValueError(f"partition is bound to {partition.grid}, but the field lives on {grid}")
-    return partition
 
 
 @lru_cache(maxsize=8)
@@ -134,12 +127,11 @@ def _ladder(n: int, half_length: float, homogeneous: bool) -> MappingProxyType:
     return MappingProxyType(heads)
 
 
-def block(f: ScalarField, q: int, partition: DyadicPartition | None = None, homogeneous: bool = False) -> ScalarField:
+def block(f: ScalarField, q: int, homogeneous: bool = False) -> ScalarField:
     """Dyadic frequency block of a field (q = -1 is the inhomogeneous low pass)."""
-    part = _bound(f.grid, partition)
     m = _ladder(f.grid.n, f.grid.half_length, homogeneous).get(q)
     if m is None:
-        part.multiplier(q, homogeneous)  # off the ladder: raises its range error
+        DyadicPartition(f.grid).multiplier(q, homogeneous)  # off the ladder: raises its range error
     return ScalarField.from_head(f.grid, m * f.half_spectrum[:, : m.shape[1]])
 
 
@@ -175,9 +167,8 @@ def _block_weight(q: int, s: float, homogeneous: bool) -> float:
     return 2.0 ** (q * s)
 
 
-def block_norms(f: ScalarField, params: BesovParams, partition: DyadicPartition | None = None) -> dict[int, float]:
+def block_norms(f: ScalarField, params: BesovParams) -> dict[int, float]:
     """Unweighted |block_q f|_Lp for every q on the ladder of params, in ladder order (0.0 for an empty block)."""
-    _bound(f.grid, partition)
     g, half = f.grid, f.half_spectrum
     return {q: lp_norm(g._kernel.head_real(half[:, : m.shape[1]], m), params.p, g) if m.shape[1] else 0.0
             for q, m in _ladder(g.n, g.half_length, params.homogeneous).items()}
@@ -188,19 +179,17 @@ def besov_sum(norms: dict[int, float], params: BesovParams) -> float:
     return _lr(np.array([_block_weight(q, params.s, params.homogeneous) * n for q, n in norms.items()]), params.r)
 
 
-def besov_norm(f: ScalarField, params: BesovParams, partition: DyadicPartition | None = None) -> float:
+def besov_norm(f: ScalarField, params: BesovParams) -> float:
     """Weighted summary 2^(qs) |block_q f|_Lp over the dyadic ladder, in l^r.
 
     The homogeneous variant discards the spatial mean and extends the
     ladder down to q_low; the inhomogeneous low-pass block enters with
     unit weight.
     """
-    return besov_sum(block_norms(f, params, partition), params)
+    return besov_sum(block_norms(f, params), params)
 
 
-def bernstein_ratio(
-    f: ScalarField, q: int, p: float, b: float, partition: DyadicPartition | None = None
-) -> tuple[float, float]:
+def bernstein_ratio(f: ScalarField, q: int, p: float, b: float) -> tuple[float, float]:
     """Normalized derivative and integrability gains of one dyadic block.
 
     Returns ``(|grad block|_Lp / (2^q |block|_Lp),
@@ -210,7 +199,7 @@ def bernstein_ratio(
     """
     if b < p:
         raise ValueError(f"need p <= b, got p={p}, b={b}")
-    bf = block(f, q, partition)
+    bf = block(f, q)
     base = lp_norm(bf, p)
     if base == 0.0:
         raise ValueError(f"block q={q} vanishes; Bernstein ratios undefined")
@@ -221,9 +210,7 @@ def bernstein_ratio(
     return deriv, gain
 
 
-def bony_decompose(
-    u: ScalarField, v: ScalarField, partition: DyadicPartition | None = None
-) -> tuple[ScalarField, ScalarField, ScalarField]:
+def bony_decompose(u: ScalarField, v: ScalarField) -> tuple[ScalarField, ScalarField, ScalarField]:
     """Split the pointwise product uv into two paraproducts and a remainder.
 
     Returns (T_u v, T_v u, R).  Inputs must be band-limited two octaves
@@ -232,9 +219,9 @@ def bony_decompose(
     """
     if u.grid != v.grid:
         raise ValueError("operands must share a grid")
-    part = _bound(u.grid, partition)
+    part = DyadicPartition(u.grid)
     band = 2.0 ** (part.q_max - 2)
-    outside = part.kmag > band
+    outside = part.kmag() > band
     for name, f in (("u", u), ("v", v)):
         spec = np.abs(f.half_spectrum)
         top = spec.max()
@@ -243,8 +230,8 @@ def bony_decompose(
                 f"{name} has frequency content above |k| = 2^(q_max-2) = {band:g}"
             )
     qs = list(part.qs())
-    bu = [block(u, q, part).values for q in qs]
-    bv = [block(v, q, part).values for q in qs]
+    bu = [block(u, q).values for q in qs]
+    bv = [block(v, q).values for q in qs]
     # running low-pass sums: S[i] = sum of blocks strictly below ladder slot i-1
     zero = np.zeros_like(u.values)
     su = [zero]
@@ -302,9 +289,7 @@ def _time_lbeta(values: np.ndarray, times: np.ndarray, beta: float) -> float:
     return float(np.trapezoid(values**beta, times) ** (1.0 / beta))
 
 
-def time_besov_norm(
-    series: TimeSeries, beta: float, params: BesovParams, partition: DyadicPartition | None = None
-) -> tuple[float, float]:
+def time_besov_norm(series: TimeSeries, beta: float, params: BesovParams) -> tuple[float, float]:
     """Mixed space-time norms of a sampled trajectory.
 
     Returns ``(tilde, plain)``: the block-wise norm (time integration
@@ -314,7 +299,7 @@ def time_besov_norm(
     """
     if not (beta >= 1.0):
         raise ValueError(f"beta must be >= 1 or inf, got {beta}")
-    norms = [block_norms(f, params, partition) for f in series.fields]
+    norms = [block_norms(f, params) for f in series.fields]
     per_block = np.array([list(d.values()) for d in norms]).T
     weights = np.array([_block_weight(q, params.s, params.homogeneous) for q in norms[0]])
     tilde_terms = np.array([_time_lbeta(row, series.times, beta) for row in per_block])

@@ -120,14 +120,14 @@ def test_criterion_05_dyadic_block_toolbox():
     unity = float(np.abs(total[on_band] - 1.0).max())
 
     f = random_field(grid, 40, band=2.0 ** part.q_max)
-    resum = sum(block(f, q, part).values for q in part.qs())
+    resum = sum(block(f, q).values for q in part.qs())
     recon = float(np.abs(resum - f.values).max() / np.abs(f.values).max())
 
-    ortho = lp_norm(block(block(f, 1, part), 3, part), np.inf)
+    ortho = lp_norm(block(block(f, 1), 3), np.inf)
 
     u = random_field(grid, 41, band=2.0 ** (part.q_max - 2))
     v = random_field(grid, 42, band=2.0 ** (part.q_max - 2))
-    t_uv, t_vu, rem = bony_decompose(u, v, part)
+    t_uv, t_vu, rem = bony_decompose(u, v)
     product = u.values * v.values
     bony = float(
         np.abs(t_uv.values + t_vu.values + rem.values - product).max()
@@ -147,7 +147,7 @@ def test_criterion_05_dyadic_block_toolbox():
     for q in (1, 2, 3, 4):
         packet = wave_packet(q)
         for p, b in ((2.0, np.inf), (2.0, 4.0)):
-            deriv, gain = bernstein_ratio(packet, q, p, b, part)
+            deriv, gain = bernstein_ratio(packet, q, p, b)
             bern_ok = bern_ok and 1.0 / 8.0 <= deriv <= 8.0 and 1.0 / 8.0 <= gain <= 8.0
 
     ok = unity <= 1e-12 and recon <= 1e-12 and ortho <= 1e-12 and bony <= 1e-10 and bern_ok

@@ -24,7 +24,7 @@ from strato.grid import (
     rfft2,
     sample_at,
 )
-from strato.littlewood_paley import BesovParams, DyadicPartition, TimeSeries, besov_norm
+from strato.littlewood_paley import BesovParams, TimeSeries, besov_norm
 from strato.initdata import (
     DensitySpec,
     PatchSpec,
@@ -203,13 +203,12 @@ class TestConormalNorm:
         e1 = VelocityField(constant_field(g, 1.0), constant_field(g, 0.0))
         e2 = VelocityField(constant_field(g, 0.0), constant_field(g, 1.0))
         frame = VectorFieldFamily(members=(e1, e2), epsilon=0.5)
-        part = DyadicPartition(g)
-        got = conormal_norm(u, frame, partition=part)
+        got = conormal_norm(u, frame)
         prm = BesovParams(s=-0.5)
         grads = []
         for axis in (1, 2):
             masked = ScalarField(g, ref.dealias(derivative(u, axis).values))
-            grads.append(besov_norm(masked, prm, part))
+            grads.append(besov_norm(masked, prm))
         want = lp_norm(u, np.inf) + max(grads)
         assert abs(got - want) <= 1e-12 * want
 
@@ -222,9 +221,8 @@ class TestConormalNorm:
     def test_homogeneous_in_u(self, dd_fields):
         u, _, x, _ = dd_fields
         fam = VectorFieldFamily(members=(x,), epsilon=0.5)
-        part = DyadicPartition(u.grid)
-        base = conormal_norm(u, fam, partition=part)
-        doubled = conormal_norm(ScalarField(u.grid, 2.0 * u.values), fam, partition=part)
+        base = conormal_norm(u, fam)
+        doubled = conormal_norm(ScalarField(u.grid, 2.0 * u.values), fam)
         assert abs(doubled - 2.0 * base) <= 1e-12 * base
 
     @settings(max_examples=15, deadline=None)
@@ -232,22 +230,20 @@ class TestConormalNorm:
     def test_invariant_under_family_scaling(self, dd_fields, c):
         u, _, x, _ = dd_fields
         g = u.grid
-        part = DyadicPartition(g)
         fam = VectorFieldFamily(members=(x,), epsilon=0.5)
         scaled = VectorFieldFamily(
             members=(VelocityField(ScalarField(g, c * x.u1.values), ScalarField(g, c * x.u2.values)),),
             epsilon=0.5,
         )
-        base = conormal_norm(u, fam, partition=part)
-        assert abs(conormal_norm(u, scaled, partition=part) - base) <= 1e-10 * base
+        base = conormal_norm(u, fam)
+        assert abs(conormal_norm(u, scaled) - base) <= 1e-10 * base
 
     def test_epsilon_override_matches_rebuilt_family(self, dd_fields):
         u, _, x, _ = dd_fields
-        part = DyadicPartition(u.grid)
         fam = VectorFieldFamily(members=(x,), epsilon=0.5)
         rebuilt = VectorFieldFamily(members=(x,), epsilon=0.3)
-        assert conormal_norm(u, fam, epsilon=0.3, partition=part) == conormal_norm(u, rebuilt, partition=part)
-        assert conormal_norm(u, fam, epsilon=0.3, partition=part) != conormal_norm(u, fam, partition=part)
+        assert conormal_norm(u, fam, epsilon=0.3) == conormal_norm(u, rebuilt)
+        assert conormal_norm(u, fam, epsilon=0.3) != conormal_norm(u, fam)
 
     def test_degenerate_family_rejected(self, grid64):
         zero = constant_field(grid64, 0.0)
@@ -525,19 +521,34 @@ class TestBandFamilyStep:
 
 
 class TestTracerEvaluator:
-    @pytest.mark.parametrize("m", [256, 600])  # spectral summation, then bicubic beyond 512 points
+    @pytest.mark.parametrize("m", [256, 600])  # one phase-basis contraction, then two chunks
     def test_matches_six_spectrum_evaluation(self, grid256, m):
-        kern = grid256._kernel
+        ref = FullSpectrum(grid256)
         pts = np.random.default_rng(m).uniform(-8.0, 8.0, (m, 2))
         for seed in range(6):
-            h = random_field(grid256, 60 + seed, band=None if seed % 2 else 6.0).half_spectrum
-            six = [kern.v1 * h, kern.v2 * h]
-            six += [ik * s for s in six for ik in (kern.ik1, kern.ik2)]
-            want = _eval_at(six, grid256, pts)
-            got = strato.conormal._gradient_at(h, grid256, pts)
-            for a, b in zip(got, want):
+            w = random_field(grid256, 60 + seed, band=None if seed % 2 else 6.0)
+            v1, v2 = ref.velocity(w.values)
+            six = [v1, v2, *(ref.derivative(v, axis) for v in (v1, v2) for axis in (1, 2))]
+            got = strato.conormal._gradient_at(w.half_spectrum, grid256, pts)
+            for a, v in zip(got, six):
+                b = ref.sample(v, pts)
                 assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
+    @pytest.mark.parametrize("band", [True, False])
+    @pytest.mark.parametrize("m", [1, 512, 513, 1500])
+    def test_no_phase_basis_exceeds_512_points(self, grid256, monkeypatch, m, band):
+        kern = grid256._kernel
+        h = random_field(grid256, 71).half_spectrum
+        if band:
+            h = h * kern.keep  # as a march sample
+        pts = np.random.default_rng(m).uniform(-8.0, 8.0, (m, 2))
+        calls = []
+        basis = strato.conormal._phase_basis
+        monkeypatch.setattr(strato.conormal, "_phase_basis", lambda *a: calls.append(a) or basis(*a))
+        got = strato.conormal._gradient_at(h, grid256, pts)
+        assert [len(c[1]) for c in calls] == [min(512, m - i) for i in range(0, m, 512)]
+        assert {c[2] for c in calls} == {grid256.n // 3 if band else None}
+        assert all(len(a) == m for a in got)
 
     @pytest.mark.parametrize("beyond", [False, True])
     def test_band_and_full_sums_match_eval_at(self, grid256, monkeypatch, beyond):
@@ -570,14 +581,14 @@ class TestBoundaryAdvection:
         assert np.abs(out.points - want_p).max() <= 1e-12
         assert np.abs(out.tangents - want_t).max() <= 1e-12
 
-    def test_tracer_closed_form_bicubic_branch(self, pi_grid):
-        th, pts, tan = circle_tracers(1024)
+    def test_tracer_closed_form_in_chunks(self, pi_grid):
+        th, pts, tan = circle_tracers(1024)  # two chunks of 512 points per evaluation
         out = advect_boundary(th, pts, tan, shear_series(pi_grid), dt=0.02)
         t = 0.5
         want_p = np.stack([np.cos(th) + t * np.cos(np.sin(th)), np.sin(th)], axis=1)
         want_t = np.stack([-np.sin(th) - t * np.cos(th) * np.sin(np.sin(th)), np.cos(th)], axis=1)
-        assert np.abs(out.points - want_p).max() <= 1e-5
-        assert np.abs(out.tangents - want_t).max() <= 1e-5
+        assert np.abs(out.points - want_p).max() <= 1e-12
+        assert np.abs(out.tangents - want_t).max() <= 1e-12
 
     def test_shear_preserves_polygon_area(self, pi_grid):
         th, pts, tan = circle_tracers(256)
@@ -685,7 +696,6 @@ class TestPatchTrajectory:
     def test_adapted_norm_finite_along_run(self, patch_env):
         g = patch_env["grid"]
         res = patch_env["result"]
-        part = DyadicPartition(g)
         half_series = TimeSeries(times=res.omega.times[:2], fields=res.omega.fields[:2])
         families = [
             patch_env["family0"],
@@ -694,7 +704,7 @@ class TestPatchTrajectory:
         ]
         norms = []
         for field, fam in zip(res.omega.fields, families):
-            n = conormal_norm(field, fam, partition=part)
+            n = conormal_norm(field, fam)
             assert np.isfinite(n) and n > 1.0
             norms.append(n)
         assert 0.5 < norms[2] / norms[0] < 3.0
@@ -702,12 +712,11 @@ class TestPatchTrajectory:
     def test_log_estimate_ratio_diagnostic(self, patch_env):
         om0 = patch_env["result"].omega.fields[0]
         fam0 = patch_env["family0"]
-        part = DyadicPartition(patch_env["grid"])
         r = log_estimate_ratio(om0, fam0)
         assert 0.02 < r < 1.0
-        assert log_estimate_ratio(om0, fam0, partition=part) == r
+        assert log_estimate_ratio(om0, fam0) == r
         doubled = ScalarField(om0.grid, 2.0 * om0.values)
-        r2 = log_estimate_ratio(doubled, fam0, partition=part)
+        r2 = log_estimate_ratio(doubled, fam0)
         assert np.isfinite(r2) and r2 > 0.0
 
     def test_zero_vorticity_ratio_rejected(self, patch_env):
@@ -725,10 +734,9 @@ class TestRefinementContrast:
             g = GridSpec(n=n, half_length=8.0)
             ind = rasterize_patch(spec, g)
             fam = initial_vector_family(spec, g)
-            part = DyadicPartition(g)
-            plain.append(besov_norm(derivative(ind, 1), prm, part))
-            tangential.append(besov_norm(directional_derivative(ind, fam.members[0]), prm, part))
-            holder.append(besov_norm(ind, BesovParams(s=0.5), part))
+            plain.append(besov_norm(derivative(ind, 1), prm))
+            tangential.append(besov_norm(directional_derivative(ind, fam.members[0]), prm))
+            holder.append(besov_norm(ind, BesovParams(s=0.5)))
         for lo, hi in zip(plain, plain[1:]):
             assert hi >= 1.25 * lo
         for p, t in zip(plain, tangential):
@@ -742,7 +750,7 @@ class TestRefinementContrast:
             g = GridSpec(n=n, half_length=8.0)
             ind = rasterize_patch(spec, g)
             fam = initial_vector_family(spec, g)
-            r = log_estimate_ratio(ind, fam, partition=DyadicPartition(g))
+            r = log_estimate_ratio(ind, fam)
             assert 0.05 < r < 0.5
 
     def test_adapted_norm_stable_once_layer_resolved(self):
@@ -752,7 +760,7 @@ class TestRefinementContrast:
             g = GridSpec(n=n, half_length=4.0)
             ind = rasterize_patch(spec, g)
             fam = initial_vector_family(spec, g)
-            norms.append(conormal_norm(ind, fam, partition=DyadicPartition(g)))
+            norms.append(conormal_norm(ind, fam))
         assert 0.8 < norms[1] / norms[0] < 1.25
 
     def test_coherent_layer_annihilated_by_tangent_field(self):
@@ -764,8 +772,7 @@ class TestRefinementContrast:
             r = np.hypot(x1, x2)
             layer = ScalarField.from_values(g, 0.5 * (1.0 - np.tanh((r - 1.0) / (4.0 * g.dx))))
             fam = initial_vector_family(spec, g)
-            part = DyadicPartition(g)
-            plain = besov_norm(derivative(layer, 1), prm, part)
-            tangential = besov_norm(directional_derivative(layer, fam.members[0]), prm, part)
+            plain = besov_norm(derivative(layer, 1), prm)
+            tangential = besov_norm(directional_derivative(layer, fam.members[0]), prm)
             assert 0.3 <= plain <= 1.0
             assert tangential <= 1e-7

@@ -11,6 +11,7 @@ import pytest
 import scipy.fft as fft
 from hypothesis import given, settings, strategies as st
 
+import strato.grid
 from strato.grid import (
     GridSpec,
     ScalarField,
@@ -444,14 +445,24 @@ class TestOffGridSampling:
         pts = np.random.default_rng(35).uniform(-8.0, 8.0, size=(40, 2))
         assert np.abs(sample_at(f, pts) - sample_at(ft, pts[:, ::-1])).max() < 1e-12
 
-    def test_large_batches_use_interpolation(self, grid64):
+    def test_large_batches_are_exact_chunk_by_chunk(self, grid64):
         k = np.pi / 8.0
-        f = ScalarField.from_function(grid64, lambda x1, x2: np.sin(k * x1))
-        rng = np.random.default_rng(32)
-        pts = rng.uniform(-8.0, 8.0, size=(800, 2))
+        f = ScalarField.from_function(grid64, lambda x1, x2: np.sin(2 * k * x1) * np.cos(k * x2))
+        pts = np.random.default_rng(32).uniform(-8.0, 8.0, size=(1500, 2))
         got = sample_at(f, pts)
-        want = np.sin(k * pts[:, 0])
-        assert np.abs(got - want).max() < 1e-4
+        want = np.sin(2 * k * pts[:, 0]) * np.cos(k * pts[:, 1])
+        assert np.abs(got - want).max() < 1e-11
+        sliced = np.concatenate([sample_at(f, pts[i : i + 512]) for i in range(0, len(pts), 512)])
+        assert got.tobytes() == sliced.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 512, 513, 2048])
+    def test_no_phase_basis_exceeds_512_points(self, grid64, monkeypatch, m):
+        sizes = []
+        basis = strato.grid._phase_basis
+        monkeypatch.setattr(strato.grid, "_phase_basis", lambda grid, pts: sizes.append(len(pts)) or basis(grid, pts))
+        got = sample_at(random_field(grid64, 36), np.random.default_rng(m).uniform(-8.0, 8.0, size=(m, 2)))
+        assert sizes == [min(512, m - i) for i in range(0, m, 512)]
+        assert len(got) == m
 
 
 class TestVelocityField:

@@ -769,7 +769,7 @@ class TestCli:
         assert built == [] and not (tmp_path / "sim").exists()
 
     def test_besov_command_matches_direct_norm(self, tmp_path, capsys, grid64):
-        from strato.littlewood_paley import BesovParams, DyadicPartition, besov_norm
+        from strato.littlewood_paley import BesovParams, besov_norm
 
         f = random_field(grid64, 51, band=6.0)
         snap = tmp_path / "field.slf"
@@ -777,7 +777,7 @@ class TestCli:
         rc = main(["besov", str(snap), "-s", "0.5"])
         out = capsys.readouterr().out
         assert rc == 0
-        want = besov_norm(f, BesovParams(s=0.5), DyadicPartition(grid64))
+        want = besov_norm(f, BesovParams(s=0.5))
         assert f"besov norm (s=0.5, p=inf, r=inf): {want:.6e}" in out
 
     @pytest.mark.parametrize("flags, message", [
@@ -1036,20 +1036,33 @@ class TestCli:
         assert faults[0] > faults[1]
 
     def test_no_scipy_module_is_loaded(self):
-        # scipy serves only the bicubic fallback of off-grid sampling: importing strato and running
-        # a ladder, in a fresh interpreter, loads none of it
+        # scipy is a test-only dependency: in a fresh interpreter where any scipy import raises, strato
+        # imports, runs a ladder, samples 2048 points and advects 600 tracers, and loads none of it
         code = (
-            "import sys, strato, strato.cli\n"
-            "def scipy_modules(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "after_import = scipy_modules()\n"
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import numpy as np, strato, strato.cli\n"
+            "from strato.conormal import advect_boundary\n"
+            "from strato.grid import GridSpec, ScalarField, sample_at\n"
+            "from strato.initdata import PatchSpec, boundary_curve, rasterize_patch\n"
+            "from strato.littlewood_paley import TimeSeries\n"
             "strato.cli.main(['rankine', '--p', '2', '--points', '6', '--tau-min', '1e-3', '--tau-max', '1e-1'])\n"
-            "print(after_import, scipy_modules())\n"
+            "g = GridSpec(n=32, half_length=4.0)\n"
+            "spec = PatchSpec(kind='star', radius=1.0, amplitude=0.1, base_mode=3)\n"
+            "omega = rasterize_patch(spec, g)\n"
+            "pts = np.random.default_rng(0).uniform(-4.0, 4.0, (2048, 2))\n"
+            "print(np.isfinite(sample_at(omega, pts)).all())\n"
+            "shifted = ScalarField(g, np.roll(omega.values, 1, axis=0))\n"
+            "c = boundary_curve(spec, m=600)\n"
+            "moved = advect_boundary(c.params, c.points, c.tangents, TimeSeries(np.array([0.0, 0.05]), (omega, shifted)))\n"
+            "print(len(moved), np.isfinite(moved.points).all())\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' and sys.modules[m] is not None))\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
                              timeout=120).stdout
         assert "vorticity p=2: slope" in out
-        assert out.splitlines()[-1] == "[] []"
+        assert out.splitlines()[-3:] == ["True", "600 True", "[]"]
 
     @pytest.mark.parametrize("samples", ["1", "0"])
     def test_conormal_needs_two_samples(self, tmp_path, capsys, samples):

@@ -45,14 +45,14 @@ def test_pipeline_never_calls_full_complex_transforms(monkeypatch):
     curve = advect_boundary(curve0.params, curve0.points, curve0.tangents, series)
     part = DyadicPartition(g)
     omega = series.fields[-1]
-    norm = conormal_norm(omega, family, partition=part)
-    ratio = log_estimate_ratio(omega, family, partition=part)
-    besov = besov_norm(omega, BesovParams(s=0.5), part)
+    norm = conormal_norm(omega, family)
+    ratio = log_estimate_ratio(omega, family)
+    besov = besov_norm(omega, BesovParams(s=0.5))
     band = 2.0 ** (part.q_max - 2)
-    pieces = bony_decompose(random_field(g, 71, band=band), random_field(g, 72, band=band), part)
+    pieces = bony_decompose(random_field(g, 71, band=band), random_field(g, 72, band=band))
     smooth = heat_propagate(omega, 0.1)
     _, g1, g2, _ = level_set_data(spec, g)
-    samples = [*sample_at(omega, curve.points), *sample_at(omega, curve.points, spectral_cutoff=0)]
+    samples = list(sample_at(omega, curve.points))
 
     scalars = [norm, ratio, besov, *samples]
     arrays = [smooth.values, g1.values, g2.values]

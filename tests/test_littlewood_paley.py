@@ -86,19 +86,19 @@ class TestPartition:
     def test_reconstruction_band_limited(self, grid128):
         part = DyadicPartition(grid128)
         f = random_field(grid128, 40, band=2.0**part.q_max)
-        total = sum(block(f, q, part).values for q in part.qs())
+        total = sum(block(f, q).values for q in part.qs())
         assert np.abs(total - f.values).max() < 1e-12 * np.abs(f.values).max()
 
     def test_distant_blocks_orthogonal(self, grid128):
         part = DyadicPartition(grid128)
         f = random_field(grid128, 41, band=2.0**part.q_max)
-        twice = block(block(f, 1, part), 3, part)
+        twice = block(block(f, 1), 3)
         assert lp_norm(twice, np.inf) < 1e-13
 
     def test_adjacent_blocks_interact(self, grid128):
         part = DyadicPartition(grid128)
         f = random_field(grid128, 42, band=2.0**part.q_max)
-        once = block(block(f, 2, part), 3, part)
+        once = block(block(f, 2), 3)
         assert lp_norm(once, np.inf) > 1e-6
 
     def test_q_bounds_enforced(self, grid128):
@@ -124,7 +124,7 @@ class TestPartition:
         part = DyadicPartition(grid128)
         for q in range(0, part.q_max + 1):
             want = annulus_profile(np.array([kappa * 2.0**-q]))[0]
-            got = block(f, q, part)
+            got = block(f, q)
             assert np.abs(got.values - want * f.values).max() < 1e-12
 
 
@@ -138,7 +138,7 @@ class TestBesovNorm:
     def test_l2_equivalence_band_limited(self, grid128):
         part = DyadicPartition(grid128)
         f = random_field(grid128, 44, band=2.0**part.q_max)
-        nb = besov_norm(f, BesovParams(s=0.0, p=2.0, r=2.0), part)
+        nb = besov_norm(f, BesovParams(s=0.0, p=2.0, r=2.0))
         l2 = lp_norm(f, 2.0)
         assert l2 / np.sqrt(2.0) <= nb <= l2 * (1.0 + 1e-12)
 
@@ -205,11 +205,10 @@ class TestBernstein:
         # two-sided gain brackets need spatially concentrated blocks; a
         # packet one annulus wide in frequency is the extremal shape, and
         # exponent pairs with p >= 2 keep the mass comparison honest
-        part = DyadicPartition(grid256)
         for q in (1, 2, 3, 4):
             f = self.wave_packet(grid256, q)
             for p, b in ((2.0, np.inf), (2.0, 4.0)):
-                deriv, gain = bernstein_ratio(f, q, p, b, part)
+                deriv, gain = bernstein_ratio(f, q, p, b)
                 assert 1.0 / 8.0 <= deriv <= 8.0
                 assert 1.0 / 8.0 <= gain <= 8.0
 
@@ -222,21 +221,20 @@ class TestBernstein:
             f = random_field(grid256, seed, band=2.0**part.q_max)
             for q in range(1, part.q_max - 1):
                 for p, b in ((1.0, 2.0), (2.0, np.inf)):
-                    deriv, gain = bernstein_ratio(f, q, p, b, part)
+                    deriv, gain = bernstein_ratio(f, q, p, b)
                     assert 1.0 / 8.0 <= deriv <= 8.0
                     assert gain <= 8.0
 
     def test_deriv_ratio_scale_free(self, grid256):
         # the normalized derivative ratio should be flat across the ladder
-        part = DyadicPartition(grid256)
-        ratios = [bernstein_ratio(self.wave_packet(grid256, q), q, 2.0, 2.0, part)[0] for q in (1, 2, 3, 4)]
+        ratios = [bernstein_ratio(self.wave_packet(grid256, q), q, 2.0, 2.0)[0] for q in (1, 2, 3, 4)]
         assert max(ratios) / min(ratios) < 2.0
 
     def test_zero_block_rejected(self, grid128):
         f = random_field(grid128, 48, band=4.0)
         part = DyadicPartition(grid128)
         with pytest.raises(ValueError, match="vanishes"):
-            bernstein_ratio(f, part.q_max, 2.0, np.inf, part)
+            bernstein_ratio(f, part.q_max, 2.0, np.inf)
 
     def test_exponent_order_enforced(self, grid128):
         f = random_field(grid128, 49, band=4.0)
@@ -264,9 +262,9 @@ class TestBony:
         good = random_field(grid128, 50, band=2.0 ** (part.q_max - 2))
         bad = random_field(grid128, 51)
         with pytest.raises(ValueError, match="frequency content"):
-            bony_decompose(good, bad, part)
+            bony_decompose(good, bad)
         with pytest.raises(ValueError, match="frequency content"):
-            bony_decompose(bad, good, part)
+            bony_decompose(bad, good)
 
     def test_grid_mismatch_rejected(self, grid64, grid128):
         with pytest.raises(ValueError):
@@ -277,7 +275,7 @@ class TestBony:
         part = DyadicPartition(grid128)
         c = ScalarField(grid128, np.ones((128, 128)))
         f = random_field(grid128, 54, band=2.0 ** (part.q_max - 2))
-        t_cf, t_fc, rem = bony_decompose(c, f, part)
+        t_cf, t_fc, rem = bony_decompose(c, f)
         got = t_cf.values + t_fc.values + rem.values
         assert np.abs(got - f.values).max() < 1e-12
 
@@ -347,7 +345,7 @@ class TestPrunedLadder:
         monkeypatch.setattr(_HalfKernel, "head_real", lambda kern, head, m=None: inverses.append(head) or head_real(kern, head, m))
         for p in (1.0, 2.0, 4.0, np.inf):
             inverses.clear()
-            got = block_norms(f, BesovParams(s=0.5, p=p, homogeneous=homogeneous), part)
+            got = block_norms(f, BesovParams(s=0.5, p=p, homogeneous=homogeneous))
             assert list(got) == list(part.qs(homogeneous))
             assert len(inverses) == len(got) - len(empty)  # an empty block costs no transform
             for q, norm in got.items():
@@ -356,7 +354,7 @@ class TestPrunedLadder:
                 assert type(norm) is float and (q not in empty or norm == 0.0)
             for q in part.qs(homogeneous):
                 full = ScalarField.from_half_spectrum(g, part.multiplier(q, homogeneous) * f.half_spectrum)
-                assert np.array_equal(block(f, q, part, homogeneous).values, full.values)
+                assert np.array_equal(block(f, q, homogeneous=homogeneous).values, full.values)
 
     def test_equal_grids_share_one_ladder(self):
         _ladder.cache_clear()
@@ -364,7 +362,7 @@ class TestPrunedLadder:
         assert g1 is not g2
         params = BesovParams(s=0.5, p=2.0)
         a = block_norms(random_field(g1, 1), params)
-        b = block_norms(random_field(g2, 1), params, DyadicPartition(g2))
+        b = block_norms(random_field(g2, 1), params)
         assert a == b
         info = _ladder.cache_info()
         assert (info.misses, info.hits) == (1, 1)
@@ -381,6 +379,18 @@ class TestPrunedLadder:
         # nor the kernel the cache built its multipliers on
         fundamental = (np.pi / 3.7) ** 2
         assert not [k for k in gc.get_objects() if isinstance(k, _HalfKernel) and k.ksq[0, 1] == fundamental]
+
+    def test_ladder_leaves_no_ksq_on_the_shared_kernel(self):
+        _ladder.cache_clear()
+        g = GridSpec(n=512, half_length=2.3)
+        block_norms(random_field(g, 5), BesovParams(s=0.5))
+        block_norms(random_field(g, 5), BesovParams(s=0.5, homogeneous=True))
+        assert "ksq" not in g._kernel.__dict__
+
+    @pytest.mark.parametrize("n,half_length", [(16, 0.5), (256, 8.0), (512, 2.0)])
+    def test_kmag_is_the_kernel_formula_bit_for_bit(self, n, half_length):
+        g = GridSpec(n=n, half_length=half_length)
+        assert DyadicPartition(g).kmag().tobytes() == np.sqrt(g._kernel.ksq).tobytes()
 
 
 class TestReachLadder:
@@ -421,33 +431,3 @@ class TestReachLadder:
         assert len(widths) == len(bounds)
         assert all(w <= b for w, b in zip(widths, bounds))
         assert min(widths) < n // 2 + 1
-
-
-class TestGridMismatch:
-    """A partition bound to another grid is refused, naming both grids."""
-
-    CALLS = {
-        "block": lambda f, part: block(f, 1, part),
-        "block_norms": lambda f, part: block_norms(f, BesovParams(s=0.5), part),
-        "besov_norm": lambda f, part: besov_norm(f, BesovParams(s=0.5), part),
-        "bernstein_ratio": lambda f, part: bernstein_ratio(f, 1, 2.0, np.inf, part),
-        "bony_decompose": lambda f, part: bony_decompose(f, f, part),
-        "time_besov_norm": lambda f, part: time_besov_norm(
-            TimeSeries(np.array([0.0, 1.0]), (f, f)), 1.0, BesovParams(s=0.5), part),
-    }
-
-    @pytest.mark.parametrize("other", [GridSpec(n=128, half_length=8.0), GridSpec(n=64, half_length=2.0)],
-                             ids=["half_length", "n"])
-    @pytest.mark.parametrize("name", sorted(CALLS))
-    def test_partition_on_another_grid_is_refused(self, name, other):
-        g = GridSpec(n=128, half_length=2.0)
-        f = random_field(g, 3, band=2.0)
-        with pytest.raises(ValueError, match="partition is bound to") as info:
-            self.CALLS[name](f, DyadicPartition(other))
-        assert repr(other) in str(info.value) and repr(g) in str(info.value)
-
-    def test_same_grid_in_another_instance_is_accepted(self):
-        g = GridSpec(n=128, half_length=2.0)
-        f = random_field(g, 4, band=2.0)
-        params = BesovParams(s=0.5)
-        assert besov_norm(f, params, DyadicPartition(GridSpec(n=128, half_length=2.0))) == besov_norm(f, params)
