@@ -165,13 +165,14 @@ def _cmd_conormal(args: argparse.Namespace) -> int:
     trajectory = march(*config.initial_fields(), params, record_every_step=True, sample_times=checkpoints)
     family = initial_vector_family(config.patch, config.grid, epsilon=config.patch.epsilon)
     legs = advect_legs(trajectory, checkpoints, family, boundary_curve(config.patch))
+    del family  # advect_legs keeps its grid and epsilon, not the family
     rows = []
     for t, omega, family, curve, diag in legs:
         adapted = conormal_norm(omega, family)  # the ratio's log term reuses it
         rows.append((t, family_floor(family), diag["gradv_sup_integral"], adapted,
                      holder_quotient(curve.params, curve.tangents, family.epsilon),
-                     _log_estimate_ratio(omega, adapted)))
-        del omega  # else the checkpoint sample outlives its gap beside the march's three
+                     _log_estimate_ratio(omega, adapted, diag["gradv_sup"])))
+        del omega, family, curve, diag  # the checkpoint dies with its row, before the march goes on
 
     out = Path(args.csv) if args.csv else Path(config.output_dir) / "conormal.csv"
     out.parent.mkdir(parents=True, exist_ok=True)

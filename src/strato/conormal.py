@@ -82,11 +82,16 @@ def directional_derivative(u: ScalarField, x: VelocityField) -> ScalarField:
     has jumps and x is merely Hoelder.  Products are dealiased by the 2/3
     rule.
     """
-    g = u.grid
-    if x.grid != g:
+    if x.grid != u.grid:
         raise ValueError("field and family member live on different grids")
+    return _directional_derivative(u, x, divergence(x))
+
+
+def _directional_derivative(u: ScalarField, x: VelocityField, div: ScalarField) -> ScalarField:
+    """directional_derivative given div = divergence(x), for callers that use it too."""
+    g = u.grid
     kern = g._kernel
-    p1, p2, p3 = (rfft2(u.values * c) * kern.keep for c in (x.u1.values, x.u2.values, divergence(x).values))
+    p1, p2, p3 = (rfft2(u.values * c) * kern.keep for c in (x.u1.values, x.u2.values, div.values))
     return ScalarField.from_half_spectrum(g, kern.ik1 * p1 + kern.ik2 * p2 - p3)
 
 
@@ -111,8 +116,9 @@ def conormal_norm(u: ScalarField, family: VectorFieldFamily, epsilon: float | No
     dir_reg = 0.0
     prm_lo = BesovParams(s=eps - 1.0)
     for x in family.members:
-        fam_reg = max(fam_reg, _vector_holder(x, eps) + besov_norm(divergence(x), BesovParams(s=eps)))
-        dir_reg = max(dir_reg, besov_norm(directional_derivative(u, x), prm_lo))
+        div = divergence(x)  # one inverse transform, shared by both terms
+        fam_reg = max(fam_reg, _vector_holder(x, eps) + besov_norm(div, BesovParams(s=eps)))
+        dir_reg = max(dir_reg, besov_norm(_directional_derivative(u, x, div), prm_lo))
     return (lp_norm(u, np.inf) * fam_reg + dir_reg) / floor
 
 
@@ -223,8 +229,10 @@ def _rk4(
     """Classic RK4 across the trajectory's span; yields (t, state) after each step.
 
     velocity(t) is called once per distinct stage time, and only one stage
-    velocity is held at a time.  dt defaults to the largest sample gap, so a
-    short remainder step at the end of a leg does not set the step for all of it.
+    velocity is held at a time.  rhs returns new arrays; the first stage's
+    are the step's accumulator, which the later stages add into.  dt
+    defaults to the largest sample gap, so a short remainder step at the
+    end of a leg does not set the step for all of it.
     """
     t0, t1 = interp.span
     if dt is None:
@@ -240,7 +248,8 @@ def _rk4(
                 del vel
                 vel = velocity(t)
             k = rhs([c + frac * h * d for c, d in zip(state, k)], vel)
-            acc = [s + weight * d for s, d in zip(acc, k)]
+            for s, d in zip(acc, k):
+                s += weight * d  # in place: the same s + weight * d, with no second accumulator
         state = [c + h / 6.0 * s for c, s in zip(state, acc)]
         yield float(b), state
 
@@ -265,13 +274,12 @@ def advect_family(
     rhs = partial(_advect_stretch_rhs, grid=g)
     for _, comps in _rk4(comps, velocity, rhs, interp, dt):
         pass
-    return _family_of(comps, family)
+    return _family_of(comps, g, family.epsilon)
 
 
-def _family_of(comps: list[np.ndarray], like: VectorFieldFamily) -> VectorFieldFamily:
-    g = like.grid
+def _family_of(comps: list[np.ndarray], g: GridSpec, epsilon: float) -> VectorFieldFamily:
     members = (VelocityField(ScalarField(g, comps[i]), ScalarField(g, comps[i + 1])) for i in range(0, len(comps), 2))
-    return VectorFieldFamily(members=tuple(members), epsilon=like.epsilon)
+    return VectorFieldFamily(members=tuple(members), epsilon=epsilon)
 
 
 _SPACING_COLLAPSE = 4.0
@@ -357,11 +365,19 @@ def advect_legs(
     trajectory is ``solver.march`` with record_every_step, landing on every checkpoint; yields
     (t, omega, family, curve, diagnostics) at each.  A one-thread helper marches one sample ahead
     and moves the tracers over each gap; the caller's thread takes the gap's RK4 family step from
-    the last step's end velocity.  At most three vorticity samples are alive (the two around the
-    step and the one being marched) and no density sample.  Each side computes what it would alone.
+    the last step's end velocity.  Each side computes what it would alone.
+
+    A run holds the family's component arrays, the grid and epsilon of the initial family (not the
+    family: its level set and cached magnitudes go with it), the last stage velocity, the tracers,
+    no density sample, and at most three vorticity samples: the two around the family step and the
+    one being marched; while the caller holds a checkpoint, that one and the one being marched.
+    Once resumed it keeps no reference to the checkpoint it yielded, so that family, omega and
+    diagnostics die when the caller drops them.
     """
+    g, epsilon = family.grid, family.epsilon
     comps = [c.values for m in family.members for c in (m.u1, m.u2)]
-    rhs = partial(_advect_stretch_rhs, grid=family.grid)
+    del family  # the members live on in comps only until the first family step replaces them
+    rhs = partial(_advect_stretch_rhs, grid=g)
     end = [None, None]  # the last stage's time and velocity, reused as the next step's first
 
     def velocity(t: float) -> tuple:  # at t in the current gap
@@ -375,29 +391,34 @@ def advect_legs(
         ahead = helper.submit(next, stream, None)
         for mark in checkpoints:
             while (sample := ahead.result()) is not None:
-                t, omega, diag, curve, gap = sample
-                interp = None if gap is None else VelocityInterpolant(gap)  # frees the last gap's start
                 ahead = helper.submit(next, stream, None)  # beside this family step and the checkpoint
-                if interp is not None:
+                t, omega, diag, curve, gap = sample
+                del sample
+                if gap is not None:
+                    interp = VelocityInterpolant(gap)
+                    del gap
                     for _, comps in _rk4(comps, velocity, rhs, interp, None):
                         pass
+                    interp = None  # frees the gap's start
                 if t >= mark - 1.0e-12:
                     break
             else:
                 return
-            family = _family_of(comps, family)  # rebinding frees the last checkpoint's members
-            yield t, omega, family, curve, diag
+            yield t, omega, _family_of(comps, g, epsilon), curve, diag
+            del omega, curve, diag  # the checkpoint lives as long as the caller keeps it
 
 
 def _with_tracers(trajectory: Iterable[tuple], curve: BoundaryCurve) -> Iterator[tuple]:
     """(t, omega, diagnostics, curve, gap) per march sample, the tracers advected over the gap."""
-    last = gap = None
+    last = None
     for t, omega, diag in map(itemgetter(0, 1, 3), trajectory):  # drops each density sample as it arrives
+        gap = None
         if last is not None:
             gap = TimeSeries(np.array([last[0], t]), (last[1], omega))
             curve = advect_boundary(curve.params, curve.points, curve.tangents, gap)
         last = t, omega
         yield t, omega, diag, curve, gap
+        del gap  # else the gap's start outlives the family step by a march step
 
 
 def holder_quotient(params: np.ndarray, tangents: np.ndarray, epsilon: float, period: float = 2.0 * np.pi) -> float:
@@ -417,13 +438,14 @@ def log_estimate_ratio(omega: ScalarField, family: VectorFieldFamily) -> float:
     Returns |grad v|_inf / (|w|_L2 + |w|_inf log(e + |w|_adapted/|w|_inf))
     with v the velocity recovered from the vorticity w.
     """
-    return _log_estimate_ratio(omega, conormal_norm(omega, family))
+    return _log_estimate_ratio(omega, conormal_norm(omega, family), velocity_gradient_sup(omega))
 
 
-def _log_estimate_ratio(omega: ScalarField, adapted: float) -> float:
-    """log_estimate_ratio given the adapted norm of omega, for callers that report it too."""
+def _log_estimate_ratio(omega: ScalarField, adapted: float, gradv_sup: float) -> float:
+    """log_estimate_ratio given the adapted norm of omega and |grad v|_inf, for callers that have them: the
+    march's ``gradv_sup`` diagnostic is bitwise ``velocity_gradient_sup`` of its sample."""
     sup = lp_norm(omega, np.inf)
     if sup == 0.0:
         raise ValueError("vorticity vanishes; ratio undefined")
     denom = lp_norm(omega, 2.0) + sup * np.log(np.e + adapted / sup)
-    return velocity_gradient_sup(omega) / denom
+    return gradv_sup / denom

@@ -345,9 +345,9 @@ def lp_norm(f: ScalarField | np.ndarray, p: float, grid: GridSpec | None = None)
         vals, g = np.asarray(f), grid
     if not p >= 1.0:
         raise ValueError(f"p must satisfy p >= 1 or be +inf, got {p}")
+    if np.isinf(p):  # max |v| with no |v| array; abs() turns the -0.0 of an all-zero field into 0.0
+        return abs(max(float(vals.max()), -float(vals.min())))
     mag = np.abs(vals)
-    if np.isinf(p):
-        return float(np.max(mag))
     mag **= p  # in place: one grid-sized temporary
     return float((np.sum(mag) * g.dx**2) ** (1.0 / p))
 

@@ -21,13 +21,11 @@ not depend on how many worker processes produced them; what does
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
 import platform
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -172,6 +170,8 @@ class SweepConfig:
         return d
 
     def digest(self) -> str:
+        import hashlib  # OpenSSL, loaded by the commands that write a manifest only
+
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
 
@@ -276,6 +276,8 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:
     measured as it arrives, while later rungs still run, and then
     dropped.  Grid values are rebuilt from the bands only to save fields.
     """
+    from concurrent.futures import ProcessPoolExecutor  # multiprocessing, loaded by sweeps only
+
     ladder = tuple(sorted(config.mu_values))
     mus = (0.0,) + ladder
     workers = _worker_count(workers, len(mus))

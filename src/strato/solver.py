@@ -163,16 +163,24 @@ class _Engine:
         if self.params.frozen_velocity:
             return buoy, np.zeros_like(rhat)
         v1, v2 = vel if vel is not None else self.velocity(what)
-        adv_w = kern.band_real(op.ik1 * what) * v1
-        adv_w += kern.band_real(op.ik2 * what) * v2
-        adv_r = kern.band_real(op.ik1 * rhat) * v1
-        adv_r += kern.band_real(op.ik2 * rhat) * v2
-        buoy -= kern.band_spectrum(adv_w)
-        return buoy, -kern.band_spectrum(adv_r)
+        buoy -= kern.band_spectrum(self._flux(what, v1, v2))  # before the density flux is built
+        return buoy, -kern.band_spectrum(self._flux(rhat, v1, v2))
+
+    def _flux(self, fhat: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+        """Grid values of v . grad f, multiplied in place."""
+        kern, op = self.kern, self.op
+        out = kern.band_real(op.ik1 * fhat)
+        out *= v1
+        d2 = kern.band_real(op.ik2 * fhat)
+        d2 *= v2
+        out += d2
+        return out
 
     def rk4(self, what: np.ndarray, rhat: np.ndarray, h: float, vel=None) -> tuple[np.ndarray, np.ndarray]:
+        """One RK4 step; vel, if given, is velocity(what), let go of once stage 1 is done."""
         ew, ew2, er, er2 = self.decay(h)
         k1w, k1r = self.nonlinear(what, rhat, vel)
+        del vel
         k2w, k2r = self.nonlinear(ew2 * (what + 0.5 * h * k1w), er2 * (rhat + 0.5 * h * k1r))
         k3w, k3r = self.nonlinear(ew2 * what + 0.5 * h * k2w, er2 * rhat + 0.5 * h * k2r)
         k4w, k4r = self.nonlinear(ew * what + h * ew2 * k3w, er * rhat + h * er2 * k3r)
@@ -180,25 +188,29 @@ class _Engine:
         new_r = er * rhat + (h / 6.0) * (er * k1r + 2.0 * er2 * (k2r + k3r) + k4r)
         return new_w, new_r
 
-    def advance(self, what: np.ndarray, rhat: np.ndarray, t: float, h: float, depth: int = 0, vel=None, vmax=None):
+    def advance(self, what: np.ndarray, rhat: np.ndarray, t: float, h: float, depth: int = 0,
+                handoff: list | None = None):
         """One step of size h, recursively halved to respect the CFL cap.
 
-        The stage-1 velocity (vel, if given, is velocity(what); vmax, if
-        given, its sup) sets the CFL limit and is reused by the first stage
-        of the step, or by the first half of a halved step.
+        The stage-1 velocity and its sup set the CFL limit, and the velocity
+        is reused by the first stage of the step, or of the first half of a
+        halved step.  handoff, if given and not empty, holds that pair
+        (velocity(what), its sup); the step takes it out, so that once stage
+        1 is done no frame holds the velocity through stages 2 to 4.
         """
-        if vel is None:
+        if not handoff:
             vel = self.velocity(what)
-        if vmax is None:
-            vmax = float(np.max(np.hypot(*vel))) if vel is not None else 0.0
+            handoff = [(vel, float(np.max(np.hypot(*vel))) if vel is not None else 0.0)]
+            del vel
+        vmax = handoff[0][1]
         if depth > 24:
             field = _nonfinite(what, rhat)
             raise SolverBlowupError(t, depth, field, None if field else vmax * h / self.grid.dx)
         limit = self.params.cfl_cap * self.grid.dx / max(vmax, 1.0e-300)
         if h > limit:
-            what, rhat, t = self.advance(what, rhat, t, h / 2.0, depth + 1, vel, vmax)
+            what, rhat, t = self.advance(what, rhat, t, h / 2.0, depth + 1, handoff)
             return self.advance(what, rhat, t, h / 2.0, depth + 1)
-        new_w, new_r = self.rk4(what, rhat, h, vel)
+        new_w, new_r = self.rk4(what, rhat, h, handoff.pop()[0])
         probe = complex(new_w.sum()) + complex(new_r.sum())
         if not (np.isfinite(probe.real) and np.isfinite(probe.imag)):
             raise SolverBlowupError(t + h, depth, _nonfinite(new_w, new_r))
@@ -224,10 +236,15 @@ def march(
     exactly.  With record_every_step the trajectory is sampled at every
     accepted step (dense output for transport post-processing); gradient
     tracking adds the sup of grad v and the running exponents needed by
-    the adapted-norm bounds, at the cost of a few transforms per step.
+    the adapted-norm bounds, at the cost of a few transforms per step;
+    a sample's ``gradv_sup`` is bitwise ``velocity_gradient_sup`` of its
+    omega, so a caller that has it need not invert the velocity again.
     diagnostics maps each DiagnosticsRecord column but ``times`` to its
     value at the sample.  The arguments are checked on the call, and the
-    march keeps no reference to a sample it has yielded.
+    march keeps no reference to a sample it has yielded.  Between steps
+    it holds its band state and the last sample's velocity, which the
+    next step's CFL guard and first RK4 stage take over and no stage
+    after that holds.
     """
     if omega0.grid != rho0.grid:
         raise ValueError("initial fields must share a grid")
@@ -260,7 +277,7 @@ def _march(omega0: ScalarField, rho0: ScalarField, params: SimParams, samples: n
     gr_integral = 0.0
     last_gradv = np.nan
     last_gradrho = np.nan
-    handoff = ()  # (velocity, its sup) of the last sample, for the CFL guard of the step after it
+    handoff = []  # (velocity, its sup) of the last sample, which the step after it takes out for its CFL guard
 
     def gradv_now() -> float:
         sq = sum(kern.band_real(ik * (v * what)) ** 2 for v in (op.v1, op.v2) for ik in (op.ik1, op.ik2))
@@ -277,12 +294,11 @@ def _march(omega0: ScalarField, rho0: ScalarField, params: SimParams, samples: n
     # builds the yielded tuple without binding it here, so a sample lives
     # only as long as the consumer keeps it
     def sample(sample_t: float) -> tuple[float, ScalarField, ScalarField, dict[str, float]]:
-        nonlocal handoff
         fo = ScalarField.from_band(g, what)
         fr = ScalarField.from_band(g, rhat)
         vel = kern.band_real(op.v1 * what), kern.band_real(op.v2 * what)
         vsup = float(np.max(np.hypot(*vel)))
-        handoff = () if params.frozen_velocity else (vel, vsup)
+        handoff[:] = [] if params.frozen_velocity else [(vel, vsup)]
         return float(sample_t), fo, fr, {
             "omega_l2": lp_norm(fo, 2.0),
             "omega_sup": lp_norm(fo, np.inf),
@@ -306,8 +322,7 @@ def _march(omega0: ScalarField, rho0: ScalarField, params: SimParams, samples: n
         target = samples[si]
         while t < target - 1.0e-12:
             h = min(params.dt, target - t)
-            what, rhat, t = engine.advance(what, rhat, t, h, 0, *handoff)
-            handoff = ()
+            what, rhat, t = engine.advance(what, rhat, t, h, 0, handoff)
             nsteps += 1
             if track_gradients:
                 gv = gradv_now()

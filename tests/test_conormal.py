@@ -245,6 +245,22 @@ class TestConormalNorm:
         assert conormal_norm(u, fam, epsilon=0.3) == conormal_norm(u, rebuilt)
         assert conormal_norm(u, fam, epsilon=0.3) != conormal_norm(u, fam)
 
+    def test_one_divergence_per_member(self, patch_env, monkeypatch):
+        # each member's divergence serves both its Hoelder term and its directional derivative, and the
+        # norm is bit for bit the one built from the public directional_derivative
+        u, fam = patch_env["result"].omega.fields[-1], patch_env["familyT"]
+        eps = fam.epsilon
+        fam_reg = dir_reg = 0.0
+        for x in fam.members:
+            holder = max(besov_norm(x.u1, BesovParams(s=eps)), besov_norm(x.u2, BesovParams(s=eps)))
+            fam_reg = max(fam_reg, holder + besov_norm(divergence(x), BesovParams(s=eps)))
+            dir_reg = max(dir_reg, besov_norm(directional_derivative(u, x), BesovParams(s=eps - 1.0)))
+        want = (lp_norm(u, np.inf) * fam_reg + dir_reg) / family_floor(fam)
+        calls = []
+        monkeypatch.setattr(strato.conormal, "divergence", lambda x: calls.append(x) or divergence(x))
+        assert conormal_norm(u, fam) == want
+        assert calls == list(fam.members)
+
     def test_degenerate_family_rejected(self, grid64):
         zero = constant_field(grid64, 0.0)
         fam = VectorFieldFamily(members=(VelocityField(zero, zero),))

@@ -352,6 +352,22 @@ class TestLpNorms:
         vals = 1e3 * random_field(grid64, 8).values
         assert lp_norm(vals, p, grid=grid64) == float((np.sum(np.abs(vals) ** p) * grid64.dx**2) ** (1.0 / p))
 
+    @pytest.mark.parametrize("kind", ["random", "negative", "zeros", "negative zeros", "signed zeros"])
+    def test_sup_is_max_abs_bit_for_bit(self, grid64, kind):
+        # taken from the max and the min, with no |v| array, and never -0.0
+        rng = np.random.default_rng(9)
+        vals = {
+            "random": 1e3 * random_field(grid64, 8).values,
+            "negative": -1.0 - rng.random((64, 64)),
+            "zeros": np.zeros((64, 64)),
+            "negative zeros": np.full((64, 64), -0.0),
+            "signed zeros": np.where(rng.random((64, 64)) < 0.5, 0.0, -0.0),
+        }[kind]
+        got = lp_norm(vals, np.inf, grid=grid64)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.max(np.abs(vals)).tobytes()
+        assert lp_norm(ScalarField(grid64, vals), np.inf) == got
+
     @pytest.mark.parametrize("p", [0.5, -np.inf])
     def test_rejects_sub_one(self, grid64, p):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Sweep orchestration, report emission, and the command line front end."""
 
 import argparse
+import concurrent.futures
 import gc
 import json
 import logging
@@ -535,7 +536,7 @@ class TestDeterminism:
         # spawn inherits nothing, so these rungs can only run if the initializer handed the inputs over
         pools = []
 
-        class Recording(strato.harness.ProcessPoolExecutor):
+        class Recording(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, mp_context=multiprocessing.get_context("spawn"), **kwargs)
                 self.made_with, self.tasks = kwargs, []
@@ -546,7 +547,7 @@ class TestDeterminism:
                 self.tasks += [pickle.dumps((fn, *task)) for task in tasks]
                 return super().map(fn, *zip(*tasks), **kwargs)
 
-        monkeypatch.setattr(strato.harness, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)  # run_sweep imports it on use
         cfg = SweepConfig.from_dict(tiny_config_dict(out_dir=tmp_path, mus=(1.0e-3, 1.0e-2)))
         pooled = emit_report(run_sweep(cfg, workers=2), tmp_path / "pooled")
         [pool] = pools
@@ -927,9 +928,11 @@ class TestCli:
         assert len(set(calls)) == len(calls)
 
     def test_conormal_norm_once_per_checkpoint(self, tmp_path, monkeypatch):
+        # and no velocity_gradient_sup: the log-estimate ratio takes the march's gradv_sup
         calls = []
         norm = strato.conormal.conormal_norm
         monkeypatch.setattr(strato.conormal, "conormal_norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
+        monkeypatch.setattr(strato.conormal, "velocity_gradient_sup", lambda omega: pytest.fail("inverted again"))
         cfg_path = self._conormal_config(tmp_path)
         assert main(["conormal", str(cfg_path), "--mu", "1e-3", "--t", "0.1",
                      "--samples", "3", "--csv", str(tmp_path / "series.csv")]) == 0
@@ -1005,6 +1008,35 @@ class TestCli:
         legs.close()
         assert threading.active_count() == start
 
+    def test_advect_legs_lets_go_of_spent_families(self, tmp_path, monkeypatch):
+        # the family steps run without the initial family's level set and magnitudes, its member arrays
+        # are gone once the first step has replaced them, and a yielded family is gone as soon as the
+        # caller drops it
+        config = SweepConfig.from_json(self._conormal_config(tmp_path))
+        params = SimParams(mu=1.0e-3, dt=config.dt, t_final=0.2, kappa=config.kappa)
+        checkpoints = [0.1, 0.2]  # samples every 0.05 from t = 0.05, so one family step, then two
+        trajectory = strato.solver.march(*config.initial_fields(), params, record_every_step=True,
+                                         sample_times=checkpoints)
+        family = initial_vector_family(config.patch, config.grid, epsilon=config.patch.epsilon)
+        probed = [weakref.ref(family.level_set), *(weakref.ref(m.magnitude) for m in family.members)]
+        members = [weakref.ref(a) for m in family.members for a in (m.u1.values, m.u2.values)]
+        alive = []
+        rhs = strato.conormal._advect_stretch_rhs
+        monkeypatch.setattr(strato.conormal, "_advect_stretch_rhs",
+                            lambda *a, **k: alive.append(any(r() is not None for r in probed)) or rhs(*a, **k))
+        legs = strato.conormal.advect_legs(trajectory, checkpoints, family, boundary_curve(config.patch))
+        del family
+        t, omega, family, curve, diag = next(legs)
+        assert t == 0.1 and len(alive) == 4 and not any(alive)
+        assert [r() for r in members] == [None] * 4
+        family_floor(family)  # caches each member's magnitude on the yielded family
+        probed[:] = [weakref.ref(x) for x in (family, *family.members, *(m.magnitude for m in family.members))]
+        del t, omega, family, curve, diag
+        alive.clear()
+        assert next(legs)[0] == 0.2
+        assert len(alive) == 2 * 4 and not any(alive)
+        legs.close()
+
     def test_keep_freed_heap_is_noop_without_mallopt(self, monkeypatch):
         monkeypatch.setattr(strato.cli.ctypes, "CDLL", lambda name: object())
         strato.cli._keep_freed_heap()
@@ -1063,6 +1095,18 @@ class TestCli:
                              timeout=120).stdout
         assert "vorticity p=2: slope" in out
         assert out.splitlines()[-3:] == ["True", "600 True", "[]"]
+
+    def test_sweep_only_modules_load_on_use(self):
+        # the process pool (multiprocessing) and hashlib (OpenSSL) are loaded by strato sweep only
+        code = (
+            "import sys\n"
+            "import strato, strato.cli\n"
+            "print(sorted(m for m in ('_hashlib', 'multiprocessing', 'concurrent.futures.process') if m in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+                             timeout=120).stdout
+        assert out.splitlines() == ["[]"]
 
     @pytest.mark.parametrize("samples", ["1", "0"])
     def test_conormal_needs_two_samples(self, tmp_path, capsys, samples):

@@ -1,13 +1,14 @@
 """Time stepping: exact solutions, invariants, the damped-combination budget."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 import scipy.fft as fft
 from hypothesis import given, settings, strategies as st
 
-from strato.grid import GridSpec, ScalarField, _HalfKernel, dx1_inv_laplacian
+from strato.grid import GridSpec, ScalarField, _HalfKernel, dx1_inv_laplacian, velocity_gradient_sup
 from strato.initdata import DensitySpec, PatchSpec, make_density, rasterize_patch
 from strato.solver import (
     _Engine,
@@ -231,6 +232,42 @@ class TestStepping:
         assert steps == 4 and len(got) == steps + from_zero
         assert len(builds) == 3 * steps + (not from_zero)
         assert len(hypots) == len(got) + (not from_zero)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_gradv_sup_is_velocity_gradient_sup_bit_for_bit(self, grid64, dense):
+        # strato conormal takes each checkpoint's |grad v|_inf from the march's diagnostics
+        w0 = rasterize_patch(PatchSpec(kind="star", radius=1.0, amplitude=0.1, base_mode=5), grid64)
+        r0 = make_density(DensitySpec(kind="gaussian", amplitude=0.1, width=1.0, center=(0.0, 0.5)), grid64)
+        params = SimParams(mu=1e-3, dt=0.05, t_final=0.2)
+        got = list(march(w0, r0, params, sample_times=[0.0, 0.07, 0.2], record_every_step=dense))
+        assert got[0][0] == 0.0 and len(got) == (6 if dense else 3)
+        for t, fo, _, row in got:
+            assert row["gradv_sup"] == velocity_gradient_sup(fo), t
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_cfl_velocity_is_gone_before_stage_two(self, grid64, monkeypatch, dense):
+        # the velocity the CFL guard checked feeds RK4 stage 1 only; no frame holds it through
+        # stages 2-4, whether a sample handed it over or the step built it, halved or not
+        stage1, held = [], []
+        nonlinear = _Engine.nonlinear
+
+        def probe(self, what, rhat, vel=None):
+            held.append(any(r() is not None for r in stage1))
+            if vel is not None:
+                stage1[:] = [weakref.ref(v) for v in vel]
+            return nonlinear(self, what, rhat, vel)
+
+        monkeypatch.setattr(_Engine, "nonlinear", probe)
+        w0, r0 = random_field(grid64, 6, band=4.0), random_field(grid64, 7, band=4.0)
+        params = SimParams(mu=0.01, dt=0.05, t_final=0.2)
+        got = list(march(w0, r0, params, sample_times=[0.0, 0.07, 0.2], record_every_step=dense))
+        assert len(held) == 4 * got[-1][3]["steps"]
+        engine, kern = _Engine(grid64, params), grid64._kernel
+        what, rhat = kern.cut(w0.half_spectrum), kern.cut(r0.half_spectrum)
+        vmax = np.max(np.hypot(*engine.velocity(what)))
+        engine.advance(what, rhat, 0.0, 1.5 * params.cfl_cap * grid64.dx / vmax)  # halved once
+        assert len(held) == 4 * got[-1][3]["steps"] + 8
+        assert not any(held)
 
     def test_march_checks_arguments_on_call(self, grid64, grid128):
         params = SimParams(mu=0.01, dt=0.05, t_final=0.1)
