@@ -23,11 +23,11 @@ from strato import (
     family_floor,
     holder_quotient,
     initial_vector_family,
-    log_estimate_ratio,
     make_density,
     march,
     rasterize_patch,
 )
+from strato.conormal import _log_estimate_ratio
 from strato.grid import GridSpec
 
 
@@ -59,10 +59,11 @@ def main() -> int:
     print("t      floor   envelope  area     quotient  adapted   logratio")
     for t, omega, family, curve, diag in advect_legs(trajectory, checkpoints, family, curve):
         vint = diag["gradv_sup_integral"]
+        adapted = conormal_norm(omega, family)  # once: the ratio's log term reuses it
         print(f"{t:5.2f}  {family_floor(family):.4f}  {floor0 * np.exp(-vint):.4f}"
               f"    {curve.enclosed_area:.4f}   {holder_quotient(curve.params, curve.tangents, family.epsilon) / hq0:.4f}"
-              f"    {conormal_norm(omega, family):.3f}"
-              f"    {log_estimate_ratio(omega, family):.4f}")
+              f"    {adapted:.3f}"
+              f"    {_log_estimate_ratio(omega, adapted, diag['gradv_sup']):.4f}")
     return 0
 
 

@@ -21,7 +21,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, VelocityField, _chunked, _phase_basis, lp_norm, rfft2, velocity_gradient_sup
+from .grid import GridSpec, ScalarField, VelocityField, _chunked, _phase_basis, lp_norm, velocity_gradient_sup
 from .littlewood_paley import BesovParams, TimeSeries, besov_norm
 
 __all__ = [
@@ -91,8 +91,8 @@ def _directional_derivative(u: ScalarField, x: VelocityField, div: ScalarField) 
     """directional_derivative given div = divergence(x), for callers that use it too."""
     g = u.grid
     kern = g._kernel
-    p1, p2, p3 = (rfft2(u.values * c) * kern.keep for c in (x.u1.values, x.u2.values, div.values))
-    return ScalarField.from_half_spectrum(g, kern.ik1 * p1 + kern.ik2 * p2 - p3)
+    p1, p2, p3 = (kern.band_spectrum(u.values * c) for c in (x.u1.values, x.u2.values, div.values))
+    return ScalarField.from_band(g, kern.band.ik1 * p1 + kern.band.ik2 * p2 - p3)
 
 
 def _vector_holder(x: VelocityField, s: float) -> float:
@@ -148,10 +148,6 @@ class VelocityInterpolant:
         w = (t - ts[j - 1]) / (ts[j] - ts[j - 1])
         return (1.0 - w) * fields[j - 1].half_spectrum + w * fields[j].half_spectrum
 
-    def velocity_values(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        h = self.omega_spectrum(t)
-        return self.kern.real(self.kern.v1 * h), self.kern.real(self.kern.v2 * h)
-
     @property
     def span(self) -> tuple[float, float]:
         return float(self.times[0]), float(self.times[-1])
@@ -173,7 +169,7 @@ def _gradient_at(h: np.ndarray, grid: GridSpec, pts: np.ndarray) -> list[np.ndar
     over the kept modes only.
     """
     kern = grid._kernel
-    band = kern.cols - 1 if kern.in_band(h) else None  # kern.keep is |m1|, m2 <= band
+    band = kern.cols - 1 if kern.in_band(h) else None  # the band is |m1|, m2 <= band
     op, h = (kern, h) if band is None else (kern.band, kern.cut(h))
     s2 = op.v2 * h
 

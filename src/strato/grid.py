@@ -150,8 +150,8 @@ class _Multipliers:
 class _HalfKernel(_Multipliers):
     """The multipliers of one grid size on the real half spectrum, and its band transforms.
 
-    Arrays broadcast against ``rfft2`` output of shape (n, n/2 + 1);
-    ``keep`` is the 2/3 dealiasing mask.  ``band`` holds the multipliers on
+    Arrays broadcast against ``rfft2`` output of shape (n, n/2 + 1).  The
+    2/3 dealiasing rule keeps the band, and ``band`` holds the multipliers on
     the band arrays' modes only: rows m1 = 0..b, -b..-1, columns m2 = 0..b,
     b = n // 3.  The constructor builds index data alone; a multiplier is
     built on first use, so heat and Besov work never builds ``v1``/``v2``
@@ -162,11 +162,6 @@ class _HalfKernel(_Multipliers):
         super().__init__(n, half_length, _fft.fftfreq(n, d=1.0 / n), _fft.rfftfreq(n, d=1.0 / n))
         self.shape, self.half_shape = (n, n), (n, n // 2 + 1)
         self.rows, self.cols = np.r_[0 : n // 3 + 1, n - n // 3 : n], n // 3 + 1
-
-    @cached_property
-    def keep(self) -> np.ndarray:
-        b = self.cols - 1
-        return (np.abs(self.m1) <= b) & (self.m2 <= b)
 
     @cached_property
     def band(self) -> _Multipliers:

@@ -27,7 +27,7 @@ import os
 import platform
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__, fieldio
 from .grid import GridSpec, ScalarField, lp_norm
 from .initdata import DensitySpec, PatchSpec, make_density, rasterize_patch
-from .solver import SimParams, march
+from .solver import SimParams, _sample_times, march
 
 __all__ = [
     "SweepConfig",
@@ -56,6 +56,37 @@ def _name_clash(values) -> tuple[float, float] | None:
         if named.setdefault(f"{v:.6g}", v) != v:
             return named[f"{v:.6g}"], v
     return None
+
+
+# where the JSON config keeps each SweepConfig field that is not a section of its own
+_LAYOUT = {
+    "mu_values": ("sweep", "mu"),
+    "dt": ("params", "dt"),
+    "t_final": ("params", "t_final"),
+    "sample_times": ("sweep", "sample_times"),
+    "error_p": ("sweep", "error_p"),
+    "kappa": ("params", "kappa"),
+    "output_dir": ("output", "dir"),
+    "save_fields": ("output", "save_fields"),
+}
+_SPECS = ("grid", "patch", "density")  # sections keyed by the fields of GridSpec, PatchSpec, DensitySpec
+
+# a JSON value as the field type its dataclass declares
+_CONVERT = {"int": int, "float": float, "str": str, "bool": bool, "tuple[float, float]": tuple,
+       "tuple[float, ...]": lambda values: tuple(float(v) for v in values)}
+
+
+def _refuse_unknown(keys, known, where: str) -> None:
+    for key in keys:
+        if key not in known:
+            raise ValueError(f"unknown config key {key!r} {where}")
+
+
+def _spec(spec: type, section: dict, name: str):
+    """The ``spec`` dataclass of a config section: its keys are the fields, absent ones take their defaults."""
+    kw = {f.name: _CONVERT[f.type](section[f.name]) for f in fields(spec) if f.default is MISSING or f.name in section}
+    _refuse_unknown(section, kw, f"in section {name!r}")
+    return spec(**kw)
 
 
 @dataclass(frozen=True)
@@ -88,50 +119,29 @@ class SweepConfig:
             raise ValueError("error_p must be a Lebesgue exponent >= 1")
         # fail here, not inside a pool worker: SimParams checks dt, t_final and kappa
         SimParams(mu=0.0, dt=self.dt, t_final=self.t_final, kappa=self.kappa)
-        times = np.asarray(self.sample_times, dtype=np.float64)
-        if not (times.size and np.all(np.isfinite(times)) and 0.0 <= times.min() and times.max() <= self.t_final + 1.0e-12):
-            raise ValueError("sample times must be finite and lie in [0, t_final]")
+        _sample_times(self.sample_times, self.t_final)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
-        grid = GridSpec(n=int(raw["grid"]["n"]), half_length=float(raw["grid"].get("half_length", 8.0)))
-        p = dict(raw["patch"])
-        patch = PatchSpec(
-            kind=p.get("kind", "disc"),
-            center=tuple(p.get("center", (0.0, 0.0))),
-            radius=float(p.get("radius", 1.0)),
-            axes=tuple(p.get("axes", (2.0, 1.0))),
-            amplitude=float(p.get("amplitude", 0.1)),
-            base_mode=int(p.get("base_mode", 5)),
-            octaves=int(p.get("octaves", 1)),
-            epsilon=float(p.get("epsilon", 0.5)),
-        )
-        density = None
-        d = raw.get("density")
-        if d:
-            density = DensitySpec(
-                kind=d.get("kind", "gaussian"),
-                amplitude=float(d.get("amplitude", 0.1)),
-                width=float(d.get("width", 1.0)),
-                center=tuple(d.get("center", (0.0, 0.0))),
-            )
-        params = raw.get("params", {})
-        sweep = raw.get("sweep", {})
-        out = raw.get("output", {})
-        times = sweep.get("sample_times") or [float(params["t_final"])]
-        return cls(
-            grid=grid,
-            patch=patch,
-            density=density,
-            mu_values=tuple(float(m) for m in sweep["mu"]),
-            dt=float(params["dt"]),
-            t_final=float(params["t_final"]),
-            sample_times=tuple(float(t) for t in times),
-            error_p=float(sweep.get("error_p", 2.0)),
-            kappa=float(params.get("kappa", 1.0)),
-            output_dir=str(out.get("dir", "results")),
-            save_fields=bool(out.get("save_fields", False)),
-        )
+        """The config a JSON document describes, laid out as ``to_dict`` writes it.
+
+        grid, patch and density are sections keyed by the fields of GridSpec, PatchSpec and
+        DensitySpec, the other fields sit where ``_LAYOUT`` puts them, and each value is converted
+        to its field's declared type.  An absent key takes its field's default; without sample
+        times the one sample is at t_final.  A key that names no field is refused.
+        """
+        _refuse_unknown(raw, {*_SPECS, *(section for section, _ in _LAYOUT.values())}, "at the top level")
+        density = raw.get("density")
+        specs = {"grid": _spec(GridSpec, raw["grid"], "grid"), "patch": _spec(PatchSpec, raw["patch"], "patch"),
+                 "density": _spec(DensitySpec, density, "density") if density else None}
+        sections = {section: raw.get(section, {}) for section, _ in _LAYOUT.values()}
+        for name, section in sections.items():
+            _refuse_unknown(section, {key for s, key in _LAYOUT.values() if s == name}, f"in section {name!r}")
+        if not sections["sweep"].get("sample_times"):
+            sections["sweep"] = {**sections["sweep"], "sample_times": [sections["params"]["t_final"]]}
+        own = {f.name: f for f in fields(cls)}
+        return cls(**specs, **{name: _CONVERT[own[name].type](sections[s][key]) for name, (s, key) in _LAYOUT.items()
+                               if key in sections[s] or own[name].default is MISSING})
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SweepConfig":
@@ -139,34 +149,9 @@ class SweepConfig:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        d: dict = {
-            "grid": {"n": self.grid.n, "half_length": self.grid.half_length},
-            "patch": {
-                "kind": self.patch.kind,
-                "center": list(self.patch.center),
-                "radius": self.patch.radius,
-                "axes": list(self.patch.axes),
-                "amplitude": self.patch.amplitude,
-                "base_mode": self.patch.base_mode,
-                "octaves": self.patch.octaves,
-                "epsilon": self.patch.epsilon,
-            },
-            "density": None,
-            "params": {"dt": self.dt, "t_final": self.t_final, "kappa": self.kappa},
-            "sweep": {
-                "mu": list(self.mu_values),
-                "sample_times": list(self.sample_times),
-                "error_p": self.error_p,
-            },
-            "output": {"dir": self.output_dir, "save_fields": self.save_fields},
-        }
-        if self.density is not None:
-            d["density"] = {
-                "kind": self.density.kind,
-                "amplitude": self.density.amplitude,
-                "width": self.density.width,
-                "center": list(self.density.center),
-            }
+        d: dict = {name: None if (spec := getattr(self, name)) is None else asdict(spec) for name in _SPECS}
+        for name, (section, key) in _LAYOUT.items():
+            d.setdefault(section, {})[key] = getattr(self, name)
         return d
 
     def digest(self) -> str:
@@ -336,18 +321,9 @@ def emit_report(result: SweepResult, out_dir: str | Path | None = None) -> dict[
 
     rates = out / "rates.csv"
     with open(rates, "w", newline="") as fh:
-        fh.write("mu,time,velocity_error,density_error,discrepancy,vorticity_error\n")
+        fh.write(",".join(f.name for f in fields(RateRow)) + "\n")
         for r in result.rows:
-            fh.write(
-                ",".join(
-                    repr(x)
-                    for x in (
-                        r.mu, r.time, r.velocity_error, r.density_error,
-                        r.discrepancy, r.vorticity_error,
-                    )
-                )
-                + "\n"
-            )
+            fh.write(",".join(repr(x) for x in astuple(r)) + "\n")
 
     slopes = out / "slopes.json"
     with open(slopes, "w") as fh:

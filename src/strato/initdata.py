@@ -161,7 +161,7 @@ class DensitySpec:
     """Initial density profile: constant, gaussian, or compact bump."""
 
     kind: str = "gaussian"
-    amplitude: float = 1.0
+    amplitude: float = 0.1
     width: float = 1.0
     center: tuple[float, float] = (0.0, 0.0)
 

@@ -24,13 +24,13 @@ primary self-consistency diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, VelocityField, biot_savart, dx1_inv_laplacian, laplacian, lp_norm, rfft2
+from .grid import GridSpec, ScalarField, VelocityField, biot_savart, dx1_inv_laplacian, laplacian, lp_norm
 from .littlewood_paley import TimeSeries
 
 __all__ = [
@@ -109,11 +109,7 @@ class DiagnosticsRecord:
     steps: list[int] = field(default_factory=list)
 
     def to_csv(self, path: str | Path) -> None:
-        cols = [
-            "times", "omega_l2", "omega_sup", "rho_l1", "rho_sup", "rho_l2",
-            "velocity_sup", "gradv_sup", "gradv_sup_integral",
-            "gradrho_l2_integral", "circulation", "steps",
-        ]
+        cols = [f.name for f in fields(self)]
         with open(path, "w", newline="") as fh:
             fh.write(",".join(cols) + "\n")
             for i in range(len(self.times)):
@@ -250,10 +246,16 @@ def march(
         raise ValueError("initial fields must share a grid")
     if sample_times is None:
         sample_times = [params.t_final]
-    samples = np.unique(np.asarray([float(t) for t in sample_times], dtype=np.float64))
-    if not (len(samples) and np.all(np.isfinite(samples)) and 0.0 <= samples[0] and samples[-1] <= params.t_final + 1.0e-12):
-        raise ValueError("sample times must be finite and lie in [0, t_final]")
+    samples = _sample_times(sample_times, params.t_final)
     return _march(omega0, rho0, params, samples, record_every_step, track_gradients)
+
+
+def _sample_times(times, t_final: float) -> np.ndarray:
+    """The distinct sample times in order; each must be finite and lie in [0, t_final], up to 1e-12."""
+    samples = np.unique(np.asarray([float(t) for t in times], dtype=np.float64))
+    if not (len(samples) and np.all(np.isfinite(samples)) and 0.0 <= samples[0] and samples[-1] <= t_final + 1.0e-12):
+        raise ValueError("sample times must be finite and lie in [0, t_final]")
+    return samples
 
 
 def _band_of(f: ScalarField) -> np.ndarray:
@@ -369,7 +371,7 @@ def _masked_advection(v: VelocityField, f: ScalarField) -> ScalarField:
     d1 = kern.real(kern.ik1 * f.half_spectrum)
     d2 = kern.real(kern.ik2 * f.half_spectrum)
     prod = v.u1.values * d1 + v.u2.values * d2
-    return ScalarField.from_half_spectrum(f.grid, rfft2(prod) * kern.keep)
+    return ScalarField.from_band(f.grid, kern.band_spectrum(prod))
 
 
 def commutator_source(omega: ScalarField, rho: ScalarField) -> ScalarField:

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.fft as fft
@@ -41,9 +43,21 @@ def half_kmag(grid):
     return np.hypot(k[:, None], k2[None, :])
 
 
+def keep_mask(n):
+    """The 2/3 dealiasing mask on the n-point rfft2 lattice, |m1|, m2 <= n // 3, built from numpy alone."""
+    m1, m2 = np.fft.fftfreq(n, d=1.0 / n), np.fft.rfftfreq(n, d=1.0 / n)
+    return (np.abs(m1)[:, None] <= n // 3) & (m2[None, :] <= n // 3)
+
+
 def dealias(kern, values):
     """Grid values with the 2/3 rule of the grid kernel ``kern`` applied."""
-    return kern.real(rfft2(values) * kern.keep)
+    return kern.real(rfft2(values) * keep_mask(kern.n))
+
+
+def velocity_values(interp, t):
+    """Grid values of the velocity at t of a VelocityInterpolant, from the full half spectrum."""
+    h = interp.omega_spectrum(t)
+    return interp.kern.real(interp.kern.v1 * h), interp.kern.real(interp.kern.v2 * h)
 
 
 def transport_scalar(f, omega_series, dt=None):
@@ -63,7 +77,7 @@ def transport_scalar(f, omega_series, dt=None):
         return [dealias(kern, -(v1 * kern.real(kern.ik1 * s) + v2 * kern.real(kern.ik2 * s)))]
 
     state = [f.values]
-    for _, state in _rk4(state, interp.velocity_values, rhs, interp, dt):
+    for _, state in _rk4(state, partial(velocity_values, interp), rhs, interp, dt):
         pass
     return ScalarField(g, state[0])
 

@@ -47,7 +47,7 @@ from strato.conormal import (
     holder_quotient,
     log_estimate_ratio,
 )
-from conftest import FullSpectrum, dealias, random_field, transport_scalar
+from conftest import FullSpectrum, dealias, keep_mask, random_field, transport_scalar, velocity_values
 
 
 def constant_field(grid, value):
@@ -274,7 +274,7 @@ class TestVelocityInterpolant:
         x1, x2 = g.mesh
         om = ScalarField.from_values(g, np.sin(x1) * np.cos(2.0 * x2))
         it = VelocityInterpolant(TimeSeries(times=np.array([0.0]), fields=(om,)))
-        v1, v2 = it.velocity_values(0.7)
+        v1, v2 = velocity_values(it, 0.7)
         vb = biot_savart(om)
         assert np.abs(v1 - vb.u1.values).max() <= 1e-14
         assert np.abs(v2 - vb.u2.values).max() <= 1e-14
@@ -292,7 +292,7 @@ class TestVelocityInterpolant:
     def test_shear_velocity_closed_form(self, pi_grid):
         x1, x2 = pi_grid.mesh
         it = VelocityInterpolant(shear_series(pi_grid))
-        v1, v2 = it.velocity_values(0.25)
+        v1, v2 = velocity_values(it, 0.25)
         assert np.abs(v1 - (np.cos(x2) + 0.0 * x1)).max() <= 1e-13
         assert np.abs(v2).max() <= 1e-13
 
@@ -385,7 +385,7 @@ class TestShearAdvection:
 
         def velocity(t):
             calls.append(t)
-            return interp.velocity_values(t)
+            return velocity_values(interp, t)
 
         still = lambda state, vel: [np.zeros_like(state[0])]
         for _ in strato.conormal._rk4([np.ones(3)], velocity, still, interp, None):
@@ -481,7 +481,7 @@ def full_spectrum_stretch_rhs(comps, vel, grid):
             r = rfft2(x1 * g1 + x2 * g2)
             r -= kern.ik1 * rfft2(v1 * x)
             r -= kern.ik2 * rfft2(v2 * x)
-            r *= kern.keep
+            r *= keep_mask(grid.n)
             out.append(kern.real(r))
     return out
 
@@ -556,7 +556,7 @@ class TestTracerEvaluator:
         kern = grid256._kernel
         h = random_field(grid256, 71).half_spectrum
         if band:
-            h = h * kern.keep  # as a march sample
+            h = h * keep_mask(grid256.n)  # as a march sample
         pts = np.random.default_rng(m).uniform(-8.0, 8.0, (m, 2))
         calls = []
         basis = strato.conormal._phase_basis
@@ -570,7 +570,7 @@ class TestTracerEvaluator:
     def test_band_and_full_sums_match_eval_at(self, grid256, monkeypatch, beyond):
         kern = grid256._kernel
         pts = np.random.default_rng(7).uniform(-8.0, 8.0, (300, 2))
-        h = random_field(grid256, 70).half_spectrum * kern.keep  # as a march sample
+        h = random_field(grid256, 70).half_spectrum * keep_mask(grid256.n)  # as a march sample
         if beyond:
             h[grid256.n // 2 - 1, 3] = 1.0  # one mode outside the 2/3 band
         bands = []

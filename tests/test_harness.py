@@ -157,6 +157,37 @@ class TestSweepConfig:
         assert cfg.mu_values == (1.0e-3, 3.0e-3, 1.0e-2)
         assert cfg.density == DensitySpec(kind="gaussian", amplitude=0.1, width=1.0, center=(0.0, 0.5))
 
+    def test_density_without_amplitude_takes_the_spec_default(self):
+        raw = tiny_config_dict()
+        del raw["density"]["amplitude"]
+        assert SweepConfig.from_dict(raw).density == DensitySpec(kind="gaussian", width=1.0, center=(0.0, 0.5))
+
+    @pytest.mark.parametrize("section, key", [
+        (None, "ouput"), ("grid", "half_lenght"), ("patch", "raduis"), ("density", "amplitud"),
+        ("params", "kapa"), ("sweep", "errorp"), ("output", "directory"),
+    ])
+    def test_unknown_key_refused(self, section, key):
+        raw = tiny_config_dict()
+        (raw if section is None else raw[section])[key] = 1.0
+        where = "at the top level" if section is None else f"in section {section!r}"
+        with pytest.raises(ValueError, match=f"^unknown config key {key!r} {where}$"):
+            SweepConfig.from_dict(raw)
+
+    def test_readme_config_loads_and_round_trips(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("A sweep config is a small JSON file:", 1)[1].split("\n## ", 1)[0]
+        raw = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+        cfg = SweepConfig.from_dict(raw)
+        assert SweepConfig.from_dict(cfg.to_dict()) == cfg
+        back = json.loads(json.dumps(cfg.to_dict()))
+        for name, keys in raw.items():
+            assert {k: back[name][k] for k in keys} == keys
+        # the README's table names every key of every section
+        rows = {line.split("`")[1]: line for line in section.splitlines() if line.startswith("| `")}
+        assert rows.keys() == back.keys()
+        for name, keys in back.items():
+            assert all(f"`{k}`" in rows[name] for k in keys), name
+
     def test_digest_is_stable_and_sensitive(self):
         a = SweepConfig.from_dict(tiny_config_dict())
         b = SweepConfig.from_dict(tiny_config_dict())
@@ -699,6 +730,9 @@ class TestCli:
          "save_fields needs mu values that differ in 6 significant digits, got 0.001 and 0.0010000001"),
         (json.dumps({**tiny_config_dict(), "params": {"dt": 0.05}}), "missing key 't_final'"),
         (json.dumps({**tiny_config_dict(), "grid": 64}), "'int' object is not subscriptable"),
+        (json.dumps({**tiny_config_dict(), "ouput": {}}), "unknown config key 'ouput' at the top level"),
+        (json.dumps({**tiny_config_dict(), "params": {"dt": 0.05, "t_final": 0.2, "kapa": 1.0}}),
+         "unknown config key 'kapa' in section 'params'"),
         ("{", "Expecting property name enclosed in double quotes"),
         (None, "No such file or directory"),
     ])

@@ -20,7 +20,7 @@ from strato.solver import (
     march,
     run,
 )
-from conftest import FullSpectrum, random_field
+from conftest import FullSpectrum, keep_mask, random_field
 
 
 def zero_field(grid):
@@ -384,7 +384,7 @@ class TestStepping:
 def full_spectrum_advance(g, params, what, rhat, h, vel=None):
     """One CFL-guarded RK4 step on whole masked half spectra, as the march took it
     before it kept its state on the 2/3 band; a reference for the band march."""
-    kern = g._kernel
+    kern, keep = g._kernel, keep_mask(g.n)
 
     def velocity(w):
         return kern.real(kern.v1 * w), kern.real(kern.v2 * w)
@@ -393,7 +393,7 @@ def full_spectrum_advance(g, params, what, rhat, h, vel=None):
         v1, v2 = vel if vel is not None else velocity(w)
         adv_w = kern.real(kern.ik1 * w) * v1 + kern.real(kern.ik2 * w) * v2
         adv_r = kern.real(kern.ik1 * r) * v1 + kern.real(kern.ik2 * r) * v2
-        return kern.ik1 * r - fft.rfft2(adv_w) * kern.keep, -(fft.rfft2(adv_r) * kern.keep)
+        return kern.ik1 * r - fft.rfft2(adv_w) * keep, -(fft.rfft2(adv_r) * keep)
 
     if vel is None:
         vel = velocity(what)
@@ -418,7 +418,7 @@ class TestHalfSpectrumKernel:
         r = random_field(g, 19, band=10.0)
         kern = g._kernel
         got_w, got_r = _Engine(g, SimParams(mu=0.01, dt=0.05, t_final=0.1)).nonlinear(
-            kern.cut(w.half_spectrum * kern.keep), kern.cut(r.half_spectrum * kern.keep)
+            kern.cut(w.half_spectrum * keep_mask(g.n)), kern.cut(r.half_spectrum * keep_mask(g.n))
         )
 
         ref = FullSpectrum(g)
@@ -470,8 +470,8 @@ class TestHalfSpectrumKernel:
         g = grid64
         kern = g._kernel
         params = SimParams(mu=0.01, dt=0.01, t_final=0.1, kappa=0.5)
-        what = random_field(g, 23, band=10.0).half_spectrum * kern.keep
-        rhat = random_field(g, 24, band=10.0).half_spectrum * kern.keep
+        what = random_field(g, 23, band=10.0).half_spectrum * keep_mask(g.n)
+        rhat = random_field(g, 24, band=10.0).half_spectrum * keep_mask(g.n)
         vmax = np.max(np.hypot(*(kern.real(v * what) for v in (kern.v1, kern.v2))))
         h = (1.5 if halvings else 0.5) * params.cfl_cap * g.dx / vmax
         new_w, new_r, t = _Engine(g, params).advance(kern.cut(what), kern.cut(rhat), 0.0, h)
