@@ -186,9 +186,20 @@ class _HalfKernel(_Multipliers):
         half[self.rows, : self.cols] = band
         return half
 
-    def band_real(self, band: np.ndarray) -> np.ndarray:
-        """Grid values of a band, bitwise equal to ``real(embed(band))``."""
-        return _fft.irfft(self._columns(_fft.ifft, self.embed(band)), self.shape[1], axis=1)
+    def band_real(self, band: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
+        """Grid values of a band, or of ``m * band`` given ``m``, bitwise equal to ``real(embed(...))`` of it.
+
+        The product is written straight into the embedded buffer, one block of the band's rows at a time.
+        """
+        if m is None:
+            half = self.embed(band)
+        else:
+            half = np.zeros(self.half_shape, dtype=np.result_type(m, band))
+            m = np.broadcast_to(m, band.shape)
+            b = self.cols - 1
+            for rows in (slice(0, b + 1), slice(-b, None)):  # m1 = 0..b, then -b..-1
+                np.multiply(m[rows], band[rows], out=half[rows, : self.cols])
+        return _fft.irfft(self._columns(_fft.ifft, half), self.shape[1], axis=1)
 
     def pad(self, head: np.ndarray) -> np.ndarray:
         """The half spectrum that is ``head`` on its first columns and zero beyond them."""

@@ -9,10 +9,12 @@ requested sample times.  The discrepancy functional is
 
 with the velocity difference reconstructed from the vorticity
 difference, plus the plain vorticity Lp gap as a second observable.
-Each worker process receives the config and the initial fields once,
-when it starts; a rung's task carries only its diffusivity, and it
-hands back the 2/3 bands of its samples, not their grid values.  The
-parent forms each band difference once and takes every gap from it.
+Each worker process receives the config once, when it starts, and
+builds the initial fields itself; the parent builds them only when it
+runs the rungs itself.  A rung's task carries only its diffusivity, and
+it hands back the 2/3 bands of its samples, not their grid values.  The
+parent holds the reference bands and the rungs that have arrived, forms
+each band difference once and takes every gap from it, one grid at a time.
 Reports are written as rates.csv / slopes.json / manifest.json with
 full-precision floats and rows in a canonical order, so the bytes do
 not depend on how many worker processes produced them; what does
@@ -71,9 +73,30 @@ _LAYOUT = {
 }
 _SPECS = ("grid", "patch", "density")  # sections keyed by the fields of GridSpec, PatchSpec, DensitySpec
 
+
+def _integral(value) -> int:
+    """An integer, or a float with no fractional part, as an int; anything else is refused."""
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
 # a JSON value as the field type its dataclass declares
-_CONVERT = {"int": int, "float": float, "str": str, "bool": bool, "tuple[float, float]": tuple,
+_CONVERT = {"int": _integral, "float": float, "str": str, "bool": _boolean, "tuple[float, float]": tuple,
        "tuple[float, ...]": lambda values: tuple(float(v) for v in values)}
+
+
+def _convert(field_type: str, value, key: str, where: str):
+    try:
+        return _CONVERT[field_type](value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config key {key!r} {where}: {exc}") from None
 
 
 def _refuse_unknown(keys, known, where: str) -> None:
@@ -84,8 +107,10 @@ def _refuse_unknown(keys, known, where: str) -> None:
 
 def _spec(spec: type, section: dict, name: str):
     """The ``spec`` dataclass of a config section: its keys are the fields, absent ones take their defaults."""
-    kw = {f.name: _CONVERT[f.type](section[f.name]) for f in fields(spec) if f.default is MISSING or f.name in section}
-    _refuse_unknown(section, kw, f"in section {name!r}")
+    where = f"in section {name!r}"
+    kw = {f.name: _convert(f.type, section[f.name], f.name, where)
+          for f in fields(spec) if f.default is MISSING or f.name in section}
+    _refuse_unknown(section, kw, where)
     return spec(**kw)
 
 
@@ -140,8 +165,8 @@ class SweepConfig:
         if not sections["sweep"].get("sample_times"):
             sections["sweep"] = {**sections["sweep"], "sample_times": [sections["params"]["t_final"]]}
         own = {f.name: f for f in fields(cls)}
-        return cls(**specs, **{name: _CONVERT[own[name].type](sections[s][key]) for name, (s, key) in _LAYOUT.items()
-                               if key in sections[s] or own[name].default is MISSING})
+        return cls(**specs, **{name: _convert(own[name].type, sections[s][key], key, f"in section {s!r}")
+                               for name, (s, key) in _LAYOUT.items() if key in sections[s] or own[name].default is MISSING})
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SweepConfig":
@@ -209,9 +234,12 @@ def _gaps(grid: GridSpec, p: float, omega: np.ndarray, rho: np.ndarray, ref_omeg
           ref_rho: np.ndarray) -> tuple[float, float, float]:
     """Velocity, density and vorticity Lp gaps of one sample, from its bands and the reference's."""
     kern = grid._kernel
-    dw, dr = omega - ref_omega, rho - ref_rho
-    vel = np.hypot(kern.band_real(kern.band.v1 * dw), kern.band_real(kern.band.v2 * dw))
-    return tuple(lp_norm(f, p, grid=grid) for f in (vel, kern.band_real(dr), kern.band_real(dw)))
+    dw = omega - ref_omega
+    vel = kern.band_real(dw, kern.band.v1)
+    np.hypot(vel, kern.band_real(dw, kern.band.v2), out=vel)
+    verr = lp_norm(vel, p, grid=grid)
+    del vel  # each grid is let go of before the next inverse
+    return verr, lp_norm(kern.band_real(rho - ref_rho), p, grid=grid), lp_norm(kern.band_real(dw), p, grid=grid)
 
 
 def _worker_count(workers: int | str | None, rungs: int) -> int:
@@ -227,13 +255,16 @@ def _worker_count(workers: int | str | None, rungs: int) -> int:
     return min(int(text), rungs)
 
 
-_inputs: tuple = ()  # (config, omega0, rho0) of the sweep this process is running
+_inputs: tuple = ()  # (config, omega0, rho0) of the sweep this process marches rungs of
 
 
-def _hand_over(*inputs) -> None:
-    """Keep a sweep's inputs for the rungs this process runs; the pool's worker initializer."""
+def _hand_over(config: SweepConfig | None = None) -> None:
+    """Build a sweep's inputs for the rungs this process runs, or let them go without a config.
+
+    The pool's worker initializer: each worker is sent the config alone and rasterizes its own
+    initial fields, which are the same bits in every process."""
     global _inputs
-    _inputs = inputs
+    _inputs = () if config is None else (config, *config.initial_fields())
 
 
 def _rung(mu: float) -> tuple:
@@ -249,10 +280,12 @@ def _logged(out: tuple) -> tuple:
 def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:
     """Run the ladder plus the zero-diffusivity reference and tabulate rates.
 
-    The initial fields are built once and handed to each worker process
-    as it starts (inherited under fork, pickled once per worker
-    otherwise); a rung's task is only its diffusivity, and the inputs
-    are let go before this returns.  The worker count is ``workers`` if
+    Each worker process is handed the config as it starts (inherited
+    under fork, pickled once per worker otherwise, about 1 KiB) and
+    rasterizes the initial fields itself; a rung's task is only its
+    diffusivity.  This process builds the fields only when it runs the
+    rungs itself, and lets them go before this returns; with a pool it
+    holds no initial field at all.  The worker count is ``workers`` if
     given, else STRATO_WORKERS, else the number of cores this process
     may run on, capped at the rung count; a count of 1 runs every rung
     in this process.  Tasks are dispatched in ladder order and collected
@@ -268,12 +301,13 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:
     workers = _worker_count(workers, len(mus))
     grid = config.grid
     p = config.error_p
-    _hand_over(config, *config.initial_fields())
 
     rows: list[RateRow] = []
     stats, fields = [], {}
     try:
-        with (ProcessPoolExecutor(workers, initializer=_hand_over, initargs=_inputs)
+        if workers == 1:
+            _hand_over(config)
+        with (ProcessPoolExecutor(workers, initializer=_hand_over, initargs=(config,))
               if workers > 1 else nullcontext()) as pool:
             for mu, times, om, rh, rung in map(_logged, (pool.map if pool else map)(_rung, mus)):
                 stats.append(rung)

@@ -191,6 +191,18 @@ class TestBandTransforms:
         assert np.array_equal(f.values, kern.real(masked))
         assert np.array_equal(f.half_spectrum, masked)
 
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_band_real_with_multiplier_matches_product(self, n):
+        # a row (ik1), a column (ik2) and a full (v1) multiplier, written into the embedded buffer
+        g = GridSpec(n=n, half_length=2.0)
+        kern = g._kernel
+        band = kern.band_spectrum(1e3 * random_field(g, n + 3).values)
+        for name, shape in (("ik1", (2 * (n // 3) + 1, 1)), ("ik2", (1, n // 3 + 1)), ("v1", band.shape)):
+            m = getattr(kern.band, name)
+            assert m.shape == shape
+            got, want = kern.band_real(band, m), kern.band_real(m * band)
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes(), name
+
     def test_column_pass_transforms_in_place(self, grid64):
         # the band's columns of half are overwritten with scipy's out-of-place transform, bit for bit
         kern = grid64._kernel

@@ -22,7 +22,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import strato.cli
 import strato.conormal
@@ -135,6 +135,8 @@ class TestSweepConfig:
         density=st.booleans(),
         save_fields=st.booleans(),
     )
+    @example(n=16, kind="disc", mus=[0.01], dt=0.5, steps=1, fractions=[1.0, 0.9999999999999999],
+             error_p=2.0, density=False, save_fields=True)  # times 0.5 and 0.49999999999999994
     def test_dict_round_trip_property(self, n, kind, mus, dt, steps, fractions, error_p, density, save_fields):
         raw = tiny_config_dict(mus=mus)
         raw["grid"]["n"] = n
@@ -145,6 +147,12 @@ class TestSweepConfig:
         raw["output"]["save_fields"] = save_fields
         if not density:
             raw["density"] = None
+        times = set(raw["sweep"]["sample_times"])
+        if save_fields and len({f"{t:.6g}" for t in times}) < len(times):
+            # snapshot names hold 6 significant digits, so two times they would not tell apart are refused
+            with pytest.raises(ValueError, match="save_fields needs sample times that differ"):
+                SweepConfig.from_dict(raw)
+            return
         cfg = SweepConfig.from_dict(raw)
         back = SweepConfig.from_dict(cfg.to_dict())
         assert back == cfg
@@ -172,6 +180,47 @@ class TestSweepConfig:
         where = "at the top level" if section is None else f"in section {section!r}"
         with pytest.raises(ValueError, match=f"^unknown config key {key!r} {where}$"):
             SweepConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("section, key, bad, match", [
+        ("grid", "n", 64.9, "must be an integer"), ("grid", "n", "64", "must be an integer"),
+        ("grid", "n", True, "must be an integer"), ("patch", "base_mode", 5.7, "must be an integer"),
+        ("patch", "octaves", 1.5, "must be an integer"), ("output", "save_fields", "false", "must be true or false"),
+        ("output", "save_fields", 1, "must be true or false"), ("output", "save_fields", None, "must be true or false"),
+    ])
+    def test_coerced_value_refused(self, section, key, bad, match):
+        raw = tiny_config_dict()
+        raw[section][key] = bad
+        with pytest.raises(ValueError, match=f"^config key {key!r} in section {section!r}: {match}, got {bad!r}$"):
+            SweepConfig.from_dict(raw)
+
+    def test_integral_floats_are_integers(self):
+        raw = tiny_config_dict()
+        raw["grid"]["n"] = 64.0
+        raw["patch"].update(kind="star", base_mode=5.0, octaves=2.0)
+        cfg = SweepConfig.from_dict(raw)
+        assert (cfg.grid.n, cfg.patch.base_mode, cfg.patch.octaves) == (64, 5, 2)
+        assert all(type(x) is int for x in (cfg.grid.n, cfg.patch.base_mode, cfg.patch.octaves))
+        raw["grid"]["n"], raw["patch"]["base_mode"], raw["patch"]["octaves"] = 64, 5, 2
+        assert SweepConfig.from_dict(raw).digest() == cfg.digest()
+
+    def test_known_configs_keep_their_digest(self, tmp_path):
+        # the tiny test config and the benchmark's sweep and conormal configs (unshifted and seed 100)
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+        try:
+            import workloads
+        finally:
+            sys.path.pop(0)
+        assert SweepConfig.from_dict(tiny_config_dict()).digest() == (
+            "388eed907299a32613658870684a117eb505a3664edef1752faa64e0abbe3c38")
+        want = {
+            ("sweep", None): "c2ed6589e96fdd508320af1b65c1e716479e7e575354530a789c117ff609f3e6",
+            ("sweep", 100): "32a3dd2a0c3b1a9e5125105480530bc818ae1f75571ce12d2429ef57b7bb3ef3",
+            ("conormal", None): "c77c3949f2fc826d72f2070c3d400ba9b42823590ae533d8ffd5124317d6fcff",
+            ("conormal", 100): "67c12f6f2b7b2beb786d5c399ff5bedbb00bb0d5b16638e1890f0f1b574bb403",
+        }
+        for (workload, seed), digest in want.items():
+            spec = workloads.make_spec(workload, seed, False, tmp_path)
+            assert SweepConfig.from_json(spec["config"]).digest() == digest, (workload, seed)
 
     def test_readme_config_loads_and_round_trips(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -564,7 +613,8 @@ class TestDeterminism:
 
 
     def test_pooled_task_carries_only_its_viscosity(self, tmp_path, monkeypatch):
-        # spawn inherits nothing, so these rungs can only run if the initializer handed the inputs over
+        # spawn inherits nothing, so these rungs can only run if the initializer handed the config over
+        # and each worker built its own initial fields from it
         pools = []
 
         class Recording(concurrent.futures.ProcessPoolExecutor):
@@ -585,16 +635,16 @@ class TestDeterminism:
         assert len(pool.tasks) == 3
         assert all(len(task) < 1024 for task in pool.tasks)
         assert pool.made_with["initializer"] is strato.harness._hand_over
-        config, omega0, rho0 = pool.made_with["initargs"]
-        want = cfg.initial_fields()
-        assert config == cfg
-        assert np.array_equal(omega0.values, want[0].values) and np.array_equal(rho0.values, want[1].values)
+        assert pool.made_with["initargs"] == (cfg,)
+        assert len(pickle.dumps(pool.made_with["initargs"])) < 2048
         serial = emit_report(run_sweep(cfg, workers=1), tmp_path / "serial")
         for key in ("rates", "slopes", "manifest"):
             assert serial[key].read_bytes() == pooled[key].read_bytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sweep_lets_go_of_its_inputs(self, workers, tmp_path, monkeypatch):
+        # one worker: this process marches the rungs and lets their inputs go; a pool: the workers
+        # build the inputs, and this process builds none (forked workers append to their own copy of refs)
         refs, initial_fields = [], SweepConfig.initial_fields
 
         def tracked(config):
@@ -604,9 +654,21 @@ class TestDeterminism:
 
         monkeypatch.setattr(SweepConfig, "initial_fields", tracked)
         result = run_sweep(SweepConfig.from_dict(tiny_config_dict(out_dir=tmp_path)), workers=workers)
-        assert len(refs) == 4 and strato.harness._inputs == ()
+        assert len(refs) == (4 if workers == 1 else 0) and strato.harness._inputs == ()
         del result
-        assert [r() for r in refs] == [None] * 4
+        assert [r() for r in refs] == [None] * len(refs)
+
+    def test_pooled_sweep_parent_holds_no_inputs(self, tmp_path, monkeypatch):
+        # _gaps runs in this process as each rung arrives, while the workers still march
+        seen, real_gaps = [], strato.harness._gaps
+
+        def gaps(*args):
+            seen.append(strato.harness._inputs)
+            return real_gaps(*args)
+
+        monkeypatch.setattr(strato.harness, "_gaps", gaps)
+        run_sweep(SweepConfig.from_dict(tiny_config_dict(out_dir=tmp_path)), workers=2)
+        assert seen == [()] * 6  # three rungs, two sample times
 
 
 class TestCli:
@@ -1141,6 +1203,21 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
                              timeout=120).stdout
         assert out.splitlines() == ["[]"]
+
+    def test_sweep_memory_script_splits_parent_and_workers(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(tiny_config_dict(out_dir=tmp_path / "unused", mus=(1.0e-3, 1.0e-2))))
+        script = Path(__file__).resolve().parents[1] / "scripts" / "sweep_memory.py"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        peaks = {}
+        for workers in ("1", "2"):
+            out = subprocess.run([sys.executable, str(script), str(cfg), "--workers", workers, "--setup",
+                                  "--out", str(tmp_path / workers)], env=env, capture_output=True, text=True,
+                                 check=True, timeout=120).stdout
+            assert (tmp_path / workers / "rates.csv").exists()
+            peaks[workers] = [float(line.split(":")[1].split()[0]) for line in out.splitlines()]
+        assert peaks["1"][0] > 0.0 and peaks["1"][1] == 0.0  # one process: no worker was waited for
+        assert min(peaks["2"]) > 0.0
 
     @pytest.mark.parametrize("samples", ["1", "0"])
     def test_conormal_needs_two_samples(self, tmp_path, capsys, samples):
