@@ -72,7 +72,7 @@ def family_floor(family: VectorFieldFamily) -> float:
 
 def divergence(x: VelocityField) -> ScalarField:
     kern = x.grid._kernel
-    return ScalarField.from_half_spectrum(x.grid, kern.ik1 * x.u1.half_spectrum + kern.ik2 * x.u2.half_spectrum)
+    return ScalarField.from_spectrum(x.grid, kern.ik1 * x.u1.half_spectrum + kern.ik2 * x.u2.half_spectrum)
 
 
 def directional_derivative(u: ScalarField, x: VelocityField) -> ScalarField:
@@ -92,7 +92,7 @@ def _directional_derivative(u: ScalarField, x: VelocityField, div: ScalarField) 
     g = u.grid
     kern = g._kernel
     p1, p2, p3 = (kern.band_spectrum(u.values * c) for c in (x.u1.values, x.u2.values, div.values))
-    return ScalarField.from_band(g, kern.band.ik1 * p1 + kern.band.ik2 * p2 - p3)
+    return ScalarField.from_spectrum(g, kern.band.ik1 * p1 + kern.band.ik2 * p2 - p3)
 
 
 def _vector_holder(x: VelocityField, s: float) -> float:
@@ -153,13 +153,6 @@ class VelocityInterpolant:
         return float(self.times[0]), float(self.times[-1])
 
 
-def _gradient_spectra(kern: Any, h: np.ndarray) -> Iterator[np.ndarray]:
-    """Half spectra of v1, v2, d1 v1, d2 v1, d1 v2 and d2 v2 from vorticity spectrum h, one at a time."""
-    s1, s2 = kern.v1 * h, kern.v2 * h
-    yield from (s1, s2)
-    yield from (ik * s for s in (s1, s2) for ik in (kern.ik1, kern.ik2))
-
-
 def _gradient_at(h: np.ndarray, grid: GridSpec, pts: np.ndarray) -> list[np.ndarray]:
     """v1, v2, d1 v1, d2 v1, d1 v2, d2 v2 at pts from vorticity spectrum h, three phase-basis contractions per chunk.
 
@@ -200,19 +193,15 @@ def _advect_stretch_rhs(comps: list[np.ndarray], vel: tuple, grid: GridSpec) -> 
             r = kern.band_spectrum(x1 * g1 + x2 * g2)
             r -= op.ik1 * kern.band_spectrum(v1 * x)
             r -= op.ik2 * kern.band_spectrum(v2 * x)
-            out.append(kern.band_real(r))
+            out.append(kern.inverse(r))
     return out
 
 
 def _velocity_and_gradient(interp: VelocityInterpolant, t: float) -> tuple[np.ndarray, ...]:
     """Velocity and its gradient at t; a vorticity spectrum zero outside the 2/3 band is inverted on the band."""
     kern, h = interp.kern, interp.omega_spectrum(t)
-    if kern.in_band(h):
-        spectra, real = _gradient_spectra(kern.band, kern.cut(h)), kern.band_real
-    else:
-        spectra, real = _gradient_spectra(kern, h), kern.real
-    v1, v2, *grad = map(real, spectra)
-    return v1, v2, tuple(grad)
+    x = kern.cut(h) if kern.in_band(h) else h
+    return (*kern.velocity(x), tuple(kern.gradient(x)))
 
 
 def _rk4(

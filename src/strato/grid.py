@@ -1,12 +1,16 @@
-"""Doubly periodic grid and the spectral operator toolbox.
+"""Doubly periodic grid and the spectral operator kernel.
 
 Fields live on the square [-L, L)^2 sampled on an n x n uniform mesh with
 n a power of two.  Wavenumbers are integer multiples of pi/L.  Every
 spectral operator (derivatives, Biot-Savart, inverse Laplacian, heat
-propagator, dyadic blocks, the solver march) acts on real half spectra,
-the march on their 2/3 band only, through one multiplier kernel per grid
-size, shared by the equal grids that are alive and built on first use;
-the zero mode of any inverse-Laplacian style operator is gauged to zero.
+propagator, dyadic blocks, the solver march) acts on real half spectra
+through one kernel per grid size, shared by the equal grids that are
+alive and built on first use.  The kernel has one inverse transform for
+its three spectrum layouts (a 2/3 band, a column head, a whole half
+spectrum), and the Biot-Savart velocity, its gradient and the dealiased
+transport term v . grad f are each written once, there; the march keeps
+its state on the band.  The zero mode of any inverse-Laplacian style
+operator is gauged to zero.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 import numpy.fft as _fft
@@ -148,28 +152,27 @@ class _Multipliers:
 
 
 class _HalfKernel(_Multipliers):
-    """The multipliers of one grid size on the real half spectrum, and its band transforms.
+    """The multipliers of one grid size on the real half spectrum, its transforms and its velocity operators.
 
-    Arrays broadcast against ``rfft2`` output of shape (n, n/2 + 1).  The
-    2/3 dealiasing rule keeps the band, and ``band`` holds the multipliers on
-    the band arrays' modes only: rows m1 = 0..b, -b..-1, columns m2 = 0..b,
-    b = n // 3.  The constructor builds index data alone; a multiplier is
-    built on first use, so heat and Besov work never builds ``v1``/``v2``
-    and the march never builds a full-size one.
+    Arrays broadcast against ``rfft2`` output of shape (n, n/2 + 1).  A
+    spectrum comes in one of three layouts, told apart by its row count: a
+    2/3 band (2b + 1 rows m1 = 0..b, -b..-1, columns m2 = 0..b, b = n // 3),
+    which the 2/3 dealiasing rule keeps and whose multipliers ``band`` holds;
+    a column head (n rows, the first columns of a half spectrum that is zero
+    beyond them); or a whole half spectrum, the head of every column.  The
+    constructor builds index data alone; a multiplier is built on first use,
+    so heat and Besov work never builds ``v1``/``v2`` and the march never
+    builds a full-size one.
     """
 
     def __init__(self, n: int, half_length: float):
         super().__init__(n, half_length, _fft.fftfreq(n, d=1.0 / n), _fft.rfftfreq(n, d=1.0 / n))
-        self.shape, self.half_shape = (n, n), (n, n // 2 + 1)
+        self.half_shape = (n, n // 2 + 1)
         self.rows, self.cols = np.r_[0 : n // 3 + 1, n - n // 3 : n], n // 3 + 1
 
     @cached_property
     def band(self) -> _Multipliers:
         return _Multipliers(self.n, self.half_length, self.m1[self.rows, 0], self.m2[0, : self.cols])
-
-    def real(self, half: np.ndarray) -> np.ndarray:
-        """Grid values of a half spectrum."""
-        return _fft.irfft2(half, s=self.shape)
 
     def cut(self, half: np.ndarray) -> np.ndarray:
         """The band of a half spectrum that is zero outside it."""
@@ -180,42 +183,58 @@ class _HalfKernel(_Multipliers):
         b = self.cols - 1
         return not (np.any(half[b + 1 : -b]) or np.any(half[:, b + 1 :]))
 
-    def embed(self, band: np.ndarray) -> np.ndarray:
-        """The half spectrum that is ``band`` on the band and zero elsewhere."""
-        half = np.zeros(self.half_shape, dtype=band.dtype)
-        half[self.rows, : self.cols] = band
+    def _ops(self, x: np.ndarray) -> _Multipliers:
+        """The multipliers on the modes of x, a band or a whole half spectrum."""
+        return self if len(x) == self.n else self.band
+
+    def spread(self, x: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
+        """The half spectrum that is x, or ``m * x`` given m, on the modes of x and zero elsewhere.
+
+        A whole half spectrum without m is returned as it is; otherwise the product is written
+        straight into the zero buffer, one block of rows at a time.
+        """
+        if x.shape == self.half_shape:
+            return x if m is None else m * x
+        half = np.zeros(self.half_shape, dtype=x.dtype if m is None else np.result_type(m, x))
+        b, cols = self.cols - 1, x.shape[1]
+        for r in (slice(None),) if len(x) == self.n else (slice(0, b + 1), slice(-b, None)):  # band rows 0..b, -b..-1
+            if m is None:
+                half[r, :cols] = x[r]
+            else:
+                np.multiply(np.broadcast_to(m, x.shape)[r], x[r], out=half[r, :cols])
         return half
 
-    def band_real(self, band: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
-        """Grid values of a band, or of ``m * band`` given ``m``, bitwise equal to ``real(embed(...))`` of it.
+    def inverse(self, x: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
+        """Grid values of ``spread(x, m)``, bitwise ``irfft2`` of it; the column pass skips the zero columns."""
+        half = self.spread(x, m)  # x itself only if x is a whole half spectrum, which is not transformed in place
+        half = _fft.ifft(x, axis=0) if half is x else self._columns(_fft.ifft, half, x.shape[1])
+        return _fft.irfft(half, self.n, axis=1)
 
-        The product is written straight into the embedded buffer, one block of the band's rows at a time.
+    def velocity(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Grid values of the Biot-Savart velocity (v1, v2) of the vorticity spectrum x, a band or a whole half spectrum."""
+        op = self._ops(x)
+        return self.inverse(x, op.v1), self.inverse(x, op.v2)
+
+    def gradient(self, x: np.ndarray) -> Iterator[np.ndarray]:
+        """Grid values of d1 v1, d2 v1, d1 v2 and d2 v2 of the velocity of x, one at a time."""
+        op = self._ops(x)
+        for v in (op.v1, op.v2):
+            s = v * x
+            yield from (self.inverse(s, ik) for ik in (op.ik1, op.ik2))
+
+    def advection(self, x: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+        """The band of the half spectrum of v . grad f, for f with spectrum x and v given by its grid values.
+
+        The product is formed in place, one derivative grid at a time beside it.
         """
-        if m is None:
-            half = self.embed(band)
-        else:
-            half = np.zeros(self.half_shape, dtype=np.result_type(m, band))
-            m = np.broadcast_to(m, band.shape)
-            b = self.cols - 1
-            for rows in (slice(0, b + 1), slice(-b, None)):  # m1 = 0..b, then -b..-1
-                np.multiply(m[rows], band[rows], out=half[rows, : self.cols])
-        return _fft.irfft(self._columns(_fft.ifft, half), self.shape[1], axis=1)
-
-    def pad(self, head: np.ndarray) -> np.ndarray:
-        """The half spectrum that is ``head`` on its first columns and zero beyond them."""
-        return np.pad(head, ((0, 0), (0, self.half_shape[1] - head.shape[1])))
-
-    def head_real(self, head: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
-        """Grid values of ``pad(head)``, or of ``pad(m * head)`` given ``m``, bitwise equal to ``real`` of it.
-
-        The product is written straight into the padded buffer, and the column pass skips the zeros.
-        """
-        if m is None:
-            half = self.pad(head)
-        else:
-            half = np.zeros(self.half_shape, dtype=np.result_type(m, head))
-            np.multiply(m, head, out=half[:, : head.shape[1]])
-        return _fft.irfft(self._columns(_fft.ifft, half, head.shape[1]), self.shape[1], axis=1)
+        op = self._ops(x)
+        out = self.inverse(x, op.ik1)
+        out *= v1
+        d2 = self.inverse(x, op.ik2)
+        d2 *= v2
+        out += d2
+        del d2
+        return self.band_spectrum(out)
 
     def band_spectrum(self, values: np.ndarray) -> np.ndarray:
         """The band of ``rfft2(values)``, bitwise equal to ``cut(rfft2(values))``; only the band's columns are transformed."""
@@ -233,8 +252,8 @@ class ScalarField:
     """Real scalar field on a :class:`GridSpec`; values are immutable.
 
     The real half spectrum (:func:`rfft2`) is computed on first access
-    and cached.  Construct via ``from_values``, ``from_function``,
-    ``from_half_spectrum`` or (for a band of the 2/3 rule) ``from_band``.
+    and cached.  Construct from grid values, via ``from_function``, or via
+    ``from_spectrum`` from a spectrum in any of the kernel's layouts.
     """
 
     grid: GridSpec
@@ -251,32 +270,16 @@ class ScalarField:
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def from_values(cls, grid: GridSpec, values: np.ndarray) -> "ScalarField":
-        return cls(grid, values)
-
-    @classmethod
     def from_function(cls, grid: GridSpec, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> "ScalarField":
         x1, x2 = grid.mesh
         return cls(grid, np.broadcast_to(fn(x1, x2), (grid.n, grid.n)).copy())
 
     @classmethod
-    def from_half_spectrum(cls, grid: GridSpec, half: np.ndarray) -> "ScalarField":
-        f = cls(grid, grid._kernel.real(half))
-        f.__dict__["half_spectrum"] = half
-        return f
-
-    @classmethod
-    def from_head(cls, grid: GridSpec, head: np.ndarray) -> "ScalarField":
-        """The field whose half spectrum is the kernel's ``pad(head)``."""
-        f = cls(grid, grid._kernel.head_real(head))
-        f.__dict__["half_spectrum"] = grid._kernel.pad(head)
-        return f
-
-    @classmethod
-    def from_band(cls, grid: GridSpec, band: np.ndarray) -> "ScalarField":
-        """The field whose half spectrum is the kernel's ``embed(band)``."""
-        f = cls(grid, grid._kernel.band_real(band))
-        f.__dict__["half_spectrum"] = grid._kernel.embed(band)
+    def from_spectrum(cls, grid: GridSpec, x: np.ndarray) -> "ScalarField":
+        """The field whose half spectrum is the kernel's ``spread(x)``: x a 2/3 band, a column head or a whole half spectrum."""
+        kern = grid._kernel
+        f = cls(grid, kern.inverse(x))
+        f.__dict__["half_spectrum"] = kern.spread(x)
         return f
 
     @cached_property
@@ -314,11 +317,11 @@ def derivative(f: ScalarField, axis: int) -> ScalarField:
         raise ValueError(f"axis must be 1 or 2, got {axis}")
     kern = f.grid._kernel
     ik = kern.ik1 if axis == 1 else kern.ik2
-    return ScalarField.from_half_spectrum(f.grid, ik * f.half_spectrum)
+    return ScalarField.from_spectrum(f.grid, ik * f.half_spectrum)
 
 
 def laplacian(f: ScalarField) -> ScalarField:
-    return ScalarField.from_half_spectrum(f.grid, -f.grid._kernel.ksq * f.half_spectrum)
+    return ScalarField.from_spectrum(f.grid, -f.grid._kernel.ksq * f.half_spectrum)
 
 
 def biot_savart(omega: ScalarField) -> VelocityField:
@@ -330,7 +333,7 @@ def biot_savart(omega: ScalarField) -> VelocityField:
     """
     g, kern = omega.grid, omega.grid._kernel
     h = omega.half_spectrum
-    return VelocityField(ScalarField.from_half_spectrum(g, kern.v1 * h), ScalarField.from_half_spectrum(g, kern.v2 * h))
+    return VelocityField(ScalarField.from_spectrum(g, kern.v1 * h), ScalarField.from_spectrum(g, kern.v2 * h))
 
 
 def dx1_inv_laplacian(rho: ScalarField) -> ScalarField:
@@ -338,7 +341,7 @@ def dx1_inv_laplacian(rho: ScalarField) -> ScalarField:
 
     Fourier multiplier -i k1 / |k|^2; the zero mode is gauged to zero.
     """
-    return ScalarField.from_half_spectrum(rho.grid, rho.grid._kernel.v2 * rho.half_spectrum)
+    return ScalarField.from_spectrum(rho.grid, rho.grid._kernel.v2 * rho.half_spectrum)
 
 
 def lp_norm(f: ScalarField | np.ndarray, p: float, grid: GridSpec | None = None) -> float:
@@ -362,7 +365,7 @@ def heat_propagate(f: ScalarField, tau: float) -> ScalarField:
     """Apply the periodic heat semigroup exp(tau * Laplacian), tau >= 0."""
     if tau < 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    return ScalarField.from_half_spectrum(f.grid, np.exp(-tau * f.grid._kernel.ksq) * f.half_spectrum)
+    return ScalarField.from_spectrum(f.grid, np.exp(-tau * f.grid._kernel.ksq) * f.half_spectrum)
 
 
 def grad_tensor_magnitude(v: VelocityField) -> ScalarField:
@@ -373,8 +376,13 @@ def grad_tensor_magnitude(v: VelocityField) -> ScalarField:
 
 
 def velocity_gradient_sup(omega: ScalarField) -> float:
-    """sup-norm of the gradient tensor of the Biot-Savart velocity."""
-    return lp_norm(grad_tensor_magnitude(biot_savart(omega)), np.inf)
+    """sup-norm of the gradient tensor of the Biot-Savart velocity, bitwise that of ``grad_tensor_magnitude``."""
+    return _gradient_sup(omega.grid._kernel, omega.half_spectrum)
+
+
+def _gradient_sup(kern: _HalfKernel, x: np.ndarray) -> float:
+    """sup of the Frobenius norm of the velocity gradient of the vorticity spectrum x, from its four components."""
+    return float(np.sqrt(sum(d**2 for d in kern.gradient(x))).max())
 
 
 def sample_at(f: ScalarField, points: np.ndarray) -> np.ndarray:

@@ -74,29 +74,30 @@ _LAYOUT = {
 _SPECS = ("grid", "patch", "density")  # sections keyed by the fields of GridSpec, PatchSpec, DensitySpec
 
 
-def _integral(value) -> int:
-    """An integer, or a float with no fractional part, as an int; anything else is refused."""
-    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"must be an integer, got {value!r}")
-    return int(value)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _boolean(value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"must be true or false, got {value!r}")
-    return value
+def _numbers(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(_is_number, value))
 
 
-# a JSON value as the field type its dataclass declares
-_CONVERT = {"int": _integral, "float": float, "str": str, "bool": _boolean, "tuple[float, float]": tuple,
-       "tuple[float, ...]": lambda values: tuple(float(v) for v in values)}
+# a JSON value as the field type its dataclass declares: (what it must be, the test of it, the conversion)
+_CONVERT = {
+    "int": ("an integer", lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()), int),  # 64.0 reads as 64
+    "float": ("a number", _is_number, float),
+    "str": ("a string", lambda v: isinstance(v, str), str),
+    "bool": ("true or false", lambda v: isinstance(v, bool), bool),
+    "tuple[float, float]": ("a pair of numbers", lambda v: _numbers(v) and len(v) == 2, lambda v: tuple(map(float, v))),
+    "tuple[float, ...]": ("a list of numbers", _numbers, lambda v: tuple(map(float, v))),
+}
 
 
 def _convert(field_type: str, value, key: str, where: str):
-    try:
-        return _CONVERT[field_type](value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"config key {key!r} {where}: {exc}") from None
+    what, valid, convert = _CONVERT[field_type]
+    if not valid(value):
+        raise ValueError(f"config key {key!r} {where}: must be {what}, got {value!r}")
+    return convert(value)
 
 
 def _refuse_unknown(keys, known, where: str) -> None:
@@ -216,7 +217,7 @@ def run_single(config: SweepConfig, mu: float, omega0: ScalarField, rho0: Scalar
     """Integrate one rung; returns (mu, sample times, omega bands, rho bands, stats), all picklable.
 
     A band is a sample's 2/3 band, bit for bit the march's state and under half the bytes of its
-    grid values, which ``ScalarField.from_band`` gives back exactly."""
+    grid values, which ``ScalarField.from_spectrum`` gives back exactly."""
     start = time.perf_counter()
     params = SimParams(mu=mu, dt=config.dt, t_final=config.t_final, kappa=config.kappa)
     cut = config.grid._kernel.cut
@@ -235,11 +236,10 @@ def _gaps(grid: GridSpec, p: float, omega: np.ndarray, rho: np.ndarray, ref_omeg
     """Velocity, density and vorticity Lp gaps of one sample, from its bands and the reference's."""
     kern = grid._kernel
     dw = omega - ref_omega
-    vel = kern.band_real(dw, kern.band.v1)
-    np.hypot(vel, kern.band_real(dw, kern.band.v2), out=vel)
-    verr = lp_norm(vel, p, grid=grid)
+    vel = kern.velocity(dw)
+    verr = lp_norm(np.hypot(*vel, out=vel[0]), p, grid=grid)
     del vel  # each grid is let go of before the next inverse
-    return verr, lp_norm(kern.band_real(rho - ref_rho), p, grid=grid), lp_norm(kern.band_real(dw), p, grid=grid)
+    return verr, lp_norm(kern.inverse(rho - ref_rho), p, grid=grid), lp_norm(kern.inverse(dw), p, grid=grid)
 
 
 def _worker_count(workers: int | str | None, rungs: int) -> int:
@@ -312,8 +312,7 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:
             for mu, times, om, rh, rung in map(_logged, (pool.map if pool else map)(_rung, mus)):
                 stats.append(rung)
                 if config.save_fields:
-                    fields[mu] = (times, [ScalarField.from_band(grid, b).values for b in om],
-                                  [ScalarField.from_band(grid, b).values for b in rh])
+                    fields[mu] = (times, [grid._kernel.inverse(b) for b in om], [grid._kernel.inverse(b) for b in rh])
                 if mu == 0.0:
                     ref_om, ref_rh = om, rh
                     continue

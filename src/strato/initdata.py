@@ -9,8 +9,7 @@ tangent/complement vector-field pair, and a discretized boundary curve.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,6 +29,13 @@ __all__ = [
 ]
 
 _MARGIN_FRACTION = 0.25  # patches must keep this fraction of the box clear
+
+
+def _refuse_nonfinite(spec) -> None:
+    """Refuse a NaN or an infinity in a float field of a spec, or in an entry of a pair, naming the field."""
+    for f in fields(spec):
+        if f.type in ("float", "tuple[float, float]") and not np.all(np.isfinite(value := getattr(spec, f.name))):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,6 +58,7 @@ class PatchSpec:
     epsilon: float = 0.5
 
     def __post_init__(self) -> None:
+        _refuse_nonfinite(self)
         if self.kind not in ("disc", "ellipse", "star"):
             raise ValueError(f"unknown patch kind {self.kind!r}")
         if self.kind != "ellipse" and self.radius <= 0.0:
@@ -166,6 +173,7 @@ class DensitySpec:
     center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
+        _refuse_nonfinite(self)
         if self.kind not in ("constant", "gaussian", "bump"):
             raise ValueError(f"unknown density kind {self.kind!r}")
         if self.kind != "constant" and self.width <= 0.0:

@@ -11,10 +11,10 @@ q_max; homogeneous blocks extend downward to a box-scale floor q_low with
 the zero mode discarded.
 
 A block is zero beyond some column of the half spectrum and is inverted on
-those columns only (the kernel's ``head_real``, bitwise equal to the full
-inverse).  Its multiplier is evaluated on the columns the block reaches and
-cut to its nonzero ones once per grid and ladder kind, in a bounded cache
-that holds no grid or kernel.
+those columns only (the kernel's ``inverse`` of a column head, bitwise
+equal to the full inverse).  Its multiplier is evaluated on the columns the
+block reaches and cut to its nonzero ones once per grid and ladder kind,
+in a bounded cache that holds no grid or kernel.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def block(f: ScalarField, q: int, homogeneous: bool = False) -> ScalarField:
     m = _ladder(f.grid.n, f.grid.half_length, homogeneous).get(q)
     if m is None:
         DyadicPartition(f.grid).multiplier(q, homogeneous)  # off the ladder: raises its range error
-    return ScalarField.from_head(f.grid, m * f.half_spectrum[:, : m.shape[1]])
+    return ScalarField.from_spectrum(f.grid, m * f.half_spectrum[:, : m.shape[1]])
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ def _block_weight(q: int, s: float, homogeneous: bool) -> float:
 def block_norms(f: ScalarField, params: BesovParams) -> dict[int, float]:
     """Unweighted |block_q f|_Lp for every q on the ladder of params, in ladder order (0.0 for an empty block)."""
     g, half = f.grid, f.half_spectrum
-    return {q: lp_norm(g._kernel.head_real(half[:, : m.shape[1]], m), params.p, g) if m.shape[1] else 0.0
+    return {q: lp_norm(g._kernel.inverse(half[:, : m.shape[1]], m), params.p, g) if m.shape[1] else 0.0
             for q, m in _ladder(g.n, g.half_length, params.homogeneous).items()}
 
 

@@ -11,15 +11,19 @@ cycle.  All quadratic products use the 2/3 dealiasing rule, which makes
 the truncated advection exactly energy- and mean-preserving in space.
 The march keeps its state on the 2/3 band of the grid's kernel and never
 touches the zero modes outside it; each sample still exposes full half
-spectra (the band embedded in zeros).  An adaptive guard halves any step
-whose advective CFL number would exceed the configured cap; the velocity
-it checks is reused by the first stage, and the velocity a sample builds
-for its diagnostics is the one the next step checks.
+spectra (the band spread into zeros).  Its velocity, velocity gradient
+and transport terms are the kernel's, taken on the band.  An adaptive
+guard halves any step whose advective CFL number would exceed the
+configured cap; the velocity it checks is reused by the first stage, and
+the velocity a sample builds for its diagnostics is the one the next
+step checks.
 
 The module also carries the damped combination (1 - mu) w - u, with u
 the zero-order singular integral of rho, whose evolution equation has a
 commutator source of order zero; its discrete residual is the solver's
-primary self-consistency diagnostic.
+primary self-consistency diagnostic.  These act on whole half spectra:
+the kernel's transport term inverts the derivatives of the whole
+spectrum, and only the product's spectrum is cut to the 2/3 band.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, VelocityField, biot_savart, dx1_inv_laplacian, laplacian, lp_norm
+from .grid import GridSpec, ScalarField, _gradient_sup, dx1_inv_laplacian, laplacian, lp_norm
 from .littlewood_paley import TimeSeries
 
 __all__ = [
@@ -148,29 +152,16 @@ class _Engine:
         return got
 
     def velocity(self, what: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        if self.params.frozen_velocity:
-            return None
-        return self.kern.band_real(what, self.op.v1), self.kern.band_real(what, self.op.v2)
+        return None if self.params.frozen_velocity else self.kern.velocity(what)
 
     def nonlinear(self, what: np.ndarray, rhat: np.ndarray, vel=None) -> tuple[np.ndarray, np.ndarray]:
         """Right-hand side of the transport; vel, if given, is velocity(what)."""
-        kern, op = self.kern, self.op
-        buoy = op.ik1 * rhat
+        buoy = self.op.ik1 * rhat
         if self.params.frozen_velocity:
             return buoy, np.zeros_like(rhat)
         v1, v2 = vel if vel is not None else self.velocity(what)
-        buoy -= kern.band_spectrum(self._flux(what, v1, v2))  # before the density flux is built
-        return buoy, -kern.band_spectrum(self._flux(rhat, v1, v2))
-
-    def _flux(self, fhat: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-        """Grid values of v . grad f, multiplied in place."""
-        kern, op = self.kern, self.op
-        out = kern.band_real(fhat, op.ik1)
-        out *= v1
-        d2 = kern.band_real(fhat, op.ik2)
-        d2 *= v2
-        out += d2
-        return out
+        buoy -= self.kern.advection(what, v1, v2)  # before the density flux is built
+        return buoy, -self.kern.advection(rhat, v1, v2)
 
     def rk4(self, what: np.ndarray, rhat: np.ndarray, h: float, vel=None) -> tuple[np.ndarray, np.ndarray]:
         """One RK4 step; vel, if given, is velocity(what), let go of once stage 1 is done.
@@ -296,24 +287,20 @@ def _march(omega0: ScalarField, rho0: ScalarField, params: SimParams, samples: n
     last_gradrho = np.nan
     handoff = []  # (velocity, its sup) of the last sample, which the step after it takes out for its CFL guard
 
-    def gradv_now() -> float:
-        sq = sum(kern.band_real(v * what, ik) ** 2 for v in (op.v1, op.v2) for ik in (op.ik1, op.ik2))
-        return float(np.sqrt(sq).max())
-
     def gradrho_now() -> float:
-        d1, d2 = (kern.band_real(rhat, ik) for ik in (op.ik1, op.ik2))
+        d1, d2 = (kern.inverse(rhat, ik) for ik in (op.ik1, op.ik2))
         return float(np.sqrt((np.hypot(d1, d2) ** 2).sum() * g.dx**2))
 
     if track_gradients:
-        last_gradv = gradv_now()
+        last_gradv = _gradient_sup(kern, what)
         last_gradrho = gradrho_now()
 
     # builds the yielded tuple without binding it here, so a sample lives
     # only as long as the consumer keeps it
     def sample(sample_t: float) -> tuple[float, ScalarField, ScalarField, dict[str, float]]:
-        fo = ScalarField.from_band(g, what)
-        fr = ScalarField.from_band(g, rhat)
-        vel = kern.band_real(what, op.v1), kern.band_real(what, op.v2)
+        fo = ScalarField.from_spectrum(g, what)
+        fr = ScalarField.from_spectrum(g, rhat)
+        vel = kern.velocity(what)
         vsup = float(np.max(np.hypot(*vel)))
         handoff[:] = [] if params.frozen_velocity else [(vel, vsup)]
         return float(sample_t), fo, fr, {
@@ -342,7 +329,7 @@ def _march(omega0: ScalarField, rho0: ScalarField, params: SimParams, samples: n
             what, rhat, t = engine.advance(what, rhat, t, h, 0, handoff)
             nsteps += 1
             if track_gradients:
-                gv = gradv_now()
+                gv = _gradient_sup(kern, what)
                 gr = gradrho_now()
                 v_integral += 0.5 * (last_gradv + gv) * h
                 gr_integral += 0.5 * (last_gradrho + gr) * h
@@ -381,12 +368,9 @@ def good_unknown(omega: ScalarField, rho: ScalarField, mu: float) -> ScalarField
     return ScalarField(omega.grid, (1.0 - mu) * omega.values - u.values)
 
 
-def _masked_advection(v: VelocityField, f: ScalarField) -> ScalarField:
-    kern = f.grid._kernel
-    d1 = kern.real(kern.ik1 * f.half_spectrum)
-    d2 = kern.real(kern.ik2 * f.half_spectrum)
-    prod = v.u1.values * d1 + v.u2.values * d2
-    return ScalarField.from_band(f.grid, kern.band_spectrum(prod))
+def _masked_advection(v: tuple[np.ndarray, np.ndarray], f: ScalarField) -> ScalarField:
+    """v . grad f under the 2/3 rule, for v given by its grid values."""
+    return ScalarField.from_spectrum(f.grid, f.grid._kernel.advection(f.half_spectrum, *v))
 
 
 def commutator_source(omega: ScalarField, rho: ScalarField) -> ScalarField:
@@ -395,7 +379,7 @@ def commutator_source(omega: ScalarField, rho: ScalarField) -> ScalarField:
     Applies the density-potential operator to the advection of rho and
     subtracts the advection of the density potential.
     """
-    v = biot_savart(omega)
+    v = omega.grid._kernel.velocity(omega.half_spectrum)
     adv_rho = _masked_advection(v, rho)
     pot = dx1_inv_laplacian(rho)
     adv_pot = _masked_advection(v, pot)
@@ -430,7 +414,7 @@ def good_unknown_residual(
     ]
     dgamma = (gammas[2].values - gammas[0].values) / (t2 - t0)
     mid = gammas[1]
-    v = biot_savart(omega_series.fields[i])
+    v = g._kernel.velocity(omega_series.fields[i].half_spectrum)
     transport = _masked_advection(v, mid)
     lap = laplacian(mid).values
     source = commutator_source(omega_series.fields[i], rho_series.fields[i])

@@ -33,7 +33,7 @@ def random_field(grid, seed, band=None):
     values = rng.standard_normal((grid.n, grid.n))
     if band is None:
         return ScalarField(grid, values)
-    return ScalarField.from_half_spectrum(grid, fft.rfft2(values) * (half_kmag(grid) <= band))
+    return ScalarField.from_spectrum(grid, fft.rfft2(values) * (half_kmag(grid) <= band))
 
 
 def half_kmag(grid):
@@ -51,13 +51,13 @@ def keep_mask(n):
 
 def dealias(kern, values):
     """Grid values with the 2/3 rule of the grid kernel ``kern`` applied."""
-    return kern.real(rfft2(values) * keep_mask(kern.n))
+    return kern.inverse(rfft2(values) * keep_mask(kern.n))
 
 
 def velocity_values(interp, t):
     """Grid values of the velocity at t of a VelocityInterpolant, from the full half spectrum."""
     h = interp.omega_spectrum(t)
-    return interp.kern.real(interp.kern.v1 * h), interp.kern.real(interp.kern.v2 * h)
+    return interp.kern.inverse(interp.kern.v1 * h), interp.kern.inverse(interp.kern.v2 * h)
 
 
 def transport_scalar(f, omega_series, dt=None):
@@ -74,7 +74,7 @@ def transport_scalar(f, omega_series, dt=None):
     def rhs(state, vel):
         v1, v2 = vel
         s = rfft2(state[0])
-        return [dealias(kern, -(v1 * kern.real(kern.ik1 * s) + v2 * kern.real(kern.ik2 * s)))]
+        return [dealias(kern, -(v1 * kern.inverse(kern.ik1 * s) + v2 * kern.inverse(kern.ik2 * s)))]
 
     state = [f.values]
     for _, state in _rk4(state, partial(velocity_values, interp), rhs, interp, dt):

@@ -61,7 +61,7 @@ class TestGridSpec:
 
     def test_dealias_keeps_low_and_kills_high(self, grid64):
         kern = grid64._kernel
-        mask = kern.embed(kern.cut(np.ones(kern.half_shape))) != 0.0
+        mask = kern.spread(kern.cut(np.ones(kern.half_shape))) != 0.0
         assert np.array_equal(mask, keep_mask(grid64.n))
         assert mask[0, 0]
         assert mask[grid64.n // 3, 0]
@@ -153,7 +153,7 @@ class TestScalarField:
 
     def test_half_spectrum_round_trip(self, grid64):
         f = random_field(grid64, 3)
-        g = ScalarField.from_half_spectrum(grid64, f.half_spectrum)
+        g = ScalarField.from_spectrum(grid64, f.half_spectrum)
         assert np.allclose(g.values, f.values, atol=1e-13)
         assert g.half_spectrum is f.half_spectrum
 
@@ -184,23 +184,23 @@ class TestBandTransforms:
         values = scale * random_field(g, n + 5).values
         masked = fft.rfft2(values) * keep_mask(n)
         band = kern.cut(masked)
-        assert np.array_equal(kern.embed(band), masked)
-        assert np.array_equal(kern.band_real(band), fft.irfft2(kern.embed(band), s=(n, n)))
+        assert np.array_equal(kern.spread(band), masked)
+        assert np.array_equal(kern.inverse(band), fft.irfft2(kern.spread(band), s=(n, n)))
         assert np.array_equal(kern.band_spectrum(values), band)
-        f = ScalarField.from_band(g, band)
-        assert np.array_equal(f.values, kern.real(masked))
+        f = ScalarField.from_spectrum(g, band)
+        assert np.array_equal(f.values, fft.irfft2(masked, s=(n, n)))
         assert np.array_equal(f.half_spectrum, masked)
 
     @pytest.mark.parametrize("n", [64, 128])
-    def test_band_real_with_multiplier_matches_product(self, n):
-        # a row (ik1), a column (ik2) and a full (v1) multiplier, written into the embedded buffer
+    def test_band_inverse_with_multiplier_matches_product(self, n):
+        # a row (ik1), a column (ik2) and a full (v1) multiplier, written into the spread buffer
         g = GridSpec(n=n, half_length=2.0)
         kern = g._kernel
         band = kern.band_spectrum(1e3 * random_field(g, n + 3).values)
         for name, shape in (("ik1", (2 * (n // 3) + 1, 1)), ("ik2", (1, n // 3 + 1)), ("v1", band.shape)):
             m = getattr(kern.band, name)
             assert m.shape == shape
-            got, want = kern.band_real(band, m), kern.band_real(m * band)
+            got, want = kern.inverse(band, m), kern.inverse(m * band)
             assert np.array_equal(got, want) and got.tobytes() == want.tobytes(), name
 
     def test_column_pass_transforms_in_place(self, grid64):
@@ -214,7 +214,7 @@ class TestBandTransforms:
             assert np.array_equal(half, want)
 
     @pytest.mark.parametrize("n", [64, 512])
-    def test_head_real_matches_2d_inverse(self, n):
+    def test_head_inverse_matches_2d_inverse(self, n):
         # a half spectrum zero beyond its first c columns, inverted on those columns only, bit for bit
         g = GridSpec(n=n, half_length=2.0)
         kern = g._kernel
@@ -223,10 +223,10 @@ class TestBandTransforms:
             half = spectrum.copy()
             half[:, c:] = 0.0
             head = spectrum[:, :c]
-            assert np.array_equal(kern.pad(head), half)
-            got = kern.head_real(head)
-            assert np.array_equal(got, kern.real(half)) and got.tobytes() == kern.real(half).tobytes()
-            f = ScalarField.from_head(g, head)
+            assert np.array_equal(kern.spread(head), half)
+            got, want = kern.inverse(head), np.fft.irfft2(half, s=(n, n))
+            assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+            f = ScalarField.from_spectrum(g, head)
             assert np.array_equal(f.values, got) and np.array_equal(f.half_spectrum, half)
 
     def test_band_multipliers_are_cut_from_the_half_spectrum(self, grid64):
@@ -235,6 +235,60 @@ class TestBandTransforms:
         for name in ("ksq", "ik1", "ik2", "v1", "v2"):
             full = np.broadcast_to(getattr(kern, name), shape)
             assert np.array_equal(np.broadcast_to(getattr(kern.band, name), kern.band.ksq.shape), kern.cut(full))
+
+
+class TestKernelContract:
+    """One inverse and one spread for the three spectrum layouts, and the velocity operators written once."""
+
+    @staticmethod
+    def layouts(kern, spectrum):
+        """(x, multiplier on its modes, the half spectrum that is x on its modes and zero elsewhere) per layout."""
+        n, c = kern.n, kern.n // 4
+        masked = spectrum * keep_mask(n)
+        head = spectrum.copy()
+        head[:, c:] = 0.0
+        return [(kern.cut(masked), kern.band.v1, masked), (spectrum[:, :c], kern.v1[:, :c], head),
+                (spectrum, kern.v1, spectrum)]
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("multiplied", [False, True])
+    def test_inverse_is_irfft2_of_spread(self, n, multiplied):
+        g = GridSpec(n=n, half_length=2.0)
+        kern = g._kernel
+        spectrum = np.fft.rfft2(1e3 * random_field(g, n + 13).values)
+        for (x, m, half), layout in zip(self.layouts(kern, spectrum), ("band", "head", "whole")):
+            m = m if multiplied else None
+            spread = kern.spread(x, m)
+            assert np.array_equal(spread, half if m is None else np.broadcast_to(kern.v1, half.shape) * half), layout
+            got, want = kern.inverse(x, m), np.fft.irfft2(spread, s=(n, n))
+            assert got.tobytes() == want.tobytes(), layout
+        assert kern.spread(spectrum) is spectrum
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_operators_on_a_band_match_its_spread(self, n):
+        g = GridSpec(n=n, half_length=2.0)
+        kern = g._kernel
+        band = kern.band_spectrum(1e2 * random_field(g, n + 17).values)
+        whole = kern.spread(band)
+        vel = kern.velocity(band)
+        for a, b in zip((*vel, *kern.gradient(band)), (*kern.velocity(whole), *kern.gradient(whole))):
+            assert a.tobytes() == b.tobytes()
+        f = kern.band_spectrum(random_field(g, n + 19).values)
+        assert kern.advection(f, *vel).tobytes() == kern.advection(kern.spread(f), *vel).tobytes()
+
+    @pytest.mark.parametrize("band", [None, 4.0])
+    def test_velocity_gradient_sup_is_the_tensor_magnitude_sup(self, grid64, monkeypatch, band):
+        # bit for bit the independent reference, in four inverse transforms and no velocity field
+        w = random_field(grid64, 23, band=band)
+        want = lp_norm(grad_tensor_magnitude(biot_savart(w)), np.inf)
+        calls = []
+        for name in ("irfft", "irfft2"):
+            monkeypatch.setattr(np.fft, name, lambda *a, _fn=getattr(np.fft, name), _name=name, **k: calls.append(_name) or _fn(*a, **k))
+        assert velocity_gradient_sup(w) == want
+        assert calls == ["irfft"] * 4
+        zero = ScalarField(grid64, np.zeros((64, 64)))
+        monkeypatch.undo()
+        assert velocity_gradient_sup(zero) == lp_norm(grad_tensor_magnitude(biot_savart(zero)), np.inf) == 0.0
 
 
 class TestDerivatives:

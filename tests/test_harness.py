@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import pickle
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -72,7 +73,7 @@ def velocity_distance(omega_a, omega_b, p=2.0):
     g = omega_a.grid
     kern = g._kernel
     diff = rfft2(omega_a.values - omega_b.values)
-    v1, v2 = kern.real(kern.v1 * diff), kern.real(kern.v2 * diff)
+    v1, v2 = kern.inverse(kern.v1 * diff), kern.inverse(kern.v2 * diff)
     return lp_norm(np.hypot(v1, v2), p, grid=g)
 
 
@@ -186,11 +187,33 @@ class TestSweepConfig:
         ("grid", "n", True, "must be an integer"), ("patch", "base_mode", 5.7, "must be an integer"),
         ("patch", "octaves", 1.5, "must be an integer"), ("output", "save_fields", "false", "must be true or false"),
         ("output", "save_fields", 1, "must be true or false"), ("output", "save_fields", None, "must be true or false"),
+        ("patch", "center", [0, 0, 1], "must be a pair of numbers"), ("patch", "center", "ab", "must be a pair of numbers"),
+        ("density", "center", [0.0, "0.5"], "must be a pair of numbers"), ("params", "dt", "0.05", "must be a number"),
+        ("patch", "radius", "1", "must be a number"), ("grid", "half_length", True, "must be a number"),
+        ("params", "kappa", None, "must be a number"), ("sweep", "mu", "0.1", "must be a list of numbers"),
+        ("sweep", "mu", [0.1, "0.2"], "must be a list of numbers"), ("sweep", "sample_times", [0.1, False], "must be a list of numbers"),
+        ("patch", "kind", 5, "must be a string"), ("output", "dir", None, "must be a string"),
     ])
     def test_coerced_value_refused(self, section, key, bad, match):
         raw = tiny_config_dict()
         raw[section][key] = bad
-        with pytest.raises(ValueError, match=f"^config key {key!r} in section {section!r}: {match}, got {bad!r}$"):
+        with pytest.raises(ValueError, match="^" + re.escape(f"config key {key!r} in section {section!r}: {match}, got {bad!r}") + "$"):
+            SweepConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("section, text, field", [
+        ("patch", '{"kind": "disc", "radius": NaN}', "radius"),
+        ("patch", '{"kind": "star", "amplitude": NaN}', "amplitude"),
+        ("patch", '{"kind": "ellipse", "axes": [NaN, 1.0]}', "axes"),
+        ("patch", '{"kind": "disc", "center": [0.0, Infinity]}', "center"),
+        ("density", '{"kind": "gaussian", "width": NaN}', "width"),
+        ("density", '{"kind": "gaussian", "amplitude": Infinity}', "amplitude"),
+        ("density", '{"kind": "gaussian", "center": [NaN, 0.0]}', "center"),
+    ])
+    def test_nonfinite_spec_value_refused_at_construction(self, section, text, field):
+        # Python's json reads NaN and Infinity; the config refuses them before any field is built
+        raw = tiny_config_dict()
+        raw[section] = json.loads(text)
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
             SweepConfig.from_dict(raw)
 
     def test_integral_floats_are_integers(self):
@@ -332,7 +355,7 @@ class TestDistances:
     def test_velocity_distance_single_mode(self, grid64):
         x1, x2 = grid64.mesh
         k = np.pi / 2.0
-        omega = ScalarField.from_values(grid64, np.sin(k * x1) + 0.0 * x2)
+        omega = ScalarField(grid64, np.sin(k * x1) + 0.0 * x2)
         zero = ScalarField(grid64, np.zeros((64, 64)))
         got = velocity_distance(omega, zero, 2.0)
         want = np.sqrt(2.0) * grid64.half_length * 2.0 / (2.0 * k)
@@ -367,13 +390,13 @@ class TestRunSweep:
             assert len(bands) == len(series.fields)
             for band, f in zip(bands, series.fields):
                 assert band.shape == (2 * b + 1, b + 1)
-                assert np.array_equal(ScalarField.from_band(cfg.grid, band).values, f.values)
+                assert np.array_equal(ScalarField.from_spectrum(cfg.grid, band).values, f.values)
 
     def test_pickled_rung_is_at_most_half_its_grid_values(self):
         cfg = SweepConfig.from_dict(tiny_config_dict())
         out = run_single(cfg, 1.0e-2, *cfg.initial_fields())
         mu, times, omegas, rhos, stats = out
-        values = [[ScalarField.from_band(cfg.grid, b).values for b in bands] for bands in (omegas, rhos)]
+        values = [[ScalarField.from_spectrum(cfg.grid, b).values for b in bands] for bands in (omegas, rhos)]
         assert len(pickle.dumps(out)) <= 0.5 * len(pickle.dumps((mu, times, *values, stats)))
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, math.inf])
@@ -984,8 +1007,8 @@ class TestCli:
 
         class Tracked(ScalarField):
             @classmethod
-            def from_band(cls, grid, band):
-                f = super().from_band(grid, band)
+            def from_spectrum(cls, grid, band):
+                f = super().from_spectrum(grid, band)
                 made.append(weakref.ref(f))
                 return f
 
@@ -1152,9 +1175,9 @@ class TestCli:
             "if sys.argv[1] == '1': _keep_freed_heap()\n"
             "kern = GridSpec(n=256)._kernel\n"
             "h = rfft2(np.random.default_rng(0).standard_normal((256, 256)))\n"
-            "for _ in range(5): kern.real(h)\n"
+            "for _ in range(5): kern.inverse(h)\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "for _ in range(20): kern.real(h)\n"
+            "for _ in range(20): kern.inverse(h)\n"
             "print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -1218,6 +1241,23 @@ class TestCli:
             peaks[workers] = [float(line.split(":")[1].split()[0]) for line in out.splitlines()]
         assert peaks["1"][0] > 0.0 and peaks["1"][1] == 0.0  # one process: no worker was waited for
         assert min(peaks["2"]) > 0.0
+
+    def test_output_digests_script_prints_relative_digests(self, tmp_path):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "output_digests.py"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, str(script), "--n", "64"], env=env, cwd=tmp_path, capture_output=True,
+                             text=True, check=True, timeout=300).stdout
+        digests = dict(reversed(line.split("  ", 1)) for line in out.splitlines())
+        assert all(re.fullmatch("[0-9a-f]{64}", d) for d in digests.values())
+        assert list(digests) == sorted(digests) and not any(p.startswith("/") or "provenance" in p for p in digests)
+        for name in ("rates.csv", "slopes.json"):  # the same bytes from 1 and 2 workers, with and without snapshots
+            assert digests[f"sweep-1/{name}"] == digests[f"sweep-2/{name}"] == digests[f"sweep-fields/{name}"]
+        assert digests["sweep-1/manifest.json"] == digests["sweep-2/manifest.json"]
+        assert {"conormal/conormal.csv", "simulate/diagnostics.csv", "simulate/omega_t0.02.slf",
+                "sweep-fields/omega_mu0.001_t0.02.slf", "besov/omega_t0.02-2.txt"} <= set(digests)
+        # a sweep snapshot and the simulated one at the same viscosity are the same march sample
+        assert digests["sweep-fields/omega_mu0.001_t0.02.slf"] == digests["simulate/omega_t0.02.slf"]
+        assert list(tmp_path.iterdir()) == []  # every output went to the script's own temporary directory
 
     @pytest.mark.parametrize("samples", ["1", "0"])
     def test_conormal_needs_two_samples(self, tmp_path, capsys, samples):

@@ -1,5 +1,7 @@
 """Patch and density construction: rasters, boundary geometry, families."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -40,6 +42,17 @@ class TestPatchSpec:
     def test_star_amplitude_cap(self):
         with pytest.raises(ValueError, match="amplitude"):
             PatchSpec(kind="star", amplitude=0.6, octaves=3)
+
+    @pytest.mark.parametrize("kw, field", [
+        ({"kind": "disc", "radius": math.nan}, "radius"), ({"kind": "star", "amplitude": math.nan}, "amplitude"),
+        ({"kind": "ellipse", "axes": (math.nan, 1.0)}, "axes"), ({"kind": "ellipse", "axes": (2.0, math.inf)}, "axes"),
+        ({"kind": "disc", "center": (math.nan, 0.0)}, "center"), ({"kind": "disc", "center": (0.0, -math.inf)}, "center"),
+        ({"kind": "disc", "epsilon": math.nan}, "epsilon"),
+    ])
+    def test_nonfinite_refused(self, kw, field):
+        # a NaN radius or amplitude would rasterize an empty patch without a word
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+            PatchSpec(**kw)
 
     def test_disc_radius_constant(self):
         spec = PatchSpec(kind="disc", radius=1.5)
@@ -175,6 +188,14 @@ class TestDensity:
     def test_width_validation(self):
         with pytest.raises(ValueError):
             DensitySpec(kind="gaussian", width=0.0)
+
+    @pytest.mark.parametrize("kw, field", [
+        ({"width": math.nan}, "width"), ({"amplitude": math.inf}, "amplitude"),
+        ({"kind": "constant", "amplitude": math.nan}, "amplitude"), ({"center": (0.0, math.nan)}, "center"),
+    ])
+    def test_nonfinite_refused(self, kw, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got "):
+            DensitySpec(**kw)
 
     def test_constant(self, grid64):
         f = make_density(DensitySpec(kind="constant", amplitude=0.3), grid64)

@@ -387,12 +387,12 @@ def full_spectrum_advance(g, params, what, rhat, h, vel=None):
     kern, keep = g._kernel, keep_mask(g.n)
 
     def velocity(w):
-        return kern.real(kern.v1 * w), kern.real(kern.v2 * w)
+        return kern.inverse(kern.v1 * w), kern.inverse(kern.v2 * w)
 
     def nonlinear(w, r, vel=None):
         v1, v2 = vel if vel is not None else velocity(w)
-        adv_w = kern.real(kern.ik1 * w) * v1 + kern.real(kern.ik2 * w) * v2
-        adv_r = kern.real(kern.ik1 * r) * v1 + kern.real(kern.ik2 * r) * v2
+        adv_w = kern.inverse(kern.ik1 * w) * v1 + kern.inverse(kern.ik2 * w) * v2
+        adv_r = kern.inverse(kern.ik1 * r) * v1 + kern.inverse(kern.ik2 * r) * v2
         return kern.ik1 * r - fft.rfft2(adv_w) * keep, -(fft.rfft2(adv_r) * keep)
 
     if vel is None:
@@ -433,7 +433,7 @@ class TestHalfSpectrumKernel:
         want_r = -masked_advection(rm)
         for got, want in ((got_w, want_w), (got_r, want_r)):
             sup = np.abs(want).max()
-            assert np.abs(kern.real(kern.embed(got)) - want).max() <= 1e-12 * sup
+            assert np.abs(kern.inverse(kern.spread(got)) - want).max() <= 1e-12 * sup
 
     @pytest.mark.parametrize("halvings", [0, 1])
     def test_advance_transform_count(self, grid64, monkeypatch, halvings):
@@ -472,14 +472,14 @@ class TestHalfSpectrumKernel:
         params = SimParams(mu=0.01, dt=0.01, t_final=0.1, kappa=0.5)
         what = random_field(g, 23, band=10.0).half_spectrum * keep_mask(g.n)
         rhat = random_field(g, 24, band=10.0).half_spectrum * keep_mask(g.n)
-        vmax = np.max(np.hypot(*(kern.real(v * what) for v in (kern.v1, kern.v2))))
+        vmax = np.max(np.hypot(*(kern.inverse(v * what) for v in (kern.v1, kern.v2))))
         h = (1.5 if halvings else 0.5) * params.cfl_cap * g.dx / vmax
         new_w, new_r, t = _Engine(g, params).advance(kern.cut(what), kern.cut(rhat), 0.0, h)
         want_w, want_r = full_spectrum_advance(g, params, what, rhat, h)
         assert t == h
-        assert np.array_equal(kern.embed(new_w), want_w)
-        assert np.array_equal(kern.embed(new_r), want_r)
-        assert np.array_equal(kern.band_real(new_w), kern.real(want_w))
+        assert np.array_equal(kern.spread(new_w), want_w)
+        assert np.array_equal(kern.spread(new_r), want_r)
+        assert np.array_equal(kern.inverse(new_w), kern.inverse(want_w))
 
 
 class TestDampedCombination:
