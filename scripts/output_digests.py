@@ -24,14 +24,26 @@ their printouts is empty:
 gives the sweep of the benchmark's ``sweep`` workload and n = 256 the
 conormal run of its ``conormal`` workload.  strato is imported from
 PYTHONPATH, so the same script measures any checkout.
+
+``--keep DIR`` copies the outputs to DIR.  ``--against DIR`` compares them
+with such a copy: for each CSV whose digest differs from DIR's, it prints
+after the digests, as ``#`` lines, the largest relative difference
+|a - b| / max(|a|, |b|) per column (0 for a bitwise column).  So a
+round-off change reads, with two checkouts ``old`` and ``new``:
+
+    PYTHONPATH=old/src python scripts/output_digests.py --keep out-old
+    PYTHONPATH=new/src python scripts/output_digests.py --against out-old
 """
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
 import os
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -90,9 +102,48 @@ def digests(root: Path) -> list[str]:
     return lines
 
 
+def relative_difference(a: str, b: str) -> float:
+    """|a - b| / max(|a|, |b|) of two CSV cells; 0 when they are the same number or text, inf for other text."""
+    if a == b:
+        return 0.0
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return math.inf
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    return abs(x - y) / max(abs(x), abs(y))
+
+
+def compare(root: Path, against: Path) -> list[str]:
+    """``#`` lines giving, for each CSV under root whose bytes differ from its copy under against, the largest
+    relative difference of each column."""
+    lines = []
+    for path in sorted(root.rglob("*.csv")):
+        rel = path.relative_to(root)
+        old = against / rel
+        if not old.is_file():
+            lines.append(f"# {rel.as_posix()}: not in {against}")
+            continue
+        if old.read_bytes() == path.read_bytes():
+            continue
+        (head, *new_rows), (old_head, *old_rows) = (list(csv.reader(p.open(newline=""))) for p in (path, old))
+        if head != old_head or len(new_rows) != len(old_rows):
+            lines.append(f"# {rel.as_posix()}: columns or row count differ from {against}")
+            continue
+        lines.append(f"# {rel.as_posix()}: largest relative difference per column against {against}")
+        for j, name in enumerate(head):
+            worst = max((relative_difference(r[j], o[j]) for r, o in zip(new_rows, old_rows)), default=0.0)
+            lines.append(f"#   {name}  {worst:.3g}")
+    return lines
+
+
 def cli() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--n", type=int, default=64, help="points per side of every config (default 64)")
+    ap.add_argument("--keep", metavar="DIR", type=Path, help="copy the outputs to DIR")
+    ap.add_argument("--against", metavar="DIR", type=Path,
+                    help="print each column's largest relative difference from the outputs kept in DIR")
     args = ap.parse_args()
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -101,7 +152,12 @@ def cli() -> int:
             produce(args.n)
         finally:
             os.chdir(here)
-        print("\n".join(digests(Path(tmp))))
+        lines = digests(Path(tmp))
+        if args.against is not None:
+            lines += compare(Path(tmp), args.against)
+        if args.keep is not None:
+            shutil.copytree(tmp, args.keep, dirs_exist_ok=True)
+        print("\n".join(lines))
     return 0
 
 

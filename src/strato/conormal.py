@@ -6,7 +6,8 @@ smoothness of the vorticity across the patch edge without paying for the
 jump.  The module advects families and boundary tracers with a supplied
 velocity trajectory, forms directional derivatives in conservation form,
 and evaluates the adapted Hoelder norm and the logarithmic gradient
-bound it feeds.
+bound it feeds.  The transports take the solver's RK4 step with unit
+integrating factors on a uniform partition of a trajectory's span.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, pairwise
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator
 
@@ -23,6 +24,7 @@ import numpy as np
 
 from .grid import GridSpec, ScalarField, VelocityField, _chunked, _phase_basis, lp_norm, velocity_gradient_sup
 from .littlewood_paley import BesovParams, TimeSeries, besov_norm
+from .solver import _rk4
 
 __all__ = [
     "VectorFieldFamily",
@@ -204,39 +206,33 @@ def _velocity_and_gradient(interp: VelocityInterpolant, t: float) -> tuple[np.nd
     return (*kern.velocity(x), tuple(kern.gradient(x)))
 
 
-def _rk4(
-    state: list[np.ndarray],
-    velocity: Callable[[float], Any],
-    rhs: Callable[[list[np.ndarray], Any], list[np.ndarray]],
-    interp: VelocityInterpolant,
-    dt: float | None,
-) -> Iterator[tuple[float, list[np.ndarray]]]:
-    """Classic RK4 across the trajectory's span; yields (t, state) after each step.
-
-    velocity(t) is called once per distinct stage time, and only one stage
-    velocity is held at a time.  rhs returns new arrays; the first stage's
-    are the step's accumulator, which the later stages add into.  dt
-    defaults to the largest sample gap, so a short remainder step at the
-    end of a leg does not set the step for all of it.
-    """
+def _partition(interp: VelocityInterpolant, dt: float | None) -> np.ndarray:
+    """The uniform time partition a transport steps through: equal steps across the trajectory's span, none
+    longer than dt, as their end points (one point for a zero span).  dt defaults to the largest sample gap,
+    so a short remainder step at the end of a leg does not set the step for all of it."""
+    if dt is not None and not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
     t0, t1 = interp.span
+    if t1 <= t0:
+        return np.array([t0])
     if dt is None:
         dt = float(np.max(np.diff(interp.times)))
-    nsteps = max(1, int(np.ceil((t1 - t0) / dt - 1.0e-12)))
-    times = np.linspace(t0, t1, nsteps + 1)
-    vel = velocity(times[0])
-    for a, b in zip(times[:-1], times[1:]):
-        h = b - a
-        acc = k = rhs(state, vel)  # acc sums k1 + 2 k2 + 2 k3 + k4 in that order
-        for frac, weight, t in ((0.5, 2.0, 0.5 * (a + b)), (0.5, 2.0, None), (1.0, 1.0, b)):
-            if t is not None:
-                del vel
-                vel = velocity(t)
-            k = rhs([c + frac * h * d for c, d in zip(state, k)], vel)
-            for s, d in zip(acc, k):
-                s += weight * d  # in place: the same s + weight * d, with no second accumulator
-        state = [c + h / 6.0 * s for c, s in zip(state, acc)]
-        yield float(b), state
+    return np.linspace(t0, t1, max(1, int(np.ceil((t1 - t0) / dt - 1.0e-12))) + 1)
+
+
+def _slope(rhs: Callable[[list[np.ndarray], Any], list], velocity: Callable[[float], Any]) -> Callable:
+    """rhs(stage, velocity(t)) as an RK4 slope, velocity(t) computed once per distinct stage time: stages 2 and
+    3 share the midpoint's, and a step's last stage hands its velocity to the next step's first.  Only one stage
+    velocity is held at a time."""
+    last = [None, None]
+
+    def slope(stage: list[np.ndarray], t: float) -> list:
+        if t != last[0]:
+            last[:] = t, None
+            last[1] = velocity(t)
+        return rhs(stage, last[1])
+
+    return slope
 
 
 def advect_family(
@@ -244,21 +240,21 @@ def advect_family(
 ) -> VectorFieldFamily:
     """Push the family forward along the trajectory's full time span.
 
-    Classic RK4 on the transport-stretch system, with the velocity read
-    from the vorticity samples at every stage time.
+    The solver's RK4 step on the transport-stretch system, across equal
+    steps no longer than dt (default: the largest sample gap), with the
+    velocity read from the vorticity samples at every stage time.
     """
     interp = VelocityInterpolant(omega_series)
-    t0, t1 = interp.span
-    if t1 <= t0:
+    times = _partition(interp, dt)
+    if len(times) == 1:
         return family
     g = family.grid
     if g != interp.grid:
         raise ValueError("family and trajectory grids differ")
     comps = [c.values for m in family.members for c in (m.u1, m.u2)]
-    velocity = partial(_velocity_and_gradient, interp)
-    rhs = partial(_advect_stretch_rhs, grid=g)
-    for _, comps in _rk4(comps, velocity, rhs, interp, dt):
-        pass
+    slope = _slope(partial(_advect_stretch_rhs, grid=g), partial(_velocity_and_gradient, interp))
+    for a, b in pairwise(times):
+        comps = _rk4(comps, slope, (a, b), b - a, [(1.0, 1.0)] * len(comps))
     return _family_of(comps, g, family.epsilon)
 
 
@@ -317,11 +313,12 @@ def advect_boundary(
     """Push boundary tracers and their tangents through the flow.
 
     Positions follow dx/dt = v(x); tangents follow the Jacobian system
-    dT/dt = (grad v) T, both integrated with RK4 and velocity evaluated
-    off-grid from the spectral representation.
+    dT/dt = (grad v) T, both integrated with the solver's RK4 step across
+    equal steps no longer than dt (default: the largest sample gap), and
+    velocity evaluated off-grid from the spectral representation.
     """
     interp = VelocityInterpolant(omega_series)
-    t0, t1 = interp.span
+    times = _partition(interp, dt)
     g = interp.grid
 
     def rhs(state: list[np.ndarray], omega_half: np.ndarray) -> list[np.ndarray]:
@@ -330,12 +327,14 @@ def advect_boundary(
         dtan = np.stack([tan[:, 0] * d1v1 + tan[:, 1] * d2v1, tan[:, 0] * d1v2 + tan[:, 1] * d2v2], axis=1)
         return [np.stack([v1, v2], axis=1), dtan]
 
+    slope = _slope(rhs, interp.omega_spectrum)
     state = [np.asarray(points, dtype=np.float64), np.asarray(tangents, dtype=np.float64)]
-    steps = _rk4(state, interp.omega_spectrum, rhs, interp, dt) if t1 > t0 else ()
-    for t, (pts, tan) in chain([(t0, state)], steps):
-        curve = BoundaryCurve(params, pts, tan, time=t)
+    for a, b in pairwise(chain([None], times)):
+        if a is not None:
+            state = _rk4(state, slope, (a, b), b - a, [(1.0, 1.0)] * len(state))
+        curve = BoundaryCurve(params, *state, time=float(b))
         if curve.spacing_ratio > _SPACING_COLLAPSE:
-            raise ValueError(f"tracer spacing collapsed (ratio {curve.spacing_ratio:.2f}) at t = {t:.6g}")
+            raise ValueError(f"tracer spacing collapsed (ratio {curve.spacing_ratio:.2f}) at t = {b:.6g}")
     return curve
 
 
@@ -349,8 +348,9 @@ def advect_legs(
 
     trajectory is ``solver.march`` with record_every_step, landing on every checkpoint; yields
     (t, omega, family, curve, diagnostics) at each.  A one-thread helper marches one sample ahead
-    and moves the tracers over each gap; the caller's thread takes the gap's RK4 family step from
-    the last step's end velocity.  Each side computes what it would alone.
+    and moves the tracers over each gap; the caller's thread takes the gap's family step, one
+    solver RK4 step with unit factors, which starts from the last step's end velocity.  Each side
+    computes what it would alone.
 
     A run holds the family's component arrays, the grid and epsilon of the initial family (not the
     family: its level set and cached magnitudes go with it), the last stage velocity, the tracers,
@@ -362,14 +362,7 @@ def advect_legs(
     g, epsilon = family.grid, family.epsilon
     comps = [c.values for m in family.members for c in (m.u1, m.u2)]
     del family  # the members live on in comps only until the first family step replaces them
-    rhs = partial(_advect_stretch_rhs, grid=g)
-    end = [None, None]  # the last stage's time and velocity, reused as the next step's first
-
-    def velocity(t: float) -> tuple:  # at t in the current gap
-        if t != end[0]:
-            end[:] = t, None  # one stage velocity at a time
-            end[1] = _velocity_and_gradient(interp, t)
-        return end[1]
+    slope = _slope(partial(_advect_stretch_rhs, grid=g), lambda t: _velocity_and_gradient(interp, t))  # gap's interp
 
     stream = _with_tracers(trajectory, curve)
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="strato-helper") as helper:
@@ -382,8 +375,8 @@ def advect_legs(
                 if gap is not None:
                     interp = VelocityInterpolant(gap)
                     del gap
-                    for _, comps in _rk4(comps, velocity, rhs, interp, None):
-                        pass
+                    a, b = interp.span
+                    comps = _rk4(comps, slope, (a, b), b - a, [(1.0, 1.0)] * len(comps))
                     interp = None  # frees the gap's start
                 if t >= mark - 1.0e-12:
                     break
@@ -412,8 +405,10 @@ def holder_quotient(params: np.ndarray, tangents: np.ndarray, epsilon: float, pe
     tan = np.asarray(tangents, dtype=np.float64)
     dsig = np.abs(sig[:, None] - sig[None, :])
     dsig = np.minimum(dsig, period - dsig)
-    num = np.hypot(tan[:, None, 0] - tan[None, :, 0], tan[:, None, 1] - tan[None, :, 1])
     mask = dsig > 0.0
+    if not mask.any():
+        raise ValueError(f"need at least two distinct parameters (modulo the period {period:g})")
+    num = np.hypot(tan[:, None, 0] - tan[None, :, 0], tan[:, None, 1] - tan[None, :, 1])
     return float(np.max(num[mask] / dsig[mask] ** epsilon))
 
 

@@ -7,8 +7,9 @@ The state is the pair (w, rho) evolving by
 
 Diffusion is integrated exactly through integrating factors; advection
 and the buoyancy source are treated explicitly inside a classic RK4
-cycle.  All quadratic products use the 2/3 dealiasing rule, which makes
-the truncated advection exactly energy- and mean-preserving in space.
+step, ``_rk4``, which ``strato.conormal`` also takes, with unit factors.
+All quadratic products use the 2/3 dealiasing rule, which makes the
+truncated advection exactly energy- and mean-preserving in space.
 The march keeps its state on the 2/3 band of the grid's kernel and never
 touches the zero modes outside it; each sample still exposes full half
 spectra (the band spread into zeros).  Its velocity, velocity gradient
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -139,14 +140,14 @@ class _Engine:
         self.op = self.kern.band
         # integrating factors of the current step size only, so the cache
         # stays one entry however many remainder or halved steps a run takes
-        self._exp_cache: dict[float, tuple[np.ndarray, ...]] = {}
+        self._exp_cache: dict[float, tuple[tuple[np.ndarray, np.ndarray], ...]] = {}
 
-    def decay(self, h: float) -> tuple[np.ndarray, ...]:
-        """exp(-nu s |k|^2) for (nu, s) = (mu, h), (mu, h/2), (kappa, h), (kappa, h/2)."""
+    def decay(self, h: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(exp(-nu h |k|^2), exp(-nu h/2 |k|^2)) for nu = mu, then kappa: the step's factors for (w, rho)."""
         got = self._exp_cache.get(h)
         if got is None:
             p, ksq = self.params, self.op.ksq
-            got = tuple(np.exp(-nu * s * ksq) for nu in (p.mu, p.kappa) for s in (h, h / 2.0))
+            got = tuple(tuple(np.exp(-nu * s * ksq) for s in (h, h / 2.0)) for nu in (p.mu, p.kappa))
             self._exp_cache.clear()
             self._exp_cache[h] = got
         return got
@@ -162,33 +163,6 @@ class _Engine:
         v1, v2 = vel if vel is not None else self.velocity(what)
         buoy -= self.kern.advection(what, v1, v2)  # before the density flux is built
         return buoy, -self.kern.advection(rhat, v1, v2)
-
-    def rk4(self, what: np.ndarray, rhat: np.ndarray, h: float, vel=None) -> tuple[np.ndarray, np.ndarray]:
-        """One RK4 step; vel, if given, is velocity(what), let go of once stage 1 is done.
-
-        The slopes are folded into the combination as soon as no stage input needs them alone:
-        k1 is scaled by its decay once stage 2's input is built, and k2 + k3 is formed once
-        stage 4's input is, so stage 4 runs beside two slopes per field, not three.  Each sum
-        and product is the textbook one, so the step is bitwise the unfolded one.
-        """
-        ew, ew2, er, er2 = self.decay(h)
-        k1w, k1r = self.nonlinear(what, rhat, vel)
-        del vel
-        stage2 = ew2 * (what + 0.5 * h * k1w), er2 * (rhat + 0.5 * h * k1r)
-        k1w *= ew
-        k1r *= er
-        k2w, k2r = self.nonlinear(*stage2)
-        del stage2
-        k3w, k3r = self.nonlinear(ew2 * what + 0.5 * h * k2w, er2 * rhat + 0.5 * h * k2r)
-        stage4 = ew * what + h * ew2 * k3w, er * rhat + h * er2 * k3r
-        k2w += k3w
-        k2r += k3r
-        del k3w, k3r
-        k4w, k4r = self.nonlinear(*stage4)
-        del stage4
-        new_w = ew * what + (h / 6.0) * (k1w + 2.0 * ew2 * k2w + k4w)
-        new_r = er * rhat + (h / 6.0) * (k1r + 2.0 * er2 * k2r + k4r)
-        return new_w, new_r
 
     def advance(self, what: np.ndarray, rhat: np.ndarray, t: float, h: float, depth: int = 0,
                 handoff: list | None = None):
@@ -212,11 +186,41 @@ class _Engine:
         if h > limit:
             what, rhat, t = self.advance(what, rhat, t, h / 2.0, depth + 1, handoff)
             return self.advance(what, rhat, t, h / 2.0, depth + 1)
-        new_w, new_r = self.rk4(what, rhat, h, handoff.pop()[0])
+        first = [handoff.pop()[0]]  # stage 1's velocity, let go of once stage 1 is done
+        new_w, new_r = _rk4([what, rhat], lambda s, _: self.nonlinear(*s, first.pop() if first else None),
+                            (t, t + h), h, self.decay(h))
         probe = complex(new_w.sum()) + complex(new_r.sum())
         if not (np.isfinite(probe.real) and np.isfinite(probe.imag)):
             raise SolverBlowupError(t + h, depth, _nonfinite(new_w, new_r))
         return new_w, new_r, t + h
+
+
+def _rk4(state: list, slope: Callable[[list, float], Sequence], ends: tuple, h: float, decay: Sequence) -> list:
+    """One RK4 step of size h in integrating-factor form, the one RK4 step of strato.
+
+    slope(stage, t) gives the explicit slopes of the arrays in stage, as new arrays the step may change in
+    place; t is the step's start or end, as given in ends (so consecutive steps meet on the same float), or
+    their midpoint.  decay gives per array its (full-step, half-step) integrating factor, 1.0 for none: with
+    unit factors the step is textbook RK4.  The slopes are folded in as soon as no stage input needs them
+    alone: k1 is scaled in place once stage 2's input is built, and k2 + k3 is formed once stage 4's input
+    is, so stage 4 runs beside two slopes per array, not three.
+    """
+    start, end = ends
+    mid = 0.5 * (start + end)
+    k1 = slope(state, start)
+    stage = [e2 * (y + 0.5 * h * k) for y, k, (_, e2) in zip(state, k1, decay)]
+    for k, (e, _) in zip(k1, decay):
+        k *= e
+    k2 = slope(stage, mid)
+    del stage
+    k3 = slope([e2 * y + 0.5 * h * k for y, k, (_, e2) in zip(state, k2, decay)], mid)
+    stage = [e * y + h * e2 * k for y, k, (e, e2) in zip(state, k3, decay)]
+    for k, k_next in zip(k2, k3):
+        k += k_next
+    del k3, k_next
+    k4 = slope(stage, end)
+    del stage
+    return [e * y + (h / 6.0) * (a + 2.0 * e2 * b + c) for y, a, b, c, (e, e2) in zip(state, k1, k2, k4, decay)]
 
 
 def _nonfinite(what: np.ndarray, rhat: np.ndarray) -> str | None:

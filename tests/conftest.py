@@ -1,11 +1,13 @@
 from functools import partial
+from itertools import pairwise
 
 import numpy as np
 import pytest
 import scipy.fft as fft
 
-from strato.conormal import VelocityInterpolant, _rk4
+from strato.conormal import VelocityInterpolant, _partition, _slope
 from strato.grid import GridSpec, ScalarField, rfft2
+from strato.solver import _rk4
 
 
 @pytest.fixture(scope="session")
@@ -61,7 +63,7 @@ def velocity_values(interp, t):
 
 
 def transport_scalar(f, omega_series, dt=None):
-    """Passive advection of a scalar along the trajectory (no stretching), by the family's RK4 stepper.
+    """Passive advection of a scalar along the trajectory (no stretching), by the family's RK4 steps.
 
     The reference for divergence transport: the divergence of an advected family moves as a scalar."""
     interp = VelocityInterpolant(omega_series)
@@ -76,9 +78,9 @@ def transport_scalar(f, omega_series, dt=None):
         s = rfft2(state[0])
         return [dealias(kern, -(v1 * kern.inverse(kern.ik1 * s) + v2 * kern.inverse(kern.ik2 * s)))]
 
-    state = [f.values]
-    for _, state in _rk4(state, partial(velocity_values, interp), rhs, interp, dt):
-        pass
+    state, slope = [f.values], _slope(rhs, partial(velocity_values, interp))
+    for a, b in pairwise(_partition(interp, dt)):
+        state = _rk4(state, slope, (a, b), b - a, [(1.0, 1.0)])
     return ScalarField(g, state[0])
 
 

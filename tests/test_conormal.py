@@ -373,39 +373,51 @@ class TestShearAdvection:
         advect_family(fam, TimeSeries(times=np.array(times), fields=(om,) * len(times)))
         assert len(calls) == 4 * steps
 
+    @pytest.mark.parametrize("transport", ["family", "boundary"])
     @pytest.mark.parametrize("times, steps", [
         ([0.0, 0.01, 0.02, 0.03, 0.04], 4),  # uniform leg
         ([0.0, 0.01, 0.02, 0.03, 0.035], 4),  # remainder leg
         ([0.0, 0.002, 0.012, 0.022], 3),  # short first gap
     ])
-    def test_velocity_once_per_stage_time(self, pi_grid, times, steps):
-        om = shear_series(pi_grid).fields[0]
-        interp = VelocityInterpolant(TimeSeries(times=np.array(times), fields=(om,) * len(times)))
+    def test_velocity_once_per_stage_time(self, pi_grid, monkeypatch, transport, times, steps):
+        # stages 2 and 3 share the midpoint's velocity, and a step's end velocity starts the next step
         calls = []
-
-        def velocity(t):
-            calls.append(t)
-            return velocity_values(interp, t)
-
-        still = lambda state, vel: [np.zeros_like(state[0])]
-        for _ in strato.conormal._rk4([np.ones(3)], velocity, still, interp, None):
-            pass
+        spectrum = VelocityInterpolant.omega_spectrum
+        monkeypatch.setattr(VelocityInterpolant, "omega_spectrum", lambda self, t: calls.append(t) or spectrum(self, t))
+        om = shear_series(pi_grid).fields[0]
+        series = TimeSeries(times=np.array(times), fields=(om,) * len(times))
+        if transport == "family":
+            x = VelocityField(constant_field(pi_grid, 0.0), constant_field(pi_grid, 1.0))
+            advect_family(VectorFieldFamily(members=(x,)), series)
+        else:
+            advect_boundary(*circle_tracers(16), series)
         assert len(calls) == 2 * steps + 1
         assert len(set(calls)) == len(calls)
 
     def test_rk4_bit_identical_to_four_velocity_steps(self, pi_grid):
         times = np.array([0.0, 0.01, 0.02, 0.03, 0.035])
-        om = random_field(pi_grid, 41, band=4.0)
-        interp = VelocityInterpolant(TimeSeries(times=times, fields=(om,) * len(times)))
-        x = VelocityField(random_field(pi_grid, 42, band=6.0), random_field(pi_grid, 43, band=6.0))
+        oms = tuple(random_field(pi_grid, 41 + i, band=4.0) for i in range(len(times)))  # a velocity per sample
+        series = TimeSeries(times=times, fields=oms)
+        interp = VelocityInterpolant(series)
+        x = VelocityField(random_field(pi_grid, 46, band=6.0), random_field(pi_grid, 47, band=6.0))
         velocity = partial(strato.conormal._velocity_and_gradient, interp)
         rhs = partial(strato.conormal._advect_stretch_rhs, grid=pi_grid)
-        state = [x.u1.values, x.u2.values]
-        got = list(strato.conormal._rk4(state, velocity, rhs, interp, None))
-        want = list(reference_rk4(state, velocity, rhs, interp))
-        assert [t for t, _ in got] == [t for t, _ in want]
-        for (_, a), (_, b) in zip(got, want):
-            assert all(np.array_equal(u, v) for u, v in zip(a, b))
+        want = list(reference_rk4([x.u1.values, x.u2.values], velocity, rhs, interp))
+        assert len(want) == 4 and want[-1][0] == 0.035
+        got = advect_family(VectorFieldFamily(members=(x,)), series).members[0]
+        assert np.array_equal(got.u1.values, want[-1][1][0])
+        assert np.array_equal(got.u2.values, want[-1][1][1])
+
+    @pytest.mark.parametrize("transport", ["family", "boundary"])
+    @pytest.mark.parametrize("dt", [0.0, -0.05, float("nan")])
+    def test_nonpositive_or_nan_step_refused(self, pi_grid, transport, dt):
+        series = shear_series(pi_grid)
+        with pytest.raises(ValueError, match=r"^dt must be positive, got"):
+            if transport == "family":
+                x = VelocityField(constant_field(pi_grid, 0.0), constant_field(pi_grid, 1.0))
+                advect_family(VectorFieldFamily(members=(x,)), series, dt=dt)
+            else:
+                advect_boundary(*circle_tracers(16), series, dt=dt)
 
     def test_family_grid_must_match_trajectory(self, pi_grid, grid64):
         fam = VectorFieldFamily(
@@ -416,7 +428,8 @@ class TestShearAdvection:
 
 
 def reference_rk4(state, velocity, rhs, interp):
-    """RK4 as before end velocities were reused: velocity at a, the midpoint and b of every step."""
+    """Textbook RK4 summed as k1 + 2 (k2 + k3) + k4, with no velocity reused: velocity at a, the midpoint
+    and b of every step."""
     t0, t1 = interp.span
     dt = float(np.max(np.diff(interp.times)))
     times = np.linspace(t0, t1, max(1, int(np.ceil((t1 - t0) / dt - 1.0e-12))) + 1)
@@ -427,7 +440,7 @@ def reference_rk4(state, velocity, rhs, interp):
         k2 = rhs([c + 0.5 * h * k for c, k in zip(state, k1)], vel)
         k3 = rhs([c + 0.5 * h * k for c, k in zip(state, k2)], vel)
         k4 = rhs([c + h * k for c, k in zip(state, k3)], velocity(b))
-        state = [c + h / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4) for c, a1, a2, a3, a4 in zip(state, k1, k2, k3, k4)]
+        state = [c + h / 6.0 * (a1 + 2.0 * (a2 + a3) + a4) for c, a1, a2, a3, a4 in zip(state, k1, k2, k3, k4)]
         yield float(b), state
 
 
@@ -662,6 +675,12 @@ class TestHolderQuotient:
         for eps in (0.25, 0.5, 1.0):
             want = np.max(chords / gaps**eps)
             assert abs(holder_quotient(th, tan, eps) - want) <= 1e-12
+
+    @pytest.mark.parametrize("params", [[0.5], [0.5, 0.5], [0.0, 2.0 * np.pi], []])
+    def test_needs_two_distinct_parameters(self, params):
+        tan = np.ones((len(params), 2))
+        with pytest.raises(ValueError, match="at least two distinct parameters"):
+            holder_quotient(np.array(params), tan, 0.5)
 
 
 class TestPatchTrajectory:

@@ -3,6 +3,7 @@
 import argparse
 import concurrent.futures
 import gc
+import importlib.util
 import json
 import logging
 import math
@@ -1046,6 +1047,23 @@ class TestCli:
         assert len(calls) == 2 * 4 + 1  # four sample gaps: each end velocity starts the next step
         assert len(set(calls)) == len(calls)
 
+    def test_advect_legs_gaps_meet_on_their_sample_times(self, tmp_path, monkeypatch):
+        # 0.003 + (0.013 - 0.003) is not 0.013 in floats; the family step takes the gap's end as the march
+        # gave it, so that end velocity still starts the next gap's step
+        calls = []
+        velocity = strato.conormal._velocity_and_gradient
+        monkeypatch.setattr(strato.conormal, "_velocity_and_gradient",
+                            lambda interp, t: calls.append(t) or velocity(interp, t))
+        config = SweepConfig.from_json(self._conormal_config(tmp_path))
+        checkpoints = [0.0, 0.003, 0.013, 0.023]
+        params = SimParams(mu=1.0e-3, dt=0.01, t_final=0.023, kappa=config.kappa)
+        trajectory = strato.solver.march(*config.initial_fields(), params, record_every_step=True,
+                                         sample_times=checkpoints)
+        family = initial_vector_family(config.patch, config.grid, epsilon=config.patch.epsilon)
+        list(strato.conormal.advect_legs(trajectory, checkpoints, family, boundary_curve(config.patch)))
+        assert 0.003 + (0.013 - 0.003) != 0.013
+        assert calls == [0.0, 0.0015, 0.003, 0.008, 0.013, 0.018, 0.023]
+
     def test_conormal_norm_once_per_checkpoint(self, tmp_path, monkeypatch):
         # and no velocity_gradient_sup: the log-estimate ratio takes the march's gradv_sup
         calls = []
@@ -1258,6 +1276,33 @@ class TestCli:
         # a sweep snapshot and the simulated one at the same viscosity are the same march sample
         assert digests["sweep-fields/omega_mu0.001_t0.02.slf"] == digests["simulate/omega_t0.02.slf"]
         assert list(tmp_path.iterdir()) == []  # every output went to the script's own temporary directory
+
+    def test_output_digests_keeps_and_compares_outputs(self, tmp_path, monkeypatch, capsys):
+        # --keep copies the outputs; --against prints each changed CSV's largest relative difference per column
+        script = Path(__file__).resolve().parents[1] / "scripts" / "output_digests.py"
+        spec = importlib.util.spec_from_file_location("output_digests", script)
+        digests = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(digests)
+        old = tmp_path / "old"
+        (old / "c").mkdir(parents=True)
+        (old / "c" / "a.csv").write_text("t,v,s\n0.5,1.0,x\n1.0,4.0,y\n")
+        (old / "same.csv").write_text("t\n1\n")
+
+        def produce(n):
+            Path("c").mkdir()
+            Path("c", "a.csv").write_text("t,v,s\n0.5,1.0,x\n1.0,4.000000001,y\n")
+            Path("same.csv").write_text("t\n1\n")
+            Path("extra.csv").write_text("t\n1\n")
+
+        monkeypatch.setattr(digests, "produce", produce)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "argv", ["output_digests.py", "--keep", "kept", "--against", "old"])
+        assert digests.cli() == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("  ")[1] for line in lines[:3]] == ["c/a.csv", "extra.csv", "same.csv"]
+        assert lines[3:] == ["# c/a.csv: largest relative difference per column against old",
+                             "#   t  0", "#   v  2.5e-10", "#   s  0", "# extra.csv: not in old"]
+        assert (tmp_path / "kept" / "c" / "a.csv").read_text().endswith("4.000000001,y\n")
 
     @pytest.mark.parametrize("samples", ["1", "0"])
     def test_conormal_needs_two_samples(self, tmp_path, capsys, samples):

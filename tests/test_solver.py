@@ -8,10 +8,12 @@ import pytest
 import scipy.fft as fft
 from hypothesis import given, settings, strategies as st
 
+import strato.solver
 from strato.grid import GridSpec, ScalarField, _HalfKernel, dx1_inv_laplacian, velocity_gradient_sup
 from strato.initdata import DensitySpec, PatchSpec, make_density, rasterize_patch
 from strato.solver import (
     _Engine,
+    _rk4,
     SimParams,
     SolverBlowupError,
     commutator_source,
@@ -281,13 +283,12 @@ class TestStepping:
         # a large-amplitude field forces the internal halving; the march
         # still lands on the target time after one nominal step
         stages = []
-        rk4 = _Engine.rk4
 
-        def spy(self, what, rhat, h, vel=None):
+        def spy(state, slope, ends, h, decay):
             stages.append(h)
-            return rk4(self, what, rhat, h, vel)
+            return _rk4(state, slope, ends, h, decay)
 
-        monkeypatch.setattr(_Engine, "rk4", spy)
+        monkeypatch.setattr(strato.solver, "_rk4", spy)
         w0 = ScalarField(grid64, 50.0 * random_field(grid64, 8, band=4.0).values)
         params = SimParams(mu=0.01, dt=0.1, t_final=0.1)
         res = run(w0, zero_field(grid64), params, track_gradients=False)
@@ -300,13 +301,12 @@ class TestStepping:
         # the t = 0 sample reports the velocity of a field that would force halvings, but a frozen
         # march does not advect, so its step has no CFL limit
         stages = []
-        rk4 = _Engine.rk4
 
-        def spy(self, what, rhat, h, vel=None):
+        def spy(state, slope, ends, h, decay):
             stages.append(h)
-            return rk4(self, what, rhat, h, vel)
+            return _rk4(state, slope, ends, h, decay)
 
-        monkeypatch.setattr(_Engine, "rk4", spy)
+        monkeypatch.setattr(strato.solver, "_rk4", spy)
         w0 = ScalarField(grid64, 50.0 * random_field(grid64, 8, band=4.0).values)
         params = SimParams(mu=0.01, dt=0.1, t_final=0.1, frozen_velocity=True)
         (*_, first), (*_, last) = march(w0, zero_field(grid64), params, sample_times=[0.0, 0.1])
@@ -346,16 +346,17 @@ class TestStepping:
     def test_exp_cache_bounded_across_remainder_steps(self, grid64, monkeypatch):
         # irregular sample times give a different remainder step before
         # each landing; the integrating factors are kept for one step size
-        sizes, steps = [], set()
-        rk4 = _Engine.rk4
+        sizes, steps, engines = [], set(), []
+        init = _Engine.__init__
 
-        def spy(self, what, rhat, h, vel=None):
-            out = rk4(self, what, rhat, h, vel)
-            sizes.append(len(self._exp_cache))
+        def spy(state, slope, ends, h, decay):
+            out = _rk4(state, slope, ends, h, decay)
+            sizes.append(len(engines[0]._exp_cache))
             steps.add(h)
             return out
 
-        monkeypatch.setattr(_Engine, "rk4", spy)
+        monkeypatch.setattr(_Engine, "__init__", lambda self, *args: engines.append(self) or init(self, *args))
+        monkeypatch.setattr(strato.solver, "_rk4", spy)
         w0 = random_field(grid64, 20, band=4.0)
         times = [0.013, 0.029, 0.041, 0.067, 0.071, 0.093, 0.1]
         run(w0, zero_field(grid64), SimParams(mu=0.01, dt=0.02, t_final=0.1), sample_times=times, track_gradients=False)
@@ -408,6 +409,32 @@ def full_spectrum_advance(g, params, what, rhat, h, vel=None):
     new_w = ew * what + (h / 6.0) * (ew * k1w + 2.0 * ew2 * (k2w + k3w) + k4w)
     new_r = er * rhat + (h / 6.0) * (er * k1r + 2.0 * er2 * (k2r + k3r) + k4r)
     return new_w, new_r
+
+
+class TestRk4Step:
+    def test_unit_factors_give_textbook_rk4(self):
+        # with unit factors the shared step is textbook RK4, bit for bit, summed as k1 + 2 (k2 + k3) + k4
+        rng = np.random.default_rng(3)
+        state = [rng.standard_normal(12), rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))]
+        t, h = 0.3, 0.07
+        t1, mid = t + h, 0.5 * (t + t + h)
+        seen = []
+
+        def f(s, tau):
+            return [np.sin(tau) * s[0] ** 2 - s[1].real.ravel(), np.cos(tau) * s[1] * s[0].reshape(6, 2)]
+
+        def slope(s, tau):
+            seen.append(tau)
+            return f(s, tau)
+
+        got = _rk4(state, slope, (t, t1), h, [(1.0, 1.0)] * 2)
+        k1 = f(state, t)
+        k2 = f([y + 0.5 * h * k for y, k in zip(state, k1)], mid)
+        k3 = f([y + 0.5 * h * k for y, k in zip(state, k2)], mid)
+        k4 = f([y + h * k for y, k in zip(state, k3)], t1)
+        want = [y + h / 6.0 * (a + 2.0 * (b + c) + d) for y, a, b, c, d in zip(state, k1, k2, k3, k4)]
+        assert seen == [t, mid, mid, t1]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestHalfSpectrumKernel:
