@@ -26,10 +26,12 @@ conormal run of its ``conormal`` workload.  strato is imported from
 PYTHONPATH, so the same script measures any checkout.
 
 ``--keep DIR`` copies the outputs to DIR.  ``--against DIR`` compares them
-with such a copy: for each CSV whose digest differs from DIR's, it prints
-after the digests, as ``#`` lines, the largest relative difference
-|a - b| / max(|a|, |b|) per column (0 for a bitwise column).  So a
-round-off change reads, with two checkouts ``old`` and ``new``:
+with such a copy: for each CSV or JSON output whose digest differs from
+DIR's, it prints after the digests, as ``#`` lines, the largest relative
+difference |a - b| / max(|a|, |b|) per CSV column or per JSON key (0 for
+a bitwise one; a JSON key gathers every value under that name, list
+items included).  So a round-off change reads, with two checkouts
+``old`` and ``new``:
 
     PYTHONPATH=old/src python scripts/output_digests.py --keep out-old
     PYTHONPATH=new/src python scripts/output_digests.py --against out-old
@@ -95,31 +97,67 @@ def produce(n: int) -> None:
             run(["besov", str(snap), *extra], Path("besov", f"{snap.stem}-{i}.txt"))
 
 
+def outputs(root: Path) -> list[Path]:
+    """Every output file under root in sorted order, ``provenance.json`` (timings, worker count) left out."""
+    return sorted(p for p in root.rglob("*") if p.is_file() and p.name != "provenance.json")
+
+
 def digests(root: Path) -> list[str]:
     lines = []
-    for path in sorted(p for p in root.rglob("*") if p.is_file() and p.name != "provenance.json"):
+    for path in outputs(root):
         lines.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(root).as_posix()}")
     return lines
 
 
-def relative_difference(a: str, b: str) -> float:
-    """|a - b| / max(|a|, |b|) of two CSV cells; 0 when they are the same number or text, inf for other text."""
+def relative_difference(a, b) -> float:
+    """|a - b| / max(|a|, |b|) of two CSV cells or JSON values; 0 when they are the same number or text, inf for
+    other text."""
     if a == b:
         return 0.0
     try:
         x, y = float(a), float(b)
-    except ValueError:
+    except (TypeError, ValueError):
         return math.inf
     if x == y or (math.isnan(x) and math.isnan(y)):
         return 0.0
     return abs(x - y) / max(abs(x), abs(y))
 
 
+def csv_differences(path: Path, old: Path) -> list[tuple[str, float]] | None:
+    """(column, largest relative difference) per column of two CSV files; None if their columns or rows differ."""
+    (head, *new_rows), (old_head, *old_rows) = (list(csv.reader(p.open(newline=""))) for p in (path, old))
+    if head != old_head or len(new_rows) != len(old_rows):
+        return None
+    return [(name, max((relative_difference(r[j], o[j]) for r, o in zip(new_rows, old_rows)), default=0.0))
+            for j, name in enumerate(head)]
+
+
+def json_leaves(doc, key: str = "") -> list[tuple[str, object]]:
+    """(key, value) of every number or text in a JSON document, each under the name of the object key that holds
+    it (list items under their list's key), in document order."""
+    if isinstance(doc, dict):
+        return [leaf for k in sorted(doc) for leaf in json_leaves(doc[k], k)]
+    if isinstance(doc, list):
+        return [leaf for item in doc for leaf in json_leaves(item, key)]
+    return [(key, doc)]
+
+
+def json_differences(path: Path, old: Path) -> list[tuple[str, float]] | None:
+    """(key, largest relative difference) per key of two JSON files; None if their keys or list lengths differ."""
+    new_leaves, old_leaves = (json_leaves(json.loads(p.read_text())) for p in (path, old))
+    if [k for k, _ in new_leaves] != [k for k, _ in old_leaves]:
+        return None
+    worst: dict[str, float] = {}
+    for (key, a), (_, b) in zip(new_leaves, old_leaves):
+        worst[key] = max(worst.get(key, 0.0), relative_difference(a, b))
+    return sorted(worst.items())
+
+
 def compare(root: Path, against: Path) -> list[str]:
-    """``#`` lines giving, for each CSV under root whose bytes differ from its copy under against, the largest
-    relative difference of each column."""
+    """``#`` lines giving, for each CSV or JSON file under root whose bytes differ from its copy under against, the
+    largest relative difference of each CSV column or JSON key."""
     lines = []
-    for path in sorted(root.rglob("*.csv")):
+    for path in (p for p in outputs(root) if p.suffix in (".csv", ".json")):
         rel = path.relative_to(root)
         old = against / rel
         if not old.is_file():
@@ -127,14 +165,15 @@ def compare(root: Path, against: Path) -> list[str]:
             continue
         if old.read_bytes() == path.read_bytes():
             continue
-        (head, *new_rows), (old_head, *old_rows) = (list(csv.reader(p.open(newline=""))) for p in (path, old))
-        if head != old_head or len(new_rows) != len(old_rows):
-            lines.append(f"# {rel.as_posix()}: columns or row count differ from {against}")
+        csv_file = path.suffix == ".csv"
+        worst = (csv_differences if csv_file else json_differences)(path, old)
+        if worst is None:
+            what = "columns or row count" if csv_file else "keys or lengths"
+            lines.append(f"# {rel.as_posix()}: {what} differ from {against}")
             continue
-        lines.append(f"# {rel.as_posix()}: largest relative difference per column against {against}")
-        for j, name in enumerate(head):
-            worst = max((relative_difference(r[j], o[j]) for r, o in zip(new_rows, old_rows)), default=0.0)
-            lines.append(f"#   {name}  {worst:.3g}")
+        lines.append(f"# {rel.as_posix()}: largest relative difference per {'column' if csv_file else 'key'} "
+                     f"against {against}")
+        lines += [f"#   {name}  {value:.3g}" for name, value in worst]
     return lines
 
 
@@ -143,7 +182,7 @@ def cli() -> int:
     ap.add_argument("--n", type=int, default=64, help="points per side of every config (default 64)")
     ap.add_argument("--keep", metavar="DIR", type=Path, help="copy the outputs to DIR")
     ap.add_argument("--against", metavar="DIR", type=Path,
-                    help="print each column's largest relative difference from the outputs kept in DIR")
+                    help="print each CSV column's or JSON key's largest relative difference from the outputs in DIR")
     args = ap.parse_args()
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:

@@ -9,8 +9,9 @@ alive and built on first use.  The kernel has one inverse transform for
 its three spectrum layouts (a 2/3 band, a column head, a whole half
 spectrum), and the Biot-Savart velocity, its gradient and the dealiased
 transport term v . grad f are each written once, there; the march keeps
-its state on the band.  The zero mode of any inverse-Laplacian style
-operator is gauged to zero.
+its state on the band, and the L2 norm of a band's inverse is a sum over
+the band (discrete Parseval), with no transform.  The zero mode of any
+inverse-Laplacian style operator is gauged to zero.
 """
 
 from __future__ import annotations
@@ -209,6 +210,23 @@ class _HalfKernel(_Multipliers):
         half = self.spread(x, m)  # x itself only if x is a whole half spectrum, which is not transformed in place
         half = _fft.ifft(x, axis=0) if half is x else self._columns(_fft.ifft, half, x.shape[1])
         return _fft.irfft(half, self.n, axis=1)
+
+    def l2_norm(self, x: np.ndarray, *ms: np.ndarray) -> float:
+        """The midpoint-rule L2 norm of the field (``inverse(x, m)`` for m in ms), or of ``inverse(x)``, from x alone.
+
+        By the discrete Parseval identity the sum over the grid of |inverse(x, m)|^2 is the sum of w |m x|^2
+        over the modes of x, divided by n^2, with w = 1 on column 0 and 2 on the columns whose conjugate
+        mirrors the half spectrum leaves out.  So x must hold no Nyquist column, as a band does; the
+        identity also takes column 0 to be Hermitian, as the spectrum of real values is.
+        """
+        if x.shape[1] > self.n // 2:
+            raise ValueError("l2_norm needs a spectrum without the Nyquist column, such as a 2/3 band")
+        total = 0.0
+        for m in ms or (None,):
+            sq = np.abs(x if m is None else m * x)
+            sq *= sq
+            total += 2.0 * float(sq.sum()) - float(sq[:, 0].sum())
+        return float(np.sqrt(total) * (2.0 * self.half_length / self.n) / self.n)
 
     def velocity(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Grid values of the Biot-Savart velocity (v1, v2) of the vorticity spectrum x, a band or a whole half spectrum."""

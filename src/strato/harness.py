@@ -12,9 +12,12 @@ difference, plus the plain vorticity Lp gap as a second observable.
 Each worker process receives the config once, when it starts, and
 builds the initial fields itself; the parent builds them only when it
 runs the rungs itself.  A rung's task carries only its diffusivity, and
-it hands back the 2/3 bands of its samples, not their grid values.  The
-parent holds the reference bands and the rungs that have arrived, forms
-each band difference once and takes every gap from it, one grid at a time.
+it hands back the march's own 2/3 bands at its sample times, building no
+grid value, norm or velocity of a sample.  The parent holds the
+reference bands and the rungs that have arrived and forms each band
+difference once.  For the L2 gaps (error_p = 2) it sums over that band
+by the discrete Parseval identity and builds no grid at all; any other
+exponent takes its gaps from inverses of it, one grid at a time.
 Reports are written as rates.csv / slopes.json / manifest.json with
 full-precision floats and rows in a canonical order, so the bytes do
 not depend on how many worker processes produced them; what does
@@ -37,7 +40,7 @@ import numpy as np
 from . import __version__, fieldio
 from .grid import GridSpec, ScalarField, lp_norm
 from .initdata import DensitySpec, PatchSpec, make_density, rasterize_patch
-from .solver import SimParams, _sample_times, march
+from .solver import SimParams, _march, _sample_times
 
 __all__ = [
     "SweepConfig",
@@ -216,26 +219,32 @@ class SweepResult:
 def run_single(config: SweepConfig, mu: float, omega0: ScalarField, rho0: ScalarField):
     """Integrate one rung; returns (mu, sample times, omega bands, rho bands, stats), all picklable.
 
-    A band is a sample's 2/3 band, bit for bit the march's state and under half the bytes of its
-    grid values, which ``ScalarField.from_spectrum`` gives back exactly."""
+    A band is a sample's 2/3 band, the march's own state, kept as ``solver._march`` yields it: under
+    half the bytes of its grid values, which ``ScalarField.from_spectrum`` gives back exactly.  No
+    sample field, norm or velocity is built.  stats holds the nominal steps and the RK4 substeps
+    that the march accepted, which exceed them when the CFL guard halved a step."""
     start = time.perf_counter()
     params = SimParams(mu=mu, dt=config.dt, t_final=config.t_final, kappa=config.kappa)
-    cut = config.grid._kernel.cut
     times, omegas, rhos = [], [], []
-    for t, fo, fr, row in march(omega0, rho0, params, list(config.sample_times), track_gradients=False):
+    for t, what, rhat, step_stats in _march(omega0, rho0, params, _sample_times(config.sample_times, config.t_final)):
         times.append(t)
-        omegas.append(cut(fo.half_spectrum))
-        rhos.append(cut(fr.half_spectrum))
-        del fo, fr  # before the march takes its next step
-    stats = {"mu": mu, "wall_s": time.perf_counter() - start, "nominal_steps": row["steps"]}
+        omegas.append(what)
+        rhos.append(rhat)
+    stats = {"mu": mu, "wall_s": time.perf_counter() - start, "nominal_steps": step_stats["steps"],
+             "substeps": step_stats["substeps"]}
     return mu, np.asarray(times), omegas, rhos, stats
 
 
 def _gaps(grid: GridSpec, p: float, omega: np.ndarray, rho: np.ndarray, ref_omega: np.ndarray,
           ref_rho: np.ndarray) -> tuple[float, float, float]:
-    """Velocity, density and vorticity Lp gaps of one sample, from its bands and the reference's."""
+    """Velocity, density and vorticity Lp gaps of one sample, from its bands and the reference's.
+
+    At p = 2 each gap is a sum over the band difference (the discrete Parseval identity) and no grid
+    is built; any other p has no such formula, and the band difference is inverted to grid values."""
     kern = grid._kernel
     dw = omega - ref_omega
+    if p == 2.0:
+        return kern.l2_norm(dw, kern.band.v1, kern.band.v2), kern.l2_norm(rho - ref_rho), kern.l2_norm(dw)
     vel = kern.velocity(dw)
     verr = lp_norm(np.hypot(*vel, out=vel[0]), p, grid=grid)
     del vel  # each grid is let go of before the next inverse
@@ -273,7 +282,8 @@ def _rung(mu: float) -> tuple:
 
 def _logged(out: tuple) -> tuple:
     stats = out[-1]
-    log.info("rung mu=%g: %d nominal steps in %.3f s", stats["mu"], stats["nominal_steps"], stats["wall_s"])
+    log.info("rung mu=%g: %d nominal steps (%d RK4 substeps) in %.3f s", stats["mu"], stats["nominal_steps"],
+             stats["substeps"], stats["wall_s"])
     return out
 
 
@@ -292,7 +302,11 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:
     in that same order, so the emitted tables are identical however the
     work was scheduled.  The reference comes first, so each rung is
     measured as it arrives, while later rungs still run, and then
-    dropped.  Grid values are rebuilt from the bands only to save fields.
+    dropped.  A slope is fitted at a sample time only when every fitted
+    gap there is positive and finite (not at t = 0, where every rung
+    still holds the initial data).  The L2 gaps come from the bands
+    alone; grid values are rebuilt from the bands only to save fields
+    and for the gaps of another exponent.
     """
     from concurrent.futures import ProcessPoolExecutor  # multiprocessing, loaded by sweeps only
 
@@ -333,7 +347,7 @@ def run_sweep(config: SweepConfig, workers: int | None = None) -> SweepResult:
             "discrepancy": [r.discrepancy for r in sub],
             "vorticity_error": [r.vorticity_error for r in sub],
         }
-        if len(sub) >= 3:
+        if len(sub) >= 3 and all(0.0 < e < np.inf for r in sub for e in (r.discrepancy, r.vorticity_error)):
             lm = np.log([r.mu for r in sub])
             entry["discrepancy_slope"] = float(np.polyfit(lm, np.log([r.discrepancy for r in sub]), 1)[0])
             entry["vorticity_slope"] = float(np.polyfit(lm, np.log([r.vorticity_error for r in sub]), 1)[0])
@@ -360,7 +374,7 @@ def emit_report(result: SweepResult, out_dir: str | Path | None = None) -> dict[
 
     slopes = out / "slopes.json"
     with open(slopes, "w") as fh:
-        json.dump(result.slopes, fh, indent=2, sort_keys=True)
+        json.dump(result.slopes, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
     manifest = out / "manifest.json"

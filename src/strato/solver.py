@@ -11,12 +11,14 @@ step, ``_rk4``, which ``strato.conormal`` also takes, with unit factors.
 All quadratic products use the 2/3 dealiasing rule, which makes the
 truncated advection exactly energy- and mean-preserving in space.
 The march keeps its state on the 2/3 band of the grid's kernel and never
-touches the zero modes outside it; each sample still exposes full half
-spectra (the band spread into zeros).  Its velocity, velocity gradient
-and transport terms are the kernel's, taken on the band.  An adaptive
-guard halves any step whose advective CFL number would exceed the
-configured cap; the velocity it checks is reused by the first stage, and
-the velocity a sample builds for its diagnostics is the one the next
+touches the zero modes outside it.  One loop, ``_march``, yields those
+band states; ``march`` builds from each a sample that exposes full half
+spectra (the band spread into zeros) and its diagnostics, while the
+sweep's rungs keep the bands themselves.  Its velocity, velocity
+gradient and transport terms are the kernel's, taken on the band.  An
+adaptive guard halves any step whose advective CFL number would exceed
+the configured cap; the velocity it checks is reused by the first stage,
+and the velocity a sample builds for its diagnostics is the one the next
 step checks.
 
 The module also carries the damped combination (1 - mu) w - u, with u
@@ -30,6 +32,7 @@ spectrum, and only the product's spectrum is cut to the 2/3 band.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from itertools import starmap
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -141,6 +144,7 @@ class _Engine:
         # integrating factors of the current step size only, so the cache
         # stays one entry however many remainder or halved steps a run takes
         self._exp_cache: dict[float, tuple[tuple[np.ndarray, np.ndarray], ...]] = {}
+        self.substeps = 0  # RK4 steps accepted, halved ones counted each
 
     def decay(self, h: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """(exp(-nu h |k|^2), exp(-nu h/2 |k|^2)) for nu = mu, then kappa: the step's factors for (w, rho)."""
@@ -192,6 +196,7 @@ class _Engine:
         probe = complex(new_w.sum()) + complex(new_r.sum())
         if not (np.isfinite(probe.real) and np.isfinite(probe.imag)):
             raise SolverBlowupError(t + h, depth, _nonfinite(new_w, new_r))
+        self.substeps += 1
         return new_w, new_r, t + h
 
 
@@ -250,14 +255,40 @@ def march(
     march keeps no reference to a sample it has yielded.  Between steps
     it holds its band state and the last sample's velocity, which the
     next step's CFL guard and first RK4 stage take over and no stage
-    after that holds.
+    after that holds.  Each sample is built from a band state of
+    ``_march``, which a caller that needs only the bands consumes itself.
     """
     if omega0.grid != rho0.grid:
         raise ValueError("initial fields must share a grid")
     if sample_times is None:
         sample_times = [params.t_final]
     samples = _sample_times(sample_times, params.t_final)
-    return _march(omega0, rho0, params, samples, record_every_step, track_gradients)
+    g, handoff = omega0.grid, []
+    kern = g._kernel
+
+    # builds a yielded tuple in a call of its own, so no frame that outlives the call
+    # binds it and a sample lives only as long as the consumer keeps it
+    def sample(t: float, what: np.ndarray, rhat: np.ndarray, stats: dict) -> tuple:
+        fo = ScalarField.from_spectrum(g, what)
+        fr = ScalarField.from_spectrum(g, rhat)
+        vel = kern.velocity(what)
+        vsup = float(np.max(np.hypot(*vel)))
+        handoff[:] = [] if params.frozen_velocity else [(vel, vsup)]
+        return t, fo, fr, {
+            "omega_l2": lp_norm(fo, 2.0),
+            "omega_sup": lp_norm(fo, np.inf),
+            "rho_l1": lp_norm(fr, 1.0),
+            "rho_sup": lp_norm(fr, np.inf),
+            "rho_l2": lp_norm(fr, 2.0),
+            "velocity_sup": vsup,
+            "gradv_sup": stats["gradv_sup"],
+            "gradv_sup_integral": stats["gradv_sup_integral"],
+            "gradrho_l2_integral": stats["gradrho_l2_integral"],
+            "circulation": float(what[0, 0].real) * g.dx**2,
+            "steps": stats["steps"],
+        }
+
+    return starmap(sample, _march(omega0, rho0, params, samples, record_every_step, track_gradients, handoff))
 
 
 def _sample_times(times, t_final: float) -> np.ndarray:
@@ -276,7 +307,16 @@ def _band_of(f: ScalarField) -> np.ndarray:
 
 
 def _march(omega0: ScalarField, rho0: ScalarField, params: SimParams, samples: np.ndarray,
-           record_every_step: bool, track_gradients: bool):
+           record_every_step: bool = False, track_gradients: bool = False, handoff: list | None = None):
+    """The march's band states: yields (t, what, rhat, stats) per sample of ``samples`` (checked times).
+
+    what and rhat are the 2/3 bands of vorticity and density, the march's own state, which it never
+    changes after yielding them.  stats holds the nominal ``steps`` and the accepted RK4 ``substeps`` so
+    far (more than the steps once the CFL guard halved one), and ``gradv_sup``, ``gradv_sup_integral``
+    and ``gradrho_l2_integral`` (NaN, 0 and 0 without gradient tracking).  A step's CFL guard builds its
+    own velocity unless handoff holds (velocity(what), its sup) of the state last yielded, which the
+    consumer may put there, as ``march`` does with the velocity of its sample.
+    """
     g = omega0.grid
     engine = _Engine(g, params)
     kern, op = engine.kern, engine.op
@@ -289,7 +329,6 @@ def _march(omega0: ScalarField, rho0: ScalarField, params: SimParams, samples: n
     gr_integral = 0.0
     last_gradv = np.nan
     last_gradrho = np.nan
-    handoff = []  # (velocity, its sup) of the last sample, which the step after it takes out for its CFL guard
 
     def gradrho_now() -> float:
         d1, d2 = (kern.inverse(rhat, ik) for ik in (op.ik1, op.ik2))
@@ -299,31 +338,13 @@ def _march(omega0: ScalarField, rho0: ScalarField, params: SimParams, samples: n
         last_gradv = _gradient_sup(kern, what)
         last_gradrho = gradrho_now()
 
-    # builds the yielded tuple without binding it here, so a sample lives
-    # only as long as the consumer keeps it
-    def sample(sample_t: float) -> tuple[float, ScalarField, ScalarField, dict[str, float]]:
-        fo = ScalarField.from_spectrum(g, what)
-        fr = ScalarField.from_spectrum(g, rhat)
-        vel = kern.velocity(what)
-        vsup = float(np.max(np.hypot(*vel)))
-        handoff[:] = [] if params.frozen_velocity else [(vel, vsup)]
-        return float(sample_t), fo, fr, {
-            "omega_l2": lp_norm(fo, 2.0),
-            "omega_sup": lp_norm(fo, np.inf),
-            "rho_l1": lp_norm(fr, 1.0),
-            "rho_sup": lp_norm(fr, np.inf),
-            "rho_l2": lp_norm(fr, 2.0),
-            "velocity_sup": vsup,
-            "gradv_sup": last_gradv if track_gradients else np.nan,
-            "gradv_sup_integral": v_integral,
-            "gradrho_l2_integral": gr_integral,
-            "circulation": float(what[0, 0].real) * g.dx**2,
-            "steps": nsteps,
-        }
+    def stats() -> dict:
+        return {"steps": nsteps, "substeps": engine.substeps, "gradv_sup": last_gradv,
+                "gradv_sup_integral": v_integral, "gradrho_l2_integral": gr_integral}
 
     si = 0
     while si < len(samples) and samples[si] <= 1.0e-15:
-        yield sample(0.0)
+        yield 0.0, what, rhat, stats()
         si += 1
 
     while si < len(samples):
@@ -339,9 +360,9 @@ def _march(omega0: ScalarField, rho0: ScalarField, params: SimParams, samples: n
                 gr_integral += 0.5 * (last_gradrho + gr) * h
                 last_gradv, last_gradrho = gv, gr
             if record_every_step and t < target - 1.0e-12:
-                yield sample(t)
+                yield float(t), what, rhat, stats()
         t = target
-        yield sample(t)
+        yield float(t), what, rhat, stats()
         si += 1
 
 

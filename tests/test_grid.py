@@ -276,6 +276,24 @@ class TestKernelContract:
         f = kern.band_spectrum(random_field(g, n + 19).values)
         assert kern.advection(f, *vel).tobytes() == kern.advection(kern.spread(f), *vel).tobytes()
 
+    @pytest.mark.parametrize("n", [64, 128, 512])
+    def test_l2_norm_is_the_norm_of_the_inverse(self, n):
+        # the band sum (discrete Parseval) against lp_norm of the inverse: a band with a zero mode, one on
+        # column 0 alone and the zero mode alone, bare, under one multiplier and as the velocity pair
+        g = GridSpec(n=n, half_length=2.0)
+        kern, op = g._kernel, g._kernel.band
+        x1, x2 = g.mesh
+        column0 = np.cos(np.pi * x1) + 0.5 * np.sin(3.0 * np.pi * x1) + 2.0 + 0.0 * x2
+        for values in (3.0 + random_field(g, n + 29).values, column0, np.full((n, n), 1.5)):
+            band = kern.band_spectrum(values)
+            for ms in ((), (op.v1,), (op.v2,), (op.ik1,), (op.v1, op.v2)):
+                grid_values = np.sqrt(sum(kern.inverse(band, m) ** 2 for m in ms)) if ms else kern.inverse(band)
+                want = lp_norm(grid_values, 2.0, grid=g)
+                assert abs(kern.l2_norm(band, *ms) - want) <= 1.0e-14 * want, (len(ms), want)
+        assert kern.l2_norm(band) > 0.0 and kern.l2_norm(band, op.v1, op.v2) == 0.0
+        with pytest.raises(ValueError, match="Nyquist"):
+            kern.l2_norm(rfft2(values))
+
     @pytest.mark.parametrize("band", [None, 4.0])
     def test_velocity_gradient_sup_is_the_tensor_magnitude_sup(self, grid64, monkeypatch, band):
         # bit for bit the independent reference, in four inverse transforms and no velocity field

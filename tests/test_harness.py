@@ -16,6 +16,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import warnings
 import weakref
 from concurrent.futures import Future
 from dataclasses import replace
@@ -28,12 +29,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import strato.cli
 import strato.conormal
+import strato.grid
 import strato.harness
 import strato.rankine
 import strato.solver
 from strato import fieldio
 from strato.cli import build_parser, main
-from strato.grid import GridSpec, ScalarField, lp_norm, rfft2
+from strato.grid import GridSpec, ScalarField, _HalfKernel, lp_norm, rfft2
 from strato.harness import (
     RateRow,
     SweepConfig,
@@ -418,6 +420,76 @@ class TestRunSweep:
             got = (row.velocity_error, row.density_error, row.vorticity_error)
             assert np.all(np.abs(np.subtract(got, want)) <= 1.0e-13 * sizes), (row, want)
 
+    def test_l2_gaps_are_taken_from_the_bands_alone(self, monkeypatch):
+        # at p = 2 the three gaps are band sums and no band is inverted; any other p inverts (their
+        # accuracy is test_band_gaps_match_field_formulas')
+        cfg = SweepConfig.from_dict(tiny_config_dict())
+        fields = cfg.initial_fields()
+        _, _, om, rh, _ = run_single(cfg, 1.0e-2, *fields)
+        _, _, ref_om, ref_rh, _ = run_single(cfg, 0.0, *fields)
+        g = cfg.grid
+        inverses = []
+        inverse = _HalfKernel.inverse
+        monkeypatch.setattr(_HalfKernel, "inverse", lambda *a, **k: inverses.append(a) or inverse(*a, **k))
+        got = strato.harness._gaps(g, 2.0, om[-1], rh[-1], ref_om[-1], ref_rh[-1])
+        assert inverses == [] and min(got) > 0.0
+        strato.harness._gaps(g, 3.5, om[-1], rh[-1], ref_om[-1], ref_rh[-1])
+        assert len(inverses) == 4  # the velocity pair, the density and the vorticity
+
+    def test_rung_builds_no_sample_field_or_norm(self, monkeypatch):
+        cfg = SweepConfig.from_dict(tiny_config_dict())
+        fields = cfg.initial_fields()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rung built a sample field or a norm")
+
+        monkeypatch.setattr(ScalarField, "from_spectrum", classmethod(refuse))
+        for module in (strato.grid, strato.solver, strato.harness):
+            monkeypatch.setattr(module, "lp_norm", refuse)
+        _, times, omegas, rhos, stats = run_single(cfg, 1.0e-2, *fields)
+        assert len(times) == len(omegas) == len(rhos) == 2 and stats["nominal_steps"] == 4
+
+    def test_rung_counts_its_rk4_substeps(self):
+        # equal to the nominal steps unless the CFL guard halves a step, as it does for the
+        # large-amplitude field of test_cfl_halving_changes_substeps
+        cfg = SweepConfig.from_dict(tiny_config_dict())
+        *_, calm = run_single(cfg, 1.0e-2, *cfg.initial_fields())
+        assert calm["substeps"] == calm["nominal_steps"] == 4
+        raw = tiny_config_dict()
+        raw["params"] = {"dt": 0.1, "t_final": 0.1, "kappa": 1.0}
+        raw["sweep"]["sample_times"] = [0.1]
+        cfg = SweepConfig.from_dict(raw)
+        w0 = ScalarField(cfg.grid, 50.0 * random_field(cfg.grid, 8, band=4.0).values)
+        *_, halved = run_single(cfg, 1.0e-2, w0, ScalarField(cfg.grid, np.zeros((64, 64))))
+        assert halved["nominal_steps"] == 1 and halved["substeps"] > halved["nominal_steps"]
+
+    def test_no_slope_where_a_gap_is_zero(self, tmp_path, capsys):
+        # every rung still holds the initial data at t = 0, so the gaps there are zero: no slope, no
+        # log of zero, and slopes.json stays strict JSON
+        raw = tiny_config_dict(out_dir=tmp_path / "unused")
+        raw["sweep"]["sample_times"] = [0.0, 0.2]
+        cfg = SweepConfig.from_dict(raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_sweep(cfg, workers=1)
+        assert all(r.discrepancy == r.vorticity_error == 0.0 for r in result.rows if r.time == 0.0)
+        assert set(result.slopes["0"]) == {"mu", "discrepancy", "vorticity_error"}
+        assert {"discrepancy_slope", "vorticity_slope"} <= set(result.slopes["0.2"])
+
+        def refuse(name):
+            raise ValueError(f"{name} in slopes.json")
+
+        paths = emit_report(result, tmp_path / "report")
+        assert json.loads(paths["slopes"].read_text(), parse_constant=refuse) == result.slopes
+        bad = replace(result, slopes={"0.2": {**result.slopes["0.2"], "vorticity_slope": math.nan}})
+        with pytest.raises(ValueError):
+            emit_report(bad, tmp_path / "bad")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["sweep", str(cfg_path), "--out", str(tmp_path / "out"), "--workers", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "t=0.2: discrepancy slope" in out and "t=0:" not in out and "nan" not in out
+
     def test_patch_rasterized_once_per_sweep(self, tmp_path, monkeypatch):
         import strato.harness as harness
 
@@ -469,7 +541,7 @@ class TestRunSweep:
         cfg, result = tiny_sweep
         prov = result.provenance
         assert [r["mu"] for r in prov["rungs"]] == [0.0] + sorted(cfg.mu_values)
-        assert all(r["nominal_steps"] == 4 and r["wall_s"] > 0.0 for r in prov["rungs"])
+        assert all(r["nominal_steps"] == r["substeps"] == 4 and r["wall_s"] > 0.0 for r in prov["rungs"])
         assert 1 <= prov["workers"] <= len(cfg.mu_values) + 1
         assert set(prov["versions"]) == {"python", "numpy", "strato"}
 
@@ -806,7 +878,7 @@ class TestCli:
         assert main(["-v", "sweep", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
         err = capsys.readouterr().err.splitlines()
         assert [line.split(":")[0] for line in err] == ["rung mu=0", "rung mu=0.001", "rung mu=0.003", "rung mu=0.01"]
-        assert all("4 nominal steps" in line for line in err)
+        assert all("4 nominal steps (4 RK4 substeps)" in line for line in err)
         assert (logger.level, list(logger.handlers)) == before
 
     @pytest.mark.parametrize("command", ["sweep", "simulate", "conormal"])
@@ -1278,7 +1350,8 @@ class TestCli:
         assert list(tmp_path.iterdir()) == []  # every output went to the script's own temporary directory
 
     def test_output_digests_keeps_and_compares_outputs(self, tmp_path, monkeypatch, capsys):
-        # --keep copies the outputs; --against prints each changed CSV's largest relative difference per column
+        # --keep copies the outputs; --against prints each changed CSV's largest relative difference per column,
+        # and each changed JSON file's per key (list items under their list's key)
         script = Path(__file__).resolve().parents[1] / "scripts" / "output_digests.py"
         spec = importlib.util.spec_from_file_location("output_digests", script)
         digests = importlib.util.module_from_spec(spec)
@@ -1287,21 +1360,30 @@ class TestCli:
         (old / "c").mkdir(parents=True)
         (old / "c" / "a.csv").write_text("t,v,s\n0.5,1.0,x\n1.0,4.0,y\n")
         (old / "same.csv").write_text("t\n1\n")
+        (old / "s.json").write_text('{"0.5": {"mu": [1.0, 2.0], "slope": 0.5, "kind": "disc"}, "1": {"slope": 0.25}}')
+        (old / "k.json").write_text('{"mu": [1.0]}')
+        (old / "provenance.json").write_text('{"wall_s": 1.0}')
 
         def produce(n):
             Path("c").mkdir()
             Path("c", "a.csv").write_text("t,v,s\n0.5,1.0,x\n1.0,4.000000001,y\n")
             Path("same.csv").write_text("t\n1\n")
             Path("extra.csv").write_text("t\n1\n")
+            Path("s.json").write_text('{"0.5": {"mu": [1.0, 2.0000002], "slope": 0.5, "kind": "disc"}, "1": {"slope": 0.2}}')
+            Path("k.json").write_text('{"mu": [1.0, 2.0]}')
+            Path("provenance.json").write_text('{"wall_s": 2.0, "substeps": 4}')  # neither digested nor compared
 
         monkeypatch.setattr(digests, "produce", produce)
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(sys, "argv", ["output_digests.py", "--keep", "kept", "--against", "old"])
         assert digests.cli() == 0
         lines = capsys.readouterr().out.splitlines()
-        assert [line.split("  ")[1] for line in lines[:3]] == ["c/a.csv", "extra.csv", "same.csv"]
-        assert lines[3:] == ["# c/a.csv: largest relative difference per column against old",
-                             "#   t  0", "#   v  2.5e-10", "#   s  0", "# extra.csv: not in old"]
+        assert [line.split("  ")[1] for line in lines[:5]] == ["c/a.csv", "extra.csv", "k.json", "s.json", "same.csv"]
+        assert lines[5:] == ["# c/a.csv: largest relative difference per column against old",
+                             "#   t  0", "#   v  2.5e-10", "#   s  0", "# extra.csv: not in old",
+                             "# k.json: keys or lengths differ from old",
+                             "# s.json: largest relative difference per key against old",
+                             "#   kind  0", "#   mu  1e-07", "#   slope  0.2"]
         assert (tmp_path / "kept" / "c" / "a.csv").read_text().endswith("4.000000001,y\n")
 
     @pytest.mark.parametrize("samples", ["1", "0"])
