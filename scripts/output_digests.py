@@ -8,7 +8,9 @@ directory:
   with 2 workers and ``save_fields`` on (``sweep-fields``): the physics of
   acceptance criterion 04 (half-length 2, unit disc, Gaussian density,
   five viscosities, dt = 0.005) cut to four steps;
-* ``strato conormal`` on a star patch, dt = 0.01, 16 steps, five checkpoints;
+* ``strato conormal`` on a star patch, dt = 0.01, 16 steps, five checkpoints
+  (``conormal``), and to t = 0.155 with four checkpoints (``conormal_remainder``),
+  whose legs each end on a remainder step before the checkpoint;
 * ``strato simulate --snapshots`` on the sweep config at mu = 1e-3;
 * ``strato besov`` on each snapshot, with three exponent sets.
 
@@ -90,6 +92,8 @@ def produce(n: int) -> None:
         run(["sweep", f"configs/{cfg}.json", "--out", out, "--workers", workers], Path(out, "stdout.txt"))
     run(["conormal", "configs/conormal.json", "--mu", "1e-3", "--t", "0.16", "--samples", "5",
          "--csv", "conormal/conormal.csv"], Path("conormal", "stdout.txt"))
+    run(["conormal", "configs/conormal.json", "--mu", "1e-3", "--t", "0.155", "--samples", "4",
+         "--csv", "conormal_remainder/conormal.csv"], Path("conormal_remainder", "stdout.txt"))
     run(["simulate", "configs/sweep.json", "--mu", "1e-3", "--out", "simulate", "--snapshots"],
         Path("simulate", "stdout.txt"))
     for snap in sorted(Path("simulate").glob("*.slf")):

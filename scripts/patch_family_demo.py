@@ -24,7 +24,6 @@ from strato import (
     holder_quotient,
     initial_vector_family,
     make_density,
-    march,
     rasterize_patch,
 )
 from strato.conormal import _log_estimate_ratio
@@ -49,7 +48,6 @@ def main() -> int:
         DensitySpec(kind="gaussian", amplitude=0.1, width=1.0, center=(0.0, 0.5)), grid)
     params = SimParams(mu=args.mu, dt=args.dt, t_final=args.t_final, kappa=1.0)
     checkpoints = np.linspace(0.0, args.t_final, args.checkpoints)
-    trajectory = march(omega0, rho0, params, record_every_step=True, sample_times=checkpoints)
 
     family = initial_vector_family(patch, grid)
     curve = boundary_curve(patch, m=args.tracers)
@@ -57,7 +55,7 @@ def main() -> int:
     hq0 = holder_quotient(curve.params, curve.tangents, family.epsilon)
 
     print("t      floor   envelope  area     quotient  adapted   logratio")
-    for t, omega, family, curve, diag in advect_legs(trajectory, checkpoints, family, curve):
+    for t, omega, family, curve, diag in advect_legs(omega0, rho0, params, checkpoints, family, curve):
         vint = diag["gradv_sup_integral"]
         adapted = conormal_norm(omega, family)  # once: the ratio's log term reuses it
         print(f"{t:5.2f}  {family_floor(family):.4f}  {floor0 * np.exp(-vint):.4f}"

@@ -152,7 +152,6 @@ def _cmd_besov(args: argparse.Namespace) -> int:
 def _cmd_conormal(args: argparse.Namespace) -> int:
     from .conormal import _log_estimate_ratio, advect_legs, conormal_norm, family_floor, holder_quotient
     from .initdata import boundary_curve, initial_vector_family
-    from .solver import march
 
     if args.samples < 2:
         args.error(f"--samples must be at least 2, got {args.samples}")
@@ -161,10 +160,9 @@ def _cmd_conormal(args: argparse.Namespace) -> int:
     t_final = args.t if args.t is not None else config.t_final
     params = _params(args, config, mu, t_final)
     checkpoints = np.linspace(0.0, t_final, args.samples)
-    # the march holds the initial fields only until it has their masked spectra
-    trajectory = march(*config.initial_fields(), params, record_every_step=True, sample_times=checkpoints)
     family = initial_vector_family(config.patch, config.grid, epsilon=config.patch.epsilon)
-    legs = advect_legs(trajectory, checkpoints, family, boundary_curve(config.patch))
+    # the march holds the initial fields only until it has their bands
+    legs = advect_legs(*config.initial_fields(), params, checkpoints, family, boundary_curve(config.patch))
     del family  # advect_legs keeps its grid and epsilon, not the family
     rows = []
     for t, omega, family, curve, diag in legs:
@@ -213,7 +211,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         pts = sorted(groups[key])
         xs = np.array([a for a, _ in pts])
         ys = np.array([b for _, b in pts])
-        if len(xs) < 2 or ys.min() <= 0.0:
+        if len(xs) < 2 or min(xs.min(), ys.min()) <= 0.0:  # log-log fits need positive x and y
             print(f"{args.group}={key}: not fittable")
             continue
         if len(xs) >= 6 and xs.max() / xs.min() >= 99.0:

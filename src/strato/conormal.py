@@ -3,11 +3,11 @@
 A vector-field family is a finite set of plane fields that jointly never
 vanish; fields tangent to a patch boundary let one measure directional
 smoothness of the vorticity across the patch edge without paying for the
-jump.  The module advects families and boundary tracers with a supplied
-velocity trajectory, forms directional derivatives in conservation form,
-and evaluates the adapted Hoelder norm and the logarithmic gradient
-bound it feeds.  The transports take the solver's RK4 step with unit
-integrating factors on a uniform partition of a trajectory's span.
+jump.  The module advects families and boundary tracers along a sampled
+trajectory, or along the march's own 2/3 band states (``advect_legs``),
+forms directional derivatives in conservation form, and evaluates the
+adapted Hoelder norm and the logarithmic gradient bound it feeds.  The
+transports take the solver's RK4 step with unit integrating factors.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, pairwise
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .grid import GridSpec, ScalarField, VelocityField, _chunked, _phase_basis, lp_norm, velocity_gradient_sup
 from .littlewood_paley import BesovParams, TimeSeries, besov_norm
-from .solver import _rk4
+from .solver import SimParams, _march, _rk4, _sample_times
 
 __all__ = [
     "VectorFieldFamily",
@@ -127,28 +127,36 @@ def conormal_norm(u: ScalarField, family: VectorFieldFamily, epsilon: float | No
 class VelocityInterpolant:
     """Divergence-free velocity snapshots from a sampled vorticity trajectory.
 
-    Linear interpolation happens on the vorticity half spectrum; velocity
-    components come out through the grid kernel's Biot-Savart multipliers.
+    Holds the vorticity spectrum at each sample time in one kernel layout,
+    all 2/3 bands or all whole half spectra, and interpolates linearly on
+    them; the kernel's Biot-Savart multipliers give the velocity.
     """
 
-    def __init__(self, omega_series: TimeSeries):
+    def __init__(self, grid: GridSpec, times: Sequence[float], spectra: Sequence[np.ndarray]):
+        if not 1 <= len(spectra) == len(times):
+            raise ValueError("need at least one sample, and one time per sample")
+        self.grid, self.kern = grid, grid._kernel
+        self.times, self.spectra = times, tuple(spectra)
+
+    @classmethod
+    def from_series(cls, omega_series: TimeSeries) -> "VelocityInterpolant":
+        """The interpolant of a sampled trajectory, its half spectra cut to the band if all are zero outside it."""
         if len(omega_series) < 1:
             raise ValueError("need at least one sample")
-        self.series = omega_series
-        self.grid = omega_series.grid
-        self.times = omega_series.times
-        self.kern = self.grid._kernel
+        kern, spectra = omega_series.grid._kernel, [f.half_spectrum for f in omega_series.fields]
+        return cls(omega_series.grid, omega_series.times,
+                   [kern.cut(h) for h in spectra] if all(map(kern.in_band, spectra)) else spectra)
 
     def omega_spectrum(self, t: float) -> np.ndarray:
-        """Vorticity half spectrum at t, clamped to the sampled span."""
-        ts, fields = self.times, self.series.fields
+        """Vorticity spectrum at t, clamped to the sampled span."""
+        ts, spectra = self.times, self.spectra
         if t <= ts[0]:
-            return fields[0].half_spectrum
+            return spectra[0]
         if t >= ts[-1]:
-            return fields[-1].half_spectrum
+            return spectra[-1]
         j = bisect_right(ts, t)
         w = (t - ts[j - 1]) / (ts[j] - ts[j - 1])
-        return (1.0 - w) * fields[j - 1].half_spectrum + w * fields[j].half_spectrum
+        return (1.0 - w) * spectra[j - 1] + w * spectra[j]
 
     @property
     def span(self) -> tuple[float, float]:
@@ -159,13 +167,12 @@ def _gradient_at(h: np.ndarray, grid: GridSpec, pts: np.ndarray) -> list[np.ndar
     """v1, v2, d1 v1, d2 v1, d1 v2, d2 v2 at pts from vorticity spectrum h, three phase-basis contractions per chunk.
 
     With s1 = v1 h and s2 = v2 h: e1 @ s1 gives v1 and d2 v1, e1 @ s2 gives v2 and d2 v2 = -d1 v1, and
-    (e1 ik1) @ s2 gives d1 v2; the ik2 factors are applied along axis 1.  A spectrum that
-    vanishes beyond the 2/3 band, as march samples and their interpolants do, is summed
-    over the kept modes only.
+    (e1 ik1) @ s2 gives d1 v2; the ik2 factors are applied along axis 1.  A 2/3 band, as march states
+    and their interpolants are, is summed over its modes only; a whole half spectrum over all.
     """
     kern = grid._kernel
-    band = kern.cols - 1 if kern.in_band(h) else None  # the band is |m1|, m2 <= band
-    op, h = (kern, h) if band is None else (kern.band, kern.cut(h))
+    op = kern._ops(h)
+    band = None if op is kern else kern.cols - 1  # the band is |m1|, m2 <= band
     s2 = op.v2 * h
 
     def contract(p: np.ndarray) -> list[np.ndarray]:
@@ -200,9 +207,8 @@ def _advect_stretch_rhs(comps: list[np.ndarray], vel: tuple, grid: GridSpec) -> 
 
 
 def _velocity_and_gradient(interp: VelocityInterpolant, t: float) -> tuple[np.ndarray, ...]:
-    """Velocity and its gradient at t; a vorticity spectrum zero outside the 2/3 band is inverted on the band."""
-    kern, h = interp.kern, interp.omega_spectrum(t)
-    x = kern.cut(h) if kern.in_band(h) else h
+    """Velocity and its gradient at t, on the layout of the interpolant's spectra."""
+    kern, x = interp.kern, interp.omega_spectrum(t)
     return (*kern.velocity(x), tuple(kern.gradient(x)))
 
 
@@ -244,7 +250,7 @@ def advect_family(
     steps no longer than dt (default: the largest sample gap), with the
     velocity read from the vorticity samples at every stage time.
     """
-    interp = VelocityInterpolant(omega_series)
+    interp = VelocityInterpolant.from_series(omega_series)
     times = _partition(interp, dt)
     if len(times) == 1:
         return family
@@ -253,9 +259,14 @@ def advect_family(
         raise ValueError("family and trajectory grids differ")
     comps = [c.values for m in family.members for c in (m.u1, m.u2)]
     slope = _slope(partial(_advect_stretch_rhs, grid=g), partial(_velocity_and_gradient, interp))
+    return _family_of(_family_step(comps, slope, times), g, family.epsilon)
+
+
+def _family_step(comps: list[np.ndarray], slope: Callable, times: Sequence[float]) -> list[np.ndarray]:
+    """The stacked family components moved across the partition times, slope giving the transport-stretch RHS."""
     for a, b in pairwise(times):
         comps = _rk4(comps, slope, (a, b), b - a, [(1.0, 1.0)] * len(comps))
-    return _family_of(comps, g, family.epsilon)
+    return comps
 
 
 def _family_of(comps: list[np.ndarray], g: GridSpec, epsilon: float) -> VectorFieldFamily:
@@ -312,23 +323,25 @@ def advect_boundary(
 ) -> BoundaryCurve:
     """Push boundary tracers and their tangents through the flow.
 
-    Positions follow dx/dt = v(x); tangents follow the Jacobian system
-    dT/dt = (grad v) T, both integrated with the solver's RK4 step across
-    equal steps no longer than dt (default: the largest sample gap), and
-    velocity evaluated off-grid from the spectral representation.
+    Positions follow dx/dt = v(x) and tangents dT/dt = (grad v) T, by the solver's RK4 step across equal
+    steps no longer than dt (default: the largest sample gap), the velocity evaluated off-grid spectrally.
     """
-    interp = VelocityInterpolant(omega_series)
-    times = _partition(interp, dt)
-    g = interp.grid
+    interp = VelocityInterpolant.from_series(omega_series)
+    state = [np.asarray(points, dtype=np.float64), np.asarray(tangents, dtype=np.float64)]
+    return _tracer_step(params, state, interp, _partition(interp, dt))
 
-    def rhs(state: list[np.ndarray], omega_half: np.ndarray) -> list[np.ndarray]:
+
+def _tracer_step(params: np.ndarray, state: list[np.ndarray], interp: VelocityInterpolant,
+                 times: Sequence[float]) -> BoundaryCurve:
+    """The curve of the tracers and tangents in state moved across the partition times, spacing checked at each."""
+
+    def rhs(state: list[np.ndarray], omega: np.ndarray) -> list[np.ndarray]:
         pts, tan = state
-        v1, v2, d1v1, d2v1, d1v2, d2v2 = _gradient_at(omega_half, g, pts)
+        v1, v2, d1v1, d2v1, d1v2, d2v2 = _gradient_at(omega, interp.grid, pts)
         dtan = np.stack([tan[:, 0] * d1v1 + tan[:, 1] * d2v1, tan[:, 0] * d1v2 + tan[:, 1] * d2v2], axis=1)
         return [np.stack([v1, v2], axis=1), dtan]
 
     slope = _slope(rhs, interp.omega_spectrum)
-    state = [np.asarray(points, dtype=np.float64), np.asarray(tangents, dtype=np.float64)]
     for a, b in pairwise(chain([None], times)):
         if a is not None:
             state = _rk4(state, slope, (a, b), b - a, [(1.0, 1.0)] * len(state))
@@ -339,64 +352,65 @@ def advect_boundary(
 
 
 def advect_legs(
-    trajectory: Iterable[tuple[float, ScalarField, ScalarField, dict]],
+    omega0: ScalarField,
+    rho0: ScalarField,
+    params: SimParams,
     checkpoints: Iterable[float],
     family: VectorFieldFamily,
     curve: BoundaryCurve,
 ) -> Iterator[tuple[float, ScalarField, VectorFieldFamily, BoundaryCurve, dict]]:
-    """Push a family and boundary tracers along a dense trajectory, one sample gap at a time.
+    """Push a family and boundary tracers, given at t = 0, along the march of (omega0, rho0), one step at a time.
 
-    trajectory is ``solver.march`` with record_every_step, landing on every checkpoint; yields
-    (t, omega, family, curve, diagnostics) at each.  A one-thread helper marches one sample ahead
-    and moves the tracers over each gap; the caller's thread takes the gap's family step, one
-    solver RK4 step with unit factors, which starts from the last step's end velocity.  Each side
-    computes what it would alone.
+    Runs ``solver._march`` with every step recorded and gradients tracked, landing on each checkpoint;
+    yields (t, omega, family, curve, diagnostics) at each, omega the field of the march's vorticity band
+    and diagnostics the march's stats.  A one-thread helper marches one step ahead and moves the tracers
+    over the gap it closes; the caller's thread takes the gap's family step, one RK4 step which starts
+    from the last step's end velocity.  Both read the gap's one band interpolant.
 
-    A run holds the family's component arrays, the grid and epsilon of the initial family (not the
-    family: its level set and cached magnitudes go with it), the last stage velocity, the tracers,
-    no density sample, and at most three vorticity samples: the two around the family step and the
-    one being marched; while the caller holds a checkpoint, that one and the one being marched.
-    Once resumed it keeps no reference to the checkpoint it yielded, so that family, omega and
-    diagnostics die when the caller drops them.
+    A run holds the family's component arrays (not the initial family: its level set and magnitudes go
+    with it), the last stage velocity, the tracers, the march's own density band, and at most three
+    vorticity bands: the two around the family step and the one being marched.  Once resumed it keeps no
+    reference to the checkpoint it yielded, so that family, omega and diagnostics die with the caller's.
     """
     g, epsilon = family.grid, family.epsilon
+    if g != omega0.grid:
+        raise ValueError("family and trajectory grids differ")
+    marks = _sample_times(checkpoints, params.t_final)
     comps = [c.values for m in family.members for c in (m.u1, m.u2)]
     del family  # the members live on in comps only until the first family step replaces them
     slope = _slope(partial(_advect_stretch_rhs, grid=g), lambda t: _velocity_and_gradient(interp, t))  # gap's interp
 
-    stream = _with_tracers(trajectory, curve)
+    stream = _with_tracers(_march(omega0, rho0, params, np.union1d(0.0, marks), True, True), g, curve)
+    del omega0, rho0  # the march holds them only until it has their bands
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="strato-helper") as helper:
         ahead = helper.submit(next, stream, None)
-        for mark in checkpoints:
-            while (sample := ahead.result()) is not None:
+        for mark in marks:
+            while (state := ahead.result()) is not None:
                 ahead = helper.submit(next, stream, None)  # beside this family step and the checkpoint
-                t, omega, diag, curve, gap = sample
-                del sample
-                if gap is not None:
-                    interp = VelocityInterpolant(gap)
-                    del gap
-                    a, b = interp.span
-                    comps = _rk4(comps, slope, (a, b), b - a, [(1.0, 1.0)] * len(comps))
+                t, what, diag, curve, interp = state
+                del state
+                if interp is not None:
+                    comps = _family_step(comps, slope, interp.times)
                     interp = None  # frees the gap's start
                 if t >= mark - 1.0e-12:
                     break
             else:
                 return
-            yield t, omega, _family_of(comps, g, epsilon), curve, diag
-            del omega, curve, diag  # the checkpoint lives as long as the caller keeps it
+            yield t, ScalarField.from_spectrum(g, what), _family_of(comps, g, epsilon), curve, diag
+            del what, curve, diag  # the checkpoint lives as long as the caller keeps it
 
 
-def _with_tracers(trajectory: Iterable[tuple], curve: BoundaryCurve) -> Iterator[tuple]:
-    """(t, omega, diagnostics, curve, gap) per march sample, the tracers advected over the gap."""
+def _with_tracers(states: Iterable[tuple], g: GridSpec, curve: BoundaryCurve) -> Iterator[tuple]:
+    """(t, what, stats, curve, interp) per march state, the tracers moved over the gap's band interpolant interp."""
     last = None
-    for t, omega, diag in map(itemgetter(0, 1, 3), trajectory):  # drops each density sample as it arrives
-        gap = None
+    for t, what, stats in map(itemgetter(0, 1, 3), states):  # drops each density band as it arrives
+        interp = None
         if last is not None:
-            gap = TimeSeries(np.array([last[0], t]), (last[1], omega))
-            curve = advect_boundary(curve.params, curve.points, curve.tangents, gap)
-        last = t, omega
-        yield t, omega, diag, curve, gap
-        del gap  # else the gap's start outlives the family step by a march step
+            interp = VelocityInterpolant(g, (last[0], t), (last[1], what))
+            curve = _tracer_step(curve.params, [curve.points, curve.tangents], interp, interp.times)
+        last = t, what
+        yield t, what, stats, curve, interp
+        del interp  # else the gap's start outlives the family step by a march step
 
 
 def holder_quotient(params: np.ndarray, tangents: np.ndarray, epsilon: float, period: float = 2.0 * np.pi) -> float:

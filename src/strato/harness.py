@@ -54,12 +54,12 @@ __all__ = [
 log = logging.getLogger("strato")
 
 
-def _name_clash(values) -> tuple[float, float] | None:
-    """Two distinct values that snapshot names, which hold 6 significant digits, would not tell apart."""
+def _name_clash(values, digits: int = 6) -> tuple[float, float] | None:
+    """Two distinct values that names of ``digits`` significant digits (snapshots 6, slopes.json 12) confuse."""
     named = {}
     for v in values:
-        if named.setdefault(f"{v:.6g}", v) != v:
-            return named[f"{v:.6g}"], v
+        if named.setdefault(f"{v:.{digits}g}", v) != v:
+            return named[f"{v:.{digits}g}"], v
     return None
 
 
@@ -144,6 +144,9 @@ class SweepConfig:
             if clash:
                 raise ValueError(f"save_fields needs {what} that differ in 6 significant digits, "
                                  f"got {clash[0]!r} and {clash[1]!r}")
+        clash = _name_clash(self.sample_times, 12)
+        if clash:  # slopes.json keys each sample time by its 12 significant digits
+            raise ValueError(f"sample times must differ in 12 significant digits, got {clash[0]!r} and {clash[1]!r}")
         if not self.error_p >= 1.0:
             raise ValueError("error_p must be a Lebesgue exponent >= 1")
         # fail here, not inside a pool worker: SimParams checks dt, t_final and kappa

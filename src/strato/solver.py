@@ -14,12 +14,11 @@ The march keeps its state on the 2/3 band of the grid's kernel and never
 touches the zero modes outside it.  One loop, ``_march``, yields those
 band states; ``march`` builds from each a sample that exposes full half
 spectra (the band spread into zeros) and its diagnostics, while the
-sweep's rungs keep the bands themselves.  Its velocity, velocity
-gradient and transport terms are the kernel's, taken on the band.  An
-adaptive guard halves any step whose advective CFL number would exceed
-the configured cap; the velocity it checks is reused by the first stage,
-and the velocity a sample builds for its diagnostics is the one the next
-step checks.
+sweep's rungs and ``strato.conormal``'s legs keep the bands themselves.
+Its velocity, velocity gradient and transport terms are the kernel's,
+taken on the band.  An adaptive guard halves any step whose advective
+CFL number would exceed the configured cap; each step builds the
+velocity it checks, and the first RK4 stage reuses it.
 
 The module also carries the damped combination (1 - mu) w - u, with u
 the zero-order singular integral of rho, whose evolution equation has a
@@ -80,7 +79,7 @@ class SimParams:
     mu is the vorticity diffusivity, kappa the density diffusivity
     (kappa = 1 is the calibrated regime).  dt is the target step; steps
     are halved automatically whenever |v|_inf dt / dx would exceed
-    cfl_cap.  frozen_velocity disables advection (testing hook).
+    cfl_cap.
     """
 
     mu: float
@@ -88,7 +87,6 @@ class SimParams:
     t_final: float
     kappa: float = 1.0
     cfl_cap: float = 0.4
-    frozen_velocity: bool = False
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.mu < np.inf and 0.0 <= self.kappa < np.inf):
@@ -156,48 +154,42 @@ class _Engine:
             self._exp_cache[h] = got
         return got
 
-    def velocity(self, what: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        return None if self.params.frozen_velocity else self.kern.velocity(what)
+    def velocity(self, what: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.kern.velocity(what)
 
     def nonlinear(self, what: np.ndarray, rhat: np.ndarray, vel=None) -> tuple[np.ndarray, np.ndarray]:
         """Right-hand side of the transport; vel, if given, is velocity(what)."""
         buoy = self.op.ik1 * rhat
-        if self.params.frozen_velocity:
-            return buoy, np.zeros_like(rhat)
         v1, v2 = vel if vel is not None else self.velocity(what)
         buoy -= self.kern.advection(what, v1, v2)  # before the density flux is built
         return buoy, -self.kern.advection(rhat, v1, v2)
 
-    def advance(self, what: np.ndarray, rhat: np.ndarray, t: float, h: float, depth: int = 0,
-                handoff: list | None = None):
-        """One step of size h, recursively halved to respect the CFL cap.
+    def advance(self, what: np.ndarray, rhat: np.ndarray, t: float, h: float, depth: int = 0):
+        """One step of size h, halved (to depth 24) until it respects the CFL cap set by the stage-1 velocity.
 
-        The stage-1 velocity and its sup set the CFL limit, and the velocity
-        is reused by the first stage of the step, or of the first half of a
-        halved step.  handoff, if given and not empty, holds that pair
-        (velocity(what), its sup); the step takes it out, so that once stage
-        1 is done no frame holds the velocity through stages 2 to 4.
-        """
-        if not handoff:
-            vel = self.velocity(what)
-            handoff = [(vel, float(np.max(np.hypot(*vel))) if vel is not None else 0.0)]
-            del vel
-        vmax = handoff[0][1]
+        Halved k times, it is a piece h / 2^k whose first stage alone reuses that velocity, then the second
+        halves h / 2^k, ..., h / 2, each a step of its own."""
+        vel = self.velocity(what)
+        vmax = float(np.max(np.hypot(*vel)))
+        limit = self.params.cfl_cap * self.grid.dx / max(vmax, 1.0e-300)
+        rest = []  # (size, depth) of the second halves
+        while depth <= 24 and h > limit:
+            h, depth = h / 2.0, depth + 1
+            rest.append((h, depth))
         if depth > 24:
             field = _nonfinite(what, rhat)
             raise SolverBlowupError(t, depth, field, None if field else vmax * h / self.grid.dx)
-        limit = self.params.cfl_cap * self.grid.dx / max(vmax, 1.0e-300)
-        if h > limit:
-            what, rhat, t = self.advance(what, rhat, t, h / 2.0, depth + 1, handoff)
-            return self.advance(what, rhat, t, h / 2.0, depth + 1)
-        first = [handoff.pop()[0]]  # stage 1's velocity, let go of once stage 1 is done
-        new_w, new_r = _rk4([what, rhat], lambda s, _: self.nonlinear(*s, first.pop() if first else None),
-                            (t, t + h), h, self.decay(h))
-        probe = complex(new_w.sum()) + complex(new_r.sum())
+        first, vel = [vel], None  # stage 1's velocity, let go of once stage 1 is done
+        what, rhat = _rk4([what, rhat], lambda s, _: self.nonlinear(*s, first.pop() if first else None),
+                          (t, t + h), h, self.decay(h))
+        probe = complex(what.sum()) + complex(rhat.sum())
         if not (np.isfinite(probe.real) and np.isfinite(probe.imag)):
-            raise SolverBlowupError(t + h, depth, _nonfinite(new_w, new_r))
+            raise SolverBlowupError(t + h, depth, _nonfinite(what, rhat))
         self.substeps += 1
-        return new_w, new_r, t + h
+        t += h
+        for h, depth in reversed(rest):
+            what, rhat, t = self.advance(what, rhat, t, h, depth)
+        return what, rhat, t
 
 
 def _rk4(state: list, slope: Callable[[list, float], Sequence], ends: tuple, h: float, decay: Sequence) -> list:
@@ -252,10 +244,8 @@ def march(
     omega, so a caller that has it need not invert the velocity again.
     diagnostics maps each DiagnosticsRecord column but ``times`` to its
     value at the sample.  The arguments are checked on the call, and the
-    march keeps no reference to a sample it has yielded.  Between steps
-    it holds its band state and the last sample's velocity, which the
-    next step's CFL guard and first RK4 stage take over and no stage
-    after that holds.  Each sample is built from a band state of
+    march keeps no reference to a sample it has yielded; between steps it
+    holds its band state alone.  Each sample is built from a band state of
     ``_march``, which a caller that needs only the bands consumes itself.
     """
     if omega0.grid != rho0.grid:
@@ -263,24 +253,20 @@ def march(
     if sample_times is None:
         sample_times = [params.t_final]
     samples = _sample_times(sample_times, params.t_final)
-    g, handoff = omega0.grid, []
-    kern = g._kernel
+    g, kern = omega0.grid, omega0.grid._kernel
 
     # builds a yielded tuple in a call of its own, so no frame that outlives the call
     # binds it and a sample lives only as long as the consumer keeps it
     def sample(t: float, what: np.ndarray, rhat: np.ndarray, stats: dict) -> tuple:
         fo = ScalarField.from_spectrum(g, what)
         fr = ScalarField.from_spectrum(g, rhat)
-        vel = kern.velocity(what)
-        vsup = float(np.max(np.hypot(*vel)))
-        handoff[:] = [] if params.frozen_velocity else [(vel, vsup)]
         return t, fo, fr, {
             "omega_l2": lp_norm(fo, 2.0),
             "omega_sup": lp_norm(fo, np.inf),
             "rho_l1": lp_norm(fr, 1.0),
             "rho_sup": lp_norm(fr, np.inf),
             "rho_l2": lp_norm(fr, 2.0),
-            "velocity_sup": vsup,
+            "velocity_sup": float(np.max(np.hypot(*kern.velocity(what)))),
             "gradv_sup": stats["gradv_sup"],
             "gradv_sup_integral": stats["gradv_sup_integral"],
             "gradrho_l2_integral": stats["gradrho_l2_integral"],
@@ -288,7 +274,7 @@ def march(
             "steps": stats["steps"],
         }
 
-    return starmap(sample, _march(omega0, rho0, params, samples, record_every_step, track_gradients, handoff))
+    return starmap(sample, _march(omega0, rho0, params, samples, record_every_step, track_gradients))
 
 
 def _sample_times(times, t_final: float) -> np.ndarray:
@@ -307,15 +293,13 @@ def _band_of(f: ScalarField) -> np.ndarray:
 
 
 def _march(omega0: ScalarField, rho0: ScalarField, params: SimParams, samples: np.ndarray,
-           record_every_step: bool = False, track_gradients: bool = False, handoff: list | None = None):
+           record_every_step: bool = False, track_gradients: bool = False):
     """The march's band states: yields (t, what, rhat, stats) per sample of ``samples`` (checked times).
 
     what and rhat are the 2/3 bands of vorticity and density, the march's own state, which it never
     changes after yielding them.  stats holds the nominal ``steps`` and the accepted RK4 ``substeps`` so
     far (more than the steps once the CFL guard halved one), and ``gradv_sup``, ``gradv_sup_integral``
-    and ``gradrho_l2_integral`` (NaN, 0 and 0 without gradient tracking).  A step's CFL guard builds its
-    own velocity unless handoff holds (velocity(what), its sup) of the state last yielded, which the
-    consumer may put there, as ``march`` does with the velocity of its sample.
+    and ``gradrho_l2_integral`` (NaN, 0 and 0 without gradient tracking).
     """
     g = omega0.grid
     engine = _Engine(g, params)
@@ -351,7 +335,7 @@ def _march(omega0: ScalarField, rho0: ScalarField, params: SimParams, samples: n
         target = samples[si]
         while t < target - 1.0e-12:
             h = min(params.dt, target - t)
-            what, rhat, t = engine.advance(what, rhat, t, h, 0, handoff)
+            what, rhat, t = engine.advance(what, rhat, t, h)
             nsteps += 1
             if track_gradients:
                 gv = _gradient_sup(kern, what)

@@ -273,7 +273,7 @@ class TestVelocityInterpolant:
         g = pi_grid
         x1, x2 = g.mesh
         om = ScalarField(g, np.sin(x1) * np.cos(2.0 * x2))
-        it = VelocityInterpolant(TimeSeries(times=np.array([0.0]), fields=(om,)))
+        it = VelocityInterpolant.from_series(TimeSeries(times=np.array([0.0]), fields=(om,)))
         v1, v2 = velocity_values(it, 0.7)
         vb = biot_savart(om)
         assert np.abs(v1 - vb.u1.values).max() <= 1e-14
@@ -282,7 +282,7 @@ class TestVelocityInterpolant:
     def test_linear_interpolation_and_clamping(self, pi_grid):
         a = random_field(pi_grid, 7, band=4.0)
         b = random_field(pi_grid, 8, band=4.0)
-        it = VelocityInterpolant(TimeSeries(times=np.array([1.0, 3.0]), fields=(a, b)))
+        it = VelocityInterpolant(pi_grid, np.array([1.0, 3.0]), (a.half_spectrum, b.half_spectrum))
         mid = it.omega_spectrum(2.0)
         assert np.abs(mid - 0.5 * (a.half_spectrum + b.half_spectrum)).max() <= 1e-13
         assert np.array_equal(it.omega_spectrum(0.0), a.half_spectrum)
@@ -291,7 +291,7 @@ class TestVelocityInterpolant:
 
     def test_shear_velocity_closed_form(self, pi_grid):
         x1, x2 = pi_grid.mesh
-        it = VelocityInterpolant(shear_series(pi_grid))
+        it = VelocityInterpolant.from_series(shear_series(pi_grid))
         v1, v2 = velocity_values(it, 0.25)
         assert np.abs(v1 - (np.cos(x2) + 0.0 * x1)).max() <= 1e-13
         assert np.abs(v2).max() <= 1e-13
@@ -299,7 +299,24 @@ class TestVelocityInterpolant:
     def test_empty_series_rejected(self, pi_grid):
         empty = TimeSeries(times=np.array([]), fields=())
         with pytest.raises(ValueError, match="at least one sample"):
-            VelocityInterpolant(empty)
+            VelocityInterpolant.from_series(empty)
+        h = random_field(pi_grid, 7, band=4.0).half_spectrum
+        for times, spectra in (([], []), ([0.0, 1.0], [h]), ([0.0], [h, h])):
+            with pytest.raises(ValueError, match="at least one sample, and one time per sample"):
+                VelocityInterpolant(pi_grid, times, spectra)
+
+    def test_series_enters_as_bands_when_zero_outside_the_band(self, pi_grid):
+        # the layout is decided once, as the samples enter: cut to the 2/3 band when every sample is
+        # zero outside it, as run samples are, else kept whole, as sampled sin(x2) with its round-off is
+        kern = pi_grid._kernel
+        a = ScalarField.from_spectrum(pi_grid, kern.cut(random_field(pi_grid, 7, band=4.0).half_spectrum))
+        b = ScalarField.from_spectrum(pi_grid, kern.cut(random_field(pi_grid, 8, band=4.0).half_spectrum))
+        it = VelocityInterpolant.from_series(TimeSeries(times=np.array([1.0, 3.0]), fields=(a, b)))
+        assert [s.shape for s in it.spectra] == [(2 * (pi_grid.n // 3) + 1, pi_grid.n // 3 + 1)] * 2
+        assert np.array_equal(it.spectra[0], kern.cut(a.half_spectrum))
+        mixed = VelocityInterpolant.from_series(TimeSeries(times=np.array([0.0, 1.0]),
+                                                           fields=(a, shear_series(pi_grid).fields[0])))
+        assert [s.shape for s in mixed.spectra] == [kern.half_shape] * 2
 
 
 class TestShearAdvection:
@@ -398,7 +415,7 @@ class TestShearAdvection:
         times = np.array([0.0, 0.01, 0.02, 0.03, 0.035])
         oms = tuple(random_field(pi_grid, 41 + i, band=4.0) for i in range(len(times)))  # a velocity per sample
         series = TimeSeries(times=times, fields=oms)
-        interp = VelocityInterpolant(series)
+        interp = VelocityInterpolant.from_series(series)
         x = VelocityField(random_field(pi_grid, 46, band=6.0), random_field(pi_grid, 47, band=6.0))
         velocity = partial(strato.conormal._velocity_and_gradient, interp)
         rhs = partial(strato.conormal._advect_stretch_rhs, grid=pi_grid)
@@ -466,7 +483,7 @@ class TestFluxFormRhs:
         unit = np.pi / grid64.half_length
         comps = [random_field(grid64, s, band=20 * unit).values for s in (51, 52, 53, 54)]
         om = random_field(grid64, 55, band=10 * unit)
-        interp = VelocityInterpolant(TimeSeries(times=np.array([0.0]), fields=(om,)))
+        interp = VelocityInterpolant.from_series(TimeSeries(times=np.array([0.0]), fields=(om,)))
         vel = strato.conormal._velocity_and_gradient(interp, 0.0)
         got = strato.conormal._advect_stretch_rhs(comps, vel, grid64)
         want = advective_stretch_rhs(comps, vel, grid64)
@@ -500,8 +517,8 @@ def full_spectrum_stretch_rhs(comps, vel, grid):
 
 
 def full_spectrum_velocity(interp, t):
-    """Velocity and gradient at t from full half spectra."""
-    h = interp.omega_spectrum(t)
+    """Velocity and gradient at t from whole half spectra."""
+    h = interp.kern.spread(interp.omega_spectrum(t))
     return (*interp.kern.velocity(h), tuple(interp.kern.gradient(h)))
 
 
@@ -529,12 +546,12 @@ class TestBandFamilyStep:
             series = shear_series(pi_grid, t_final=0.1)
             x = VelocityField(random_field(pi_grid, 81, band=6.0), random_field(pi_grid, 82, band=6.0))
             family = VectorFieldFamily(members=(x,))
-        interp = VelocityInterpolant(series)
+        interp = VelocityInterpolant.from_series(series)
         grid, kern = series.grid, interp.kern
         comps = [c.values for m in family.members for c in (m.u1, m.u2)]
         t0, t1 = interp.span
         for t in (t0, 0.3 * t0 + 0.7 * t1, t1):
-            assert kern.in_band(interp.omega_spectrum(t)) == (source == "march")
+            assert (interp.omega_spectrum(t).shape != kern.half_shape) == (source == "march")
             got, want = strato.conormal._velocity_and_gradient(interp, t), full_spectrum_velocity(interp, t)
             for a, b in zip((*got[:2], *got[2]), (*want[:2], *want[2])):
                 assert np.array_equal(a, b)
@@ -558,7 +575,8 @@ class TestTracerEvaluator:
             w = random_field(grid256, 60 + seed, band=None if seed % 2 else 6.0)
             v1, v2 = ref.velocity(w.values)
             six = [v1, v2, *(ref.derivative(v, axis) for v in (v1, v2) for axis in (1, 2))]
-            got = strato.conormal._gradient_at(w.half_spectrum, grid256, pts)
+            h = w.half_spectrum if seed % 2 else grid256._kernel.cut(w.half_spectrum)  # a band when band-limited
+            got = strato.conormal._gradient_at(h, grid256, pts)
             for a, v in zip(got, six):
                 b = ref.sample(v, pts)
                 assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
@@ -569,7 +587,7 @@ class TestTracerEvaluator:
         kern = grid256._kernel
         h = random_field(grid256, 71).half_spectrum
         if band:
-            h = h * keep_mask(grid256.n)  # as a march sample
+            h = kern.cut(h)  # as a march state
         pts = np.random.default_rng(m).uniform(-8.0, 8.0, (m, 2))
         calls = []
         basis = strato.conormal._phase_basis
@@ -592,7 +610,7 @@ class TestTracerEvaluator:
         six = [kern.v1 * h, kern.v2 * h]
         six += [ik * s for s in six for ik in (kern.ik1, kern.ik2)]
         want = _eval_at(six, grid256, pts)
-        got = strato.conormal._gradient_at(h, grid256, pts)
+        got = strato.conormal._gradient_at(h if beyond else kern.cut(h), grid256, pts)
         assert bands == [None if beyond else grid256.n // 3]
         for a, b in zip(got, want):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()

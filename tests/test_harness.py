@@ -141,6 +141,8 @@ class TestSweepConfig:
     )
     @example(n=16, kind="disc", mus=[0.01], dt=0.5, steps=1, fractions=[1.0, 0.9999999999999999],
              error_p=2.0, density=False, save_fields=True)  # times 0.5 and 0.49999999999999994
+    @example(n=16, kind="disc", mus=[0.01], dt=0.5, steps=1, fractions=[1.0, 0.9999999999999999],
+             error_p=2.0, density=False, save_fields=False)
     def test_dict_round_trip_property(self, n, kind, mus, dt, steps, fractions, error_p, density, save_fields):
         raw = tiny_config_dict(mus=mus)
         raw["grid"]["n"] = n
@@ -157,10 +159,23 @@ class TestSweepConfig:
             with pytest.raises(ValueError, match="save_fields needs sample times that differ"):
                 SweepConfig.from_dict(raw)
             return
+        if len({f"{t:.12g}" for t in times}) < len(times):
+            # slopes.json keys sample times by 12 significant digits, so two it would not tell apart are refused
+            with pytest.raises(ValueError, match="sample times must differ in 12 significant digits"):
+                SweepConfig.from_dict(raw)
+            return
         cfg = SweepConfig.from_dict(raw)
         back = SweepConfig.from_dict(cfg.to_dict())
         assert back == cfg
         assert back.digest() == cfg.digest()
+
+    def test_from_dict_refuses_sample_times_alike_in_12_digits(self):
+        # slopes.json keys each sample time by 12 significant digits, so it would hold one entry for both
+        raw = tiny_config_dict()
+        raw["sweep"]["sample_times"] = [0.01, 0.0100000000000001, 0.02]
+        with pytest.raises(ValueError, match=r"^sample times must differ in 12 significant digits, "
+                                             r"got 0\.01 and 0\.0100000000000001$"):
+            SweepConfig.from_dict(raw)
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -806,6 +821,24 @@ class TestCli:
         assert "time=0.1: slope 0.50000 (short ladder)" in out
         assert "time=0.2: slope 1.00000 (short ladder)" in out
 
+    @pytest.mark.parametrize("points", [2, 6])  # the short-ladder fit, then the rate fit
+    def test_fit_nonpositive_x_not_fittable(self, tmp_path, capsys, points):
+        # a log-log fit needs positive abscissae as it needs positive ordinates
+        path = tmp_path / "rates.csv"
+        ladders = {"0.1": np.geomspace(1.0e-3, 1.0, points), "0.2": np.linspace(0.0, 1.0, points),
+                   "0.3": -np.geomspace(1.0e-3, 1.0, points)}
+        with open(path, "w") as fh:
+            fh.write("mu,time,discrepancy\n")
+            for t, xs in ladders.items():
+                for x in xs:
+                    fh.write(f"{float(x)!r},{t},{float(abs(x) + 1.0)!r}\n")
+        rc = main(["fit", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.out.splitlines()[1:] == ["time=0.2: not fittable", "time=0.3: not fittable"]
+        assert captured.out.startswith("time=0.1: slope ")
+        assert "Traceback" not in captured.err
+
     def test_fit_empty_table(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("mu,discrepancy\n")
@@ -886,6 +919,8 @@ class TestCli:
         (json.dumps({**tiny_config_dict(), "sweep": {"mu": [1.0e-3, 1.0e-3]}}), "mu ladder has repeated entries"),
         (json.dumps({**tiny_config_dict(), "sweep": {"mu": [1.0e-3, 1.0000001e-3]}, "output": {"save_fields": True}}),
          "save_fields needs mu values that differ in 6 significant digits, got 0.001 and 0.0010000001"),
+        (json.dumps({**tiny_config_dict(), "sweep": {"mu": [1.0e-3], "sample_times": [0.01, 0.0100000000000001, 0.02]}}),
+         "sample times must differ in 12 significant digits, got 0.01 and 0.0100000000000001"),
         (json.dumps({**tiny_config_dict(), "params": {"dt": 0.05}}), "missing key 't_final'"),
         (json.dumps({**tiny_config_dict(), "grid": 64}), "'int' object is not subscriptable"),
         (json.dumps({**tiny_config_dict(), "ouput": {}}), "unknown config key 'ouput' at the top level"),
@@ -1072,31 +1107,38 @@ class TestCli:
         rows = dense_reference_rows(SweepConfig.from_json(cfg_path), 1.0e-3, 0.13, 3)
         assert csv_path.read_text().splitlines()[1:] == rows
 
-    @pytest.mark.parametrize("samples", ["3", "2"])  # legs of 3 samples, then one leg of 5
+    @pytest.mark.parametrize("samples", ["5", "3", "2"])  # legs of 1 march step, of 2, then one leg of 4
     @pytest.mark.parametrize("inline", [True, False])
     def test_conormal_holds_three_vorticity_samples_and_no_density(self, tmp_path, monkeypatch, samples, inline):
-        # weak references to every sample the solver builds, omega then rho
-        made = []
+        # weak references to every band state the march yields, (omega, rho), and the fields built from them
+        bands, fields = [], []
+        march = strato.conormal._march
+
+        def tracked(*args):
+            for state in march(*args):
+                bands.append([weakref.ref(a) for a in state[1:3]])
+                yield state
+                del state
 
         class Tracked(ScalarField):
             @classmethod
-            def from_spectrum(cls, grid, band):
-                f = super().from_spectrum(grid, band)
-                made.append(weakref.ref(f))
-                return f
+            def from_spectrum(cls, grid, x):
+                fields.extend(i for i, (w, _) in enumerate(bands) if w() is x)
+                return super().from_spectrum(grid, x)
 
         held = []
         rhs = strato.conormal._advect_stretch_rhs
 
         def checked(*args, **kwargs):
             gc.collect()
-            alive = [(i % 2, r()) for i, r in enumerate(list(made)) if r() is not None]
-            held.append(sum(kind == 0 for kind, _ in alive))
-            # a helper thread takes each density sample's norms before dropping it
-            assert not inline or not [f for kind, f in alive if kind == 1], "a density sample is held"
+            alive = [[r() is not None for r in pair] for pair in bands]
+            held.append(sum(w for w, _ in alive))
+            # the helper thread drops each density band as it arrives: the march's own, the last, is the one left
+            assert not inline or not any(r for _, r in alive[:-1]), "a density band is held"
             return rhs(*args, **kwargs)
 
-        monkeypatch.setattr(strato.solver, "ScalarField", Tracked)
+        monkeypatch.setattr(strato.conormal, "_march", tracked)
+        monkeypatch.setattr(strato.conormal, "ScalarField", Tracked)
         monkeypatch.setattr(strato.conormal, "_advect_stretch_rhs", checked)
         if inline:
             monkeypatch.setattr(strato.conormal, "ThreadPoolExecutor", InlineExecutor)
@@ -1106,7 +1148,8 @@ class TestCli:
         assert len(held) == 4 * 4  # four RK4 stages in each of the four sample gaps
         assert max(held) <= 3
         assert not inline or max(held) == 3  # the inline helper marches ahead at once
-        assert len(made) == 2 * 5
+        assert len(bands) == 5
+        assert sorted(fields) == list(range(0, 5, 4 // (int(samples) - 1)))  # one field per checkpoint, from its band
 
     def test_conormal_velocity_once_per_stage_time(self, tmp_path, monkeypatch):
         calls = []
@@ -1129,10 +1172,9 @@ class TestCli:
         config = SweepConfig.from_json(self._conormal_config(tmp_path))
         checkpoints = [0.0, 0.003, 0.013, 0.023]
         params = SimParams(mu=1.0e-3, dt=0.01, t_final=0.023, kappa=config.kappa)
-        trajectory = strato.solver.march(*config.initial_fields(), params, record_every_step=True,
-                                         sample_times=checkpoints)
         family = initial_vector_family(config.patch, config.grid, epsilon=config.patch.epsilon)
-        list(strato.conormal.advect_legs(trajectory, checkpoints, family, boundary_curve(config.patch)))
+        list(strato.conormal.advect_legs(*config.initial_fields(), params, checkpoints, family,
+                                         boundary_curve(config.patch)))
         assert 0.003 + (0.013 - 0.003) != 0.013
         assert calls == [0.0, 0.0015, 0.003, 0.008, 0.013, 0.018, 0.023]
 
@@ -1150,8 +1192,8 @@ class TestCli:
     def test_conormal_threaded_tracers_match_inline(self, tmp_path, monkeypatch):
         cfg_path = self._conormal_config(tmp_path)
         threads = []
-        tracers = strato.conormal.advect_boundary
-        monkeypatch.setattr(strato.conormal, "advect_boundary",
+        tracers = strato.conormal._tracer_step
+        monkeypatch.setattr(strato.conormal, "_tracer_step",
                             lambda *a: threads.append(threading.current_thread()) or tracers(*a))
         argv = ["conormal", str(cfg_path), "--mu", "1e-3", "--t", "0.13", "--samples", "3", "--csv"]
         assert main([*argv, str(tmp_path / "threaded.csv")]) == 0
@@ -1166,7 +1208,7 @@ class TestCli:
         start = threading.active_count()
         monkeypatch.setattr(strato.conormal, "_SPACING_COLLAPSE", 0.5)  # every curve fails its check
         raised = []
-        tracers = strato.conormal.advect_boundary
+        tracers = strato.conormal._tracer_step
 
         def checked(*args):
             try:
@@ -1175,7 +1217,7 @@ class TestCli:
                 raised.append(threading.current_thread())
                 raise
 
-        monkeypatch.setattr(strato.conormal, "advect_boundary", checked)
+        monkeypatch.setattr(strato.conormal, "_tracer_step", checked)
         cfg_path = self._conormal_config(tmp_path)
         with pytest.raises(ValueError, match="tracer spacing collapsed"):
             main(["conormal", str(cfg_path), "--mu", "1e-3", "--t", "0.1",
@@ -1208,9 +1250,8 @@ class TestCli:
         omega0, rho0 = config.initial_fields()
         params = SimParams(mu=1.0e-3, dt=config.dt, t_final=0.2, kappa=config.kappa)
         checkpoints = np.linspace(0.0, 0.2, 3)
-        trajectory = strato.solver.march(omega0, rho0, params, record_every_step=True, sample_times=checkpoints)
         family = initial_vector_family(config.patch, config.grid, epsilon=config.patch.epsilon)
-        legs = strato.conormal.advect_legs(trajectory, checkpoints, family, boundary_curve(config.patch))
+        legs = strato.conormal.advect_legs(omega0, rho0, params, checkpoints, family, boundary_curve(config.patch))
         next(legs)
         next(legs)  # the first leg has started the helper thread
         assert threading.active_count() == start + 1
@@ -1223,9 +1264,7 @@ class TestCli:
         # caller drops it
         config = SweepConfig.from_json(self._conormal_config(tmp_path))
         params = SimParams(mu=1.0e-3, dt=config.dt, t_final=0.2, kappa=config.kappa)
-        checkpoints = [0.1, 0.2]  # samples every 0.05 from t = 0.05, so one family step, then two
-        trajectory = strato.solver.march(*config.initial_fields(), params, record_every_step=True,
-                                         sample_times=checkpoints)
+        checkpoints = [0.05, 0.15]  # march steps every 0.05 from t = 0, so one family step, then two
         family = initial_vector_family(config.patch, config.grid, epsilon=config.patch.epsilon)
         probed = [weakref.ref(family.level_set), *(weakref.ref(m.magnitude) for m in family.members)]
         members = [weakref.ref(a) for m in family.members for a in (m.u1.values, m.u2.values)]
@@ -1233,16 +1272,17 @@ class TestCli:
         rhs = strato.conormal._advect_stretch_rhs
         monkeypatch.setattr(strato.conormal, "_advect_stretch_rhs",
                             lambda *a, **k: alive.append(any(r() is not None for r in probed)) or rhs(*a, **k))
-        legs = strato.conormal.advect_legs(trajectory, checkpoints, family, boundary_curve(config.patch))
+        legs = strato.conormal.advect_legs(*config.initial_fields(), params, checkpoints, family,
+                                           boundary_curve(config.patch))
         del family
         t, omega, family, curve, diag = next(legs)
-        assert t == 0.1 and len(alive) == 4 and not any(alive)
+        assert t == 0.05 and len(alive) == 4 and not any(alive)
         assert [r() for r in members] == [None] * 4
         family_floor(family)  # caches each member's magnitude on the yielded family
         probed[:] = [weakref.ref(x) for x in (family, *family.members, *(m.magnitude for m in family.members))]
         del t, omega, family, curve, diag
         alive.clear()
-        assert next(legs)[0] == 0.2
+        assert next(legs)[0] == 0.15
         assert len(alive) == 2 * 4 and not any(alive)
         legs.close()
 

@@ -72,14 +72,14 @@ class TestExactSolutions:
         want = np.exp(-2.0 * k * k * mu * 0.5) * w0.values
         assert np.abs(res.omega.fields[-1].values - want).max() < 1e-12
 
-    def test_frozen_velocity_closed_form(self, grid64):
+    def test_frozen_velocity_closed_form(self, grid64, frozen_velocity):
         # with advection off the system is linear and diagonal in k, and
         # each mode integrates to the two-exponential formula
         g = grid64
         w0 = random_field(g, 3, band=4.0)
         r0 = random_field(g, 4, band=4.0)
         mu, kappa, t_end = 0.1, 1.0, 0.5
-        params = SimParams(mu=mu, dt=0.01, t_final=t_end, kappa=kappa, frozen_velocity=True)
+        params = SimParams(mu=mu, dt=0.01, t_final=t_end, kappa=kappa)
         res = run(w0, r0, params, track_gradients=False)
 
         ref = FullSpectrum(g)
@@ -95,12 +95,12 @@ class TestExactSolutions:
         assert np.abs(res.omega.fields[-1].values - want_w).max() < 1e-7
         assert np.abs(res.rho.fields[-1].values - want_r).max() < 1e-14
 
-    def test_frozen_velocity_density_decay_per_step(self, grid64):
+    def test_frozen_velocity_density_decay_per_step(self, grid64, frozen_velocity):
         # the density sees no forcing at all, so every step multiplies its
         # spectrum by the exact diffusion factor and nothing else
         g = grid64
         r0 = random_field(g, 5, band=4.0)
-        params = SimParams(mu=0.1, dt=0.02, t_final=0.1, kappa=1.0, frozen_velocity=True)
+        params = SimParams(mu=0.1, dt=0.02, t_final=0.1, kappa=1.0)
         res = run(zero_field(g), r0, params, track_gradients=False)
         m = 5
         ref = FullSpectrum(g)
@@ -217,10 +217,10 @@ class TestStepping:
             assert fo.values.tobytes() == fo2.values.tobytes() and fr.values.tobytes() == fr2.values.tobytes()
 
     @pytest.mark.parametrize("from_zero", [True, False])
-    def test_sample_velocity_guards_next_step(self, from_zero, monkeypatch):
-        # a sample's velocity and its sup are the CFL guard of the step after it, so a dense march
-        # builds the velocity only for RK4 stages 2-4 and takes one hypot per sample; without a
-        # t = 0 sample the first step builds its own
+    def test_step_builds_its_own_guard_velocity(self, from_zero, monkeypatch):
+        # each step builds the velocity its CFL guard checks, which RK4 stage 1 reuses, and the
+        # velocity of stages 2-4; a sample builds its own for velocity_sup (not the engine's) and
+        # keeps nothing, so every step and every sample take one hypot each
         g = GridSpec(n=32, half_length=8.0)
         w0, r0 = random_field(g, 6, band=4.0), random_field(g, 7, band=4.0)
         builds, hypots = [], []
@@ -232,8 +232,8 @@ class TestStepping:
         got = list(march(w0, r0, params, sample_times=times, record_every_step=True, track_gradients=False))
         steps = got[-1][3]["steps"]
         assert steps == 4 and len(got) == steps + from_zero
-        assert len(builds) == 3 * steps + (not from_zero)
-        assert len(hypots) == len(got) + (not from_zero)
+        assert len(builds) == 4 * steps
+        assert len(hypots) == steps + len(got)
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_gradv_sup_is_velocity_gradient_sup_bit_for_bit(self, grid64, dense):
@@ -249,7 +249,7 @@ class TestStepping:
     @pytest.mark.parametrize("dense", [False, True])
     def test_cfl_velocity_is_gone_before_stage_two(self, grid64, monkeypatch, dense):
         # the velocity the CFL guard checked feeds RK4 stage 1 only; no frame holds it through
-        # stages 2-4, whether a sample handed it over or the step built it, halved or not
+        # stages 2-4, halved or not
         stage1, held = [], []
         nonlinear = _Engine.nonlinear
 
@@ -281,13 +281,17 @@ class TestStepping:
 
     def test_cfl_halving_changes_substeps(self, grid64, monkeypatch):
         # a large-amplitude field forces the internal halving; the march
-        # still lands on the target time after one nominal step
-        stages = []
+        # still lands on the target time after one nominal step, and each
+        # RK4 substep builds four velocities: the first piece of a halved
+        # step reuses the velocity that the halving checked
+        stages, builds = [], []
 
         def spy(state, slope, ends, h, decay):
             stages.append(h)
             return _rk4(state, slope, ends, h, decay)
 
+        velocity = _Engine.velocity
+        monkeypatch.setattr(_Engine, "velocity", lambda self, what: builds.append(1) or velocity(self, what))
         monkeypatch.setattr(strato.solver, "_rk4", spy)
         w0 = ScalarField(grid64, 50.0 * random_field(grid64, 8, band=4.0).values)
         params = SimParams(mu=0.01, dt=0.1, t_final=0.1)
@@ -296,8 +300,9 @@ class TestStepping:
         assert res.diagnostics.steps == [1]
         assert len(stages) > 1 and max(stages) < 0.1
         assert sum(stages) == pytest.approx(0.1, abs=1e-12)
+        assert len(builds) == 4 * len(stages)
 
-    def test_frozen_velocity_never_halves_after_a_sample(self, grid64, monkeypatch):
+    def test_frozen_velocity_never_halves_after_a_sample(self, grid64, monkeypatch, frozen_velocity):
         # the t = 0 sample reports the velocity of a field that would force halvings, but a frozen
         # march does not advect, so its step has no CFL limit
         stages = []
@@ -308,7 +313,7 @@ class TestStepping:
 
         monkeypatch.setattr(strato.solver, "_rk4", spy)
         w0 = ScalarField(grid64, 50.0 * random_field(grid64, 8, band=4.0).values)
-        params = SimParams(mu=0.01, dt=0.1, t_final=0.1, frozen_velocity=True)
+        params = SimParams(mu=0.01, dt=0.1, t_final=0.1)
         (*_, first), (*_, last) = march(w0, zero_field(grid64), params, sample_times=[0.0, 0.1])
         assert first["velocity_sup"] * params.dt / grid64.dx > params.cfl_cap
         assert stages == [0.1] and last["steps"] == 1
@@ -329,12 +334,12 @@ class TestStepping:
         assert str(info.value).endswith(f"halving depth 25, CFL number {cfl:.6g}")
 
     @pytest.mark.parametrize("huge, field", [("omega", "omega"), ("rho", "both")])
-    def test_blowup_names_nonfinite_field(self, grid64, huge, field):
+    def test_blowup_names_nonfinite_field(self, grid64, huge, field, frozen_velocity):
         # spectra of a 1e307-sized field overflow; with advection off the
         # density feeds the vorticity through buoyancy but not the reverse
         big = ScalarField(grid64, 1e307 * random_field(grid64, 9, band=4.0).values)
         w0, r0 = (big, zero_field(grid64)) if huge == "omega" else (zero_field(grid64), big)
-        params = SimParams(mu=0.01, dt=0.05, t_final=0.1, frozen_velocity=True)
+        params = SimParams(mu=0.01, dt=0.05, t_final=0.1)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverBlowupError) as info:
             run(w0, r0, params, track_gradients=False)
         assert info.value.field == field
