@@ -55,8 +55,6 @@ from .solver import (
 from .conormal import (
     BoundaryCurve,
     VectorFieldFamily,
-    advect_boundary,
-    advect_family,
     advect_legs,
     conormal_norm,
     family_floor,

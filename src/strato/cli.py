@@ -211,7 +211,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         pts = sorted(groups[key])
         xs = np.array([a for a, _ in pts])
         ys = np.array([b for _, b in pts])
-        if len(xs) < 2 or min(xs.min(), ys.min()) <= 0.0:  # log-log fits need positive x and y
+        # log-log fits need finite, positive x and y
+        if len(xs) < 2 or not (np.isfinite(pts).all() and min(xs.min(), ys.min()) > 0.0):
             print(f"{args.group}={key}: not fittable")
             continue
         if len(xs) >= 6 and xs.max() / xs.min() >= 99.0:

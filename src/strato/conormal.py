@@ -3,8 +3,8 @@
 A vector-field family is a finite set of plane fields that jointly never
 vanish; fields tangent to a patch boundary let one measure directional
 smoothness of the vorticity across the patch edge without paying for the
-jump.  The module advects families and boundary tracers along a sampled
-trajectory, or along the march's own 2/3 band states (``advect_legs``),
+jump.  The module advects families and boundary tracers along the march's
+own 2/3 band states (``advect_legs``, one RK4 step per march gap),
 forms directional derivatives in conservation form, and evaluates the
 adapted Hoelder norm and the logarithmic gradient bound it feeds.  The
 transports take the solver's RK4 step with unit integrating factors.
@@ -12,7 +12,6 @@ transports take the solver's RK4 step with unit integrating factors.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -23,7 +22,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .grid import GridSpec, ScalarField, VelocityField, _chunked, _phase_basis, lp_norm, velocity_gradient_sup
-from .littlewood_paley import BesovParams, TimeSeries, besov_norm
+from .littlewood_paley import BesovParams, besov_norm
 from .solver import SimParams, _march, _rk4, _sample_times
 
 __all__ = [
@@ -33,8 +32,6 @@ __all__ = [
     "family_floor",
     "directional_derivative",
     "conormal_norm",
-    "advect_family",
-    "advect_boundary",
     "advect_legs",
     "holder_quotient",
     "log_estimate_ratio",
@@ -125,54 +122,38 @@ def conormal_norm(u: ScalarField, family: VectorFieldFamily, epsilon: float | No
 
 
 class VelocityInterpolant:
-    """Divergence-free velocity snapshots from a sampled vorticity trajectory.
+    """The velocity across one march gap, from the vorticity bands at its two ends.
 
-    Holds the vorticity spectrum at each sample time in one kernel layout,
-    all 2/3 bands or all whole half spectra, and interpolates linearly on
-    them; the kernel's Biot-Savart multipliers give the velocity.
+    Holds the two 2/3 bands and their times and blends them linearly, clamped
+    to the gap; the kernel's Biot-Savart multipliers give the velocity.
     """
 
     def __init__(self, grid: GridSpec, times: Sequence[float], spectra: Sequence[np.ndarray]):
-        if not 1 <= len(spectra) == len(times):
-            raise ValueError("need at least one sample, and one time per sample")
+        if not len(spectra) == len(times) == 2:
+            raise ValueError("need two samples, the bands at the ends of a gap, and one time per sample")
         self.grid, self.kern = grid, grid._kernel
         self.times, self.spectra = times, tuple(spectra)
 
-    @classmethod
-    def from_series(cls, omega_series: TimeSeries) -> "VelocityInterpolant":
-        """The interpolant of a sampled trajectory, its half spectra cut to the band if all are zero outside it."""
-        if len(omega_series) < 1:
-            raise ValueError("need at least one sample")
-        kern, spectra = omega_series.grid._kernel, [f.half_spectrum for f in omega_series.fields]
-        return cls(omega_series.grid, omega_series.times,
-                   [kern.cut(h) for h in spectra] if all(map(kern.in_band, spectra)) else spectra)
-
     def omega_spectrum(self, t: float) -> np.ndarray:
-        """Vorticity spectrum at t, clamped to the sampled span."""
-        ts, spectra = self.times, self.spectra
-        if t <= ts[0]:
-            return spectra[0]
-        if t >= ts[-1]:
-            return spectra[-1]
-        j = bisect_right(ts, t)
-        w = (t - ts[j - 1]) / (ts[j] - ts[j - 1])
-        return (1.0 - w) * spectra[j - 1] + w * spectra[j]
-
-    @property
-    def span(self) -> tuple[float, float]:
-        return float(self.times[0]), float(self.times[-1])
+        """Vorticity band at t, clamped to the gap."""
+        (t0, t1), (a, b) = self.times, self.spectra
+        if t <= t0:
+            return a
+        if t >= t1:
+            return b
+        w = (t - t0) / (t1 - t0)
+        return (1.0 - w) * a + w * b
 
 
 def _gradient_at(h: np.ndarray, grid: GridSpec, pts: np.ndarray) -> list[np.ndarray]:
     """v1, v2, d1 v1, d2 v1, d1 v2, d2 v2 at pts from vorticity spectrum h, three phase-basis contractions per chunk.
 
     With s1 = v1 h and s2 = v2 h: e1 @ s1 gives v1 and d2 v1, e1 @ s2 gives v2 and d2 v2 = -d1 v1, and
-    (e1 ik1) @ s2 gives d1 v2; the ik2 factors are applied along axis 1.  A 2/3 band, as march states
-    and their interpolants are, is summed over its modes only; a whole half spectrum over all.
+    (e1 ik1) @ s2 gives d1 v2; the ik2 factors are applied along axis 1.  h is a 2/3 band, as march
+    states and their blends are, and is summed over its modes only.
     """
     kern = grid._kernel
-    op = kern._ops(h)
-    band = None if op is kern else kern.cols - 1  # the band is |m1|, m2 <= band
+    op, band = kern.band, kern.cols - 1  # the band is |m1|, m2 <= band
     s2 = op.v2 * h
 
     def contract(p: np.ndarray) -> list[np.ndarray]:
@@ -207,23 +188,9 @@ def _advect_stretch_rhs(comps: list[np.ndarray], vel: tuple, grid: GridSpec) -> 
 
 
 def _velocity_and_gradient(interp: VelocityInterpolant, t: float) -> tuple[np.ndarray, ...]:
-    """Velocity and its gradient at t, on the layout of the interpolant's spectra."""
+    """Grid values of the velocity and its gradient at t, from the gap's blended band."""
     kern, x = interp.kern, interp.omega_spectrum(t)
     return (*kern.velocity(x), tuple(kern.gradient(x)))
-
-
-def _partition(interp: VelocityInterpolant, dt: float | None) -> np.ndarray:
-    """The uniform time partition a transport steps through: equal steps across the trajectory's span, none
-    longer than dt, as their end points (one point for a zero span).  dt defaults to the largest sample gap,
-    so a short remainder step at the end of a leg does not set the step for all of it."""
-    if dt is not None and not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    t0, t1 = interp.span
-    if t1 <= t0:
-        return np.array([t0])
-    if dt is None:
-        dt = float(np.max(np.diff(interp.times)))
-    return np.linspace(t0, t1, max(1, int(np.ceil((t1 - t0) / dt - 1.0e-12))) + 1)
 
 
 def _slope(rhs: Callable[[list[np.ndarray], Any], list], velocity: Callable[[float], Any]) -> Callable:
@@ -239,27 +206,6 @@ def _slope(rhs: Callable[[list[np.ndarray], Any], list], velocity: Callable[[flo
         return rhs(stage, last[1])
 
     return slope
-
-
-def advect_family(
-    family: VectorFieldFamily, omega_series: TimeSeries, dt: float | None = None
-) -> VectorFieldFamily:
-    """Push the family forward along the trajectory's full time span.
-
-    The solver's RK4 step on the transport-stretch system, across equal
-    steps no longer than dt (default: the largest sample gap), with the
-    velocity read from the vorticity samples at every stage time.
-    """
-    interp = VelocityInterpolant.from_series(omega_series)
-    times = _partition(interp, dt)
-    if len(times) == 1:
-        return family
-    g = family.grid
-    if g != interp.grid:
-        raise ValueError("family and trajectory grids differ")
-    comps = [c.values for m in family.members for c in (m.u1, m.u2)]
-    slope = _slope(partial(_advect_stretch_rhs, grid=g), partial(_velocity_and_gradient, interp))
-    return _family_of(_family_step(comps, slope, times), g, family.epsilon)
 
 
 def _family_step(comps: list[np.ndarray], slope: Callable, times: Sequence[float]) -> list[np.ndarray]:
@@ -295,6 +241,8 @@ class BoundaryCurve:
         if np.min(np.hypot(tan[:, 0], tan[:, 1])) <= 0.0:
             raise ValueError("tangents must be nonvanishing")
         for name, arr in (("params", p), ("points", pts), ("tangents", tan)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -312,23 +260,6 @@ class BoundaryCurve:
         seg = np.diff(np.vstack([self.points, self.points[:1]]), axis=0)
         lengths = np.hypot(seg[:, 0], seg[:, 1])
         return float(lengths.max() / lengths.min())
-
-
-def advect_boundary(
-    params: np.ndarray,
-    points: np.ndarray,
-    tangents: np.ndarray,
-    omega_series: TimeSeries,
-    dt: float | None = None,
-) -> BoundaryCurve:
-    """Push boundary tracers and their tangents through the flow.
-
-    Positions follow dx/dt = v(x) and tangents dT/dt = (grad v) T, by the solver's RK4 step across equal
-    steps no longer than dt (default: the largest sample gap), the velocity evaluated off-grid spectrally.
-    """
-    interp = VelocityInterpolant.from_series(omega_series)
-    state = [np.asarray(points, dtype=np.float64), np.asarray(tangents, dtype=np.float64)]
-    return _tracer_step(params, state, interp, _partition(interp, dt))
 
 
 def _tracer_step(params: np.ndarray, state: list[np.ndarray], interp: VelocityInterpolant,

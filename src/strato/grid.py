@@ -179,11 +179,6 @@ class _HalfKernel(_Multipliers):
         """The band of a half spectrum that is zero outside it."""
         return half[self.rows, : self.cols]
 
-    def in_band(self, half: np.ndarray) -> bool:
-        """Whether a half spectrum is zero outside the band, as march samples and their blends are."""
-        b = self.cols - 1
-        return not (np.any(half[b + 1 : -b]) or np.any(half[:, b + 1 :]))
-
     def _ops(self, x: np.ndarray) -> _Multipliers:
         """The multipliers on the modes of x, a band or a whole half spectrum."""
         return self if len(x) == self.n else self.band

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 import scipy.fft as fft
 
-from strato.conormal import VelocityInterpolant, _partition, _slope
+from strato.conormal import (
+    VelocityInterpolant,
+    _advect_stretch_rhs,
+    _family_of,
+    _family_step,
+    _slope,
+    _tracer_step,
+    _velocity_and_gradient,
+)
 from strato.grid import GridSpec, ScalarField, rfft2
 from strato.solver import _Engine, _rk4
 
@@ -74,14 +82,41 @@ def velocity_values(interp, t):
     return interp.kern.inverse(interp.kern.v1 * h), interp.kern.inverse(interp.kern.v2 * h)
 
 
-def transport_scalar(f, omega_series, dt=None):
-    """Passive advection of a scalar along the trajectory (no stretching), by the family's RK4 steps.
+def sample_gaps(omega_series):
+    """One two-band VelocityInterpolant per gap of consecutive samples of a run's vorticity, which is zero
+    outside the 2/3 band, so that cutting its half spectra to the band loses nothing."""
+    kern = omega_series.grid._kernel
+    bands = [kern.cut(f.half_spectrum) for f in omega_series.fields]
+    times = [float(t) for t in omega_series.times]
+    return [VelocityInterpolant(omega_series.grid, times[j : j + 2], bands[j : j + 2]) for j in range(len(bands) - 1)]
 
-    The reference for divergence transport: the divergence of an advected family moves as a scalar."""
-    interp = VelocityInterpolant.from_series(omega_series)
-    t0, t1 = interp.span
-    if t1 <= t0:
-        return f
+
+def gap_steps(interp, dt=None):
+    """End points of equal steps across the gap, none longer than dt; the gap's own ends for dt None."""
+    t0, t1 = interp.times
+    if dt is None:
+        return [t0, t1]
+    return np.linspace(t0, t1, max(1, int(np.ceil((t1 - t0) / dt - 1.0e-12))) + 1)
+
+
+def transport(family, curve, gaps, dt=None):
+    """The family and the boundary curve moved across the gaps in turn by conormal's family and tracer steps,
+    in steps no longer than dt (one step per gap for dt None), as ``advect_legs`` moves them across march gaps."""
+    g = family.grid
+    comps = [c.values for m in family.members for c in (m.u1, m.u2)]
+    for interp in gaps:
+        times = gap_steps(interp, dt)
+        slope = _slope(partial(_advect_stretch_rhs, grid=g), partial(_velocity_and_gradient, interp))
+        comps = _family_step(comps, slope, times)
+        curve = _tracer_step(curve.params, [curve.points, curve.tangents], interp, times)
+    return _family_of(comps, g, family.epsilon), curve
+
+
+def transport_scalar(f, gaps, dt=None):
+    """Passive advection of a scalar across the gaps (no stretching), by the family's RK4 steps.
+
+    The reference for divergence transport: the divergence of an advected family moves as a scalar.  Its
+    velocity and products are formed on the whole half spectrum, in advective form."""
     g = f.grid
     kern = g._kernel
 
@@ -90,9 +125,11 @@ def transport_scalar(f, omega_series, dt=None):
         s = rfft2(state[0])
         return [dealias(kern, -(v1 * kern.inverse(kern.ik1 * s) + v2 * kern.inverse(kern.ik2 * s)))]
 
-    state, slope = [f.values], _slope(rhs, partial(velocity_values, interp))
-    for a, b in pairwise(_partition(interp, dt)):
-        state = _rk4(state, slope, (a, b), b - a, [(1.0, 1.0)])
+    state = [f.values]
+    for interp in gaps:
+        slope = _slope(rhs, partial(velocity_values, interp))
+        for a, b in pairwise(gap_steps(interp, dt)):
+            state = _rk4(state, slope, (a, b), b - a, [(1.0, 1.0)])
     return ScalarField(g, state[0])
 
 

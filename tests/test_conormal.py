@@ -6,6 +6,7 @@ sin(x2) in a period-pi box induces v = (cos(x2), 0), for which family
 advection, passive transport, and tracer motion all have closed forms.
 """
 
+from bisect import bisect_right
 from functools import partial
 
 import numpy as np
@@ -24,7 +25,7 @@ from strato.grid import (
     rfft2,
     sample_at,
 )
-from strato.littlewood_paley import BesovParams, TimeSeries, besov_norm
+from strato.littlewood_paley import BesovParams, besov_norm
 from strato.initdata import (
     DensitySpec,
     PatchSpec,
@@ -33,13 +34,12 @@ from strato.initdata import (
     make_density,
     rasterize_patch,
 )
-from strato.solver import SimParams, march, run
+from strato.solver import SimParams, run
 from strato.conormal import (
     BoundaryCurve,
     VectorFieldFamily,
     VelocityInterpolant,
-    advect_boundary,
-    advect_family,
+    advect_legs,
     conormal_norm,
     directional_derivative,
     divergence,
@@ -47,18 +47,54 @@ from strato.conormal import (
     holder_quotient,
     log_estimate_ratio,
 )
-from conftest import FullSpectrum, dealias, keep_mask, random_field, transport_scalar, velocity_values
+from conftest import (
+    FullSpectrum,
+    dealias,
+    keep_mask,
+    random_field,
+    sample_gaps,
+    transport,
+    transport_scalar,
+    velocity_values,
+)
 
 
 def constant_field(grid, value):
     return ScalarField(grid, np.full((grid.n, grid.n), value))
 
 
-def shear_series(grid, amplitude=1.0, t_final=0.5):
-    """Trajectory of the steady shear v = (amplitude cos(x2), 0)."""
+def shear_field(grid, amplitude=1.0):
+    """Vorticity amplitude sin(x2), whose velocity is the steady shear v = (amplitude cos(x2), 0)."""
     x1, x2 = grid.mesh
-    om = ScalarField(grid, amplitude * np.sin(x2) + 0.0 * x1)
-    return TimeSeries(times=np.array([0.0, t_final]), fields=(om, om))
+    return ScalarField(grid, amplitude * np.sin(x2) + 0.0 * x1)
+
+
+def shear_gaps(grid, t_final=0.5):
+    """The steady shear across one gap [0, t_final], as the band of sin(x2) at both ends."""
+    band = grid._kernel.cut(shear_field(grid).half_spectrum)
+    return [VelocityInterpolant(grid, (0.0, t_final), (band, band))]
+
+
+def unit_family(grid):
+    return VectorFieldFamily(members=(VelocityField(constant_field(grid, 0.0), constant_field(grid, 1.0)),))
+
+
+def legs(omega0, checkpoints, dt, family=None, curve=None):
+    """(t, family, curve) at each checkpoint of ``advect_legs`` along the mu = 0 march of omega0 with zero
+    density, one RK4 step of dt per march gap.  The family defaults to the unit field (0, 1), the curve to
+    16 tracers on the unit circle."""
+    g = omega0.grid
+    family = unit_family(g) if family is None else family
+    curve = BoundaryCurve(*circle_tracers(16)) if curve is None else curve
+    params = SimParams(mu=0.0, dt=dt, t_final=max(checkpoints))
+    return [(t, fam, crv) for t, _, fam, crv, _ in
+            advect_legs(omega0, constant_field(g, 0.0), params, checkpoints, family, curve)]
+
+
+def shear_legs(grid, dt, t_final=0.5, amplitude=1.0, family=None, curve=None):
+    """The family and curve that ``legs`` moves along the march of the shear to t_final."""
+    ((_, family, curve),) = legs(shear_field(grid, amplitude), [t_final], dt, family, curve)
+    return family, curve
 
 
 def circle_tracers(m):
@@ -84,19 +120,21 @@ def dd_fields(grid128):
 
 @pytest.fixture(scope="module")
 def patch_env():
-    """Disc patch run to t = 1 with family, tracers, and their advected images."""
+    """Disc patch run to t = 1 (samples at 0, 0.5 and 1) with family, tracers, and their images moved across
+    the two sample gaps in steps of 0.02."""
     grid = GridSpec(n=128, half_length=8.0)
     spec = PatchSpec(kind="disc", center=(0.0, 0.0), radius=1.0)
     omega0 = rasterize_patch(spec, grid)
     rho0 = make_density(DensitySpec(kind="gaussian", amplitude=0.1, width=1.0, center=(0.0, 0.5)), grid)
     result = run(omega0, rho0, SimParams(mu=1.0e-3, dt=0.02, t_final=1.0), sample_times=[0.0, 0.5, 1.0])
+    gaps = sample_gaps(result.omega)
     family0 = initial_vector_family(spec, grid)
-    familyT = advect_family(family0, result.omega, dt=0.02)
     curve0 = boundary_curve(spec, m=256)
-    curveT = advect_boundary(curve0.params, curve0.points, curve0.tangents, result.omega, dt=0.02)
+    familyT, curveT = transport(family0, curve0, gaps, dt=0.02)
     return {
         "grid": grid,
         "result": result,
+        "gaps": gaps,
         "family0": family0,
         "familyT": familyT,
         "curve0": curve0,
@@ -273,60 +311,65 @@ class TestVelocityInterpolant:
         g = pi_grid
         x1, x2 = g.mesh
         om = ScalarField(g, np.sin(x1) * np.cos(2.0 * x2))
-        it = VelocityInterpolant.from_series(TimeSeries(times=np.array([0.0]), fields=(om,)))
+        band = g._kernel.cut(om.half_spectrum)
+        it = VelocityInterpolant(g, (0.0, 1.0), (band, band))
         v1, v2 = velocity_values(it, 0.7)
         vb = biot_savart(om)
         assert np.abs(v1 - vb.u1.values).max() <= 1e-14
         assert np.abs(v2 - vb.u2.values).max() <= 1e-14
 
     def test_linear_interpolation_and_clamping(self, pi_grid):
-        a = random_field(pi_grid, 7, band=4.0)
-        b = random_field(pi_grid, 8, band=4.0)
-        it = VelocityInterpolant(pi_grid, np.array([1.0, 3.0]), (a.half_spectrum, b.half_spectrum))
+        kern = pi_grid._kernel
+        a = kern.cut(random_field(pi_grid, 7, band=4.0).half_spectrum)
+        b = kern.cut(random_field(pi_grid, 8, band=4.0).half_spectrum)
+        it = VelocityInterpolant(pi_grid, (1.0, 3.0), (a, b))
         mid = it.omega_spectrum(2.0)
-        assert np.abs(mid - 0.5 * (a.half_spectrum + b.half_spectrum)).max() <= 1e-13
-        assert np.array_equal(it.omega_spectrum(0.0), a.half_spectrum)
-        assert np.array_equal(it.omega_spectrum(5.0), b.half_spectrum)
-        assert it.span == (1.0, 3.0)
+        assert np.abs(mid - 0.5 * (a + b)).max() <= 1e-13
+        assert np.array_equal(it.omega_spectrum(0.0), a)
+        assert np.array_equal(it.omega_spectrum(5.0), b)
+        assert tuple(it.times) == (1.0, 3.0)
+
+    def test_blend_is_bitwise_the_bisected_blend(self, march_gaps):
+        # the two-band blend against the blend over many samples that it replaced, at every stage time of
+        # the march's gaps, on their ends, and beyond them
+        _, _, gaps = march_gaps
+        for it in gaps:
+            t0, t1 = it.times
+            for t in (t0 - 1.0, t0, np.nextafter(t0, t1), 0.5 * (t0 + t1), t0 + 0.5 * (t1 - t0), 0.3 * t0 + 0.7 * t1,
+                      np.nextafter(t1, t0), t1, t1 + 1.0):
+                assert np.array_equal(it.omega_spectrum(t), bisected_blend(it.times, it.spectra, t))
 
     def test_shear_velocity_closed_form(self, pi_grid):
         x1, x2 = pi_grid.mesh
-        it = VelocityInterpolant.from_series(shear_series(pi_grid))
+        (it,) = shear_gaps(pi_grid)
         v1, v2 = velocity_values(it, 0.25)
         assert np.abs(v1 - (np.cos(x2) + 0.0 * x1)).max() <= 1e-13
         assert np.abs(v2).max() <= 1e-13
 
-    def test_empty_series_rejected(self, pi_grid):
-        empty = TimeSeries(times=np.array([]), fields=())
-        with pytest.raises(ValueError, match="at least one sample"):
-            VelocityInterpolant.from_series(empty)
-        h = random_field(pi_grid, 7, band=4.0).half_spectrum
-        for times, spectra in (([], []), ([0.0, 1.0], [h]), ([0.0], [h, h])):
-            with pytest.raises(ValueError, match="at least one sample, and one time per sample"):
+    def test_sample_count_other_than_two_rejected(self, pi_grid):
+        h = pi_grid._kernel.cut(random_field(pi_grid, 7, band=4.0).half_spectrum)
+        for times, spectra in (([], []), ([0.0], [h]), ([0.0, 1.0], [h]), ([0.0], [h, h]),
+                               ([0.0, 1.0, 2.0], [h, h, h])):
+            with pytest.raises(ValueError, match="need two samples"):
                 VelocityInterpolant(pi_grid, times, spectra)
 
-    def test_series_enters_as_bands_when_zero_outside_the_band(self, pi_grid):
-        # the layout is decided once, as the samples enter: cut to the 2/3 band when every sample is
-        # zero outside it, as run samples are, else kept whole, as sampled sin(x2) with its round-off is
-        kern = pi_grid._kernel
-        a = ScalarField.from_spectrum(pi_grid, kern.cut(random_field(pi_grid, 7, band=4.0).half_spectrum))
-        b = ScalarField.from_spectrum(pi_grid, kern.cut(random_field(pi_grid, 8, band=4.0).half_spectrum))
-        it = VelocityInterpolant.from_series(TimeSeries(times=np.array([1.0, 3.0]), fields=(a, b)))
-        assert [s.shape for s in it.spectra] == [(2 * (pi_grid.n // 3) + 1, pi_grid.n // 3 + 1)] * 2
-        assert np.array_equal(it.spectra[0], kern.cut(a.half_spectrum))
-        mixed = VelocityInterpolant.from_series(TimeSeries(times=np.array([0.0, 1.0]),
-                                                           fields=(a, shear_series(pi_grid).fields[0])))
-        assert [s.shape for s in mixed.spectra] == [kern.half_shape] * 2
+
+def bisected_blend(ts, spectra, t):
+    """The linear blend of sampled spectra at t, clamped to their span, over any number of samples."""
+    if t <= ts[0]:
+        return spectra[0]
+    if t >= ts[-1]:
+        return spectra[-1]
+    j = bisect_right(ts, t)
+    w = (t - ts[j - 1]) / (ts[j] - ts[j - 1])
+    return (1.0 - w) * spectra[j - 1] + w * spectra[j]
 
 
 class TestShearAdvection:
     def test_family_closed_form(self, pi_grid):
         g = pi_grid
         x1, x2 = g.mesh
-        fam = VectorFieldFamily(
-            members=(VelocityField(constant_field(g, 0.0), constant_field(g, 1.0)),)
-        )
-        out = advect_family(fam, shear_series(g), dt=0.01)
+        out, _ = shear_legs(g, dt=0.01, family=unit_family(g))
         m = out.members[0]
         assert np.abs(m.u1.values - (-0.5 * np.sin(x2) + 0.0 * x1)).max() <= 1e-12
         assert np.abs(m.u2.values - 1.0).max() <= 1e-12
@@ -336,7 +379,7 @@ class TestShearAdvection:
         x1, x2 = g.mesh
         v1 = ScalarField(g, np.cos(x2) + 0.0 * x1)
         fam = VectorFieldFamily(members=(VelocityField(v1, constant_field(g, 0.0)),))
-        out = advect_family(fam, shear_series(g), dt=0.05)
+        out, _ = shear_legs(g, dt=0.05, family=fam)
         assert np.array_equal(out.members[0].u1.values, v1.values)
         assert np.array_equal(out.members[0].u2.values, fam.members[0].u2.values)
 
@@ -344,27 +387,27 @@ class TestShearAdvection:
         g = pi_grid
         x1, x2 = g.mesh
         f0 = ScalarField(g, np.sin(x1) + 0.0 * x2)
-        out = transport_scalar(f0, shear_series(g), dt=0.01)
+        out = transport_scalar(f0, shear_gaps(g), dt=0.01)
         assert np.abs(out.values - np.sin(x1 - 0.5 * np.cos(x2))).max() <= 1e-9
 
     def test_divergence_is_purely_transported(self, pi_grid):
         x = VelocityField(random_field(pi_grid, 31, band=6.0), random_field(pi_grid, 32, band=6.0))
         fam = VectorFieldFamily(members=(x,))
-        series = shear_series(pi_grid, t_final=1.0)
-        out = advect_family(fam, series, dt=0.01)
+        out, _ = shear_legs(pi_grid, dt=0.01, t_final=1.0, family=fam)
         d0 = divergence(x)
-        moved = transport_scalar(d0, series, dt=0.01)
+        moved = transport_scalar(d0, shear_gaps(pi_grid, t_final=1.0), dt=0.01)
         num = lp_norm(ScalarField(pi_grid, divergence(out.members[0]).values - moved.values), 2.0)
         assert num <= 1e-9 * lp_norm(d0, 2.0)
 
     def test_zero_velocity_fixes_family_and_scalar(self, pi_grid):
         g = pi_grid
         zero = constant_field(g, 0.0)
-        still = TimeSeries(times=np.array([0.0, 1.0]), fields=(zero, zero))
         f = random_field(g, 9, band=4.0)
         fam = VectorFieldFamily(members=(VelocityField(f, zero),))
-        out = advect_family(fam, still, dt=0.25)
+        ((_, out, _),) = legs(zero, [1.0], 0.25, family=fam)
         assert np.array_equal(out.members[0].u1.values, f.values)
+        band = g._kernel.cut(zero.half_spectrum)
+        still = [VelocityInterpolant(g, (0.0, 1.0), (band, band))]
         assert np.array_equal(transport_scalar(f, still, dt=0.25).values, f.values)
 
     def test_zero_span_returns_family_unchanged(self, pi_grid):
@@ -372,85 +415,55 @@ class TestShearAdvection:
         fam = VectorFieldFamily(
             members=(VelocityField(constant_field(g, 1.0), constant_field(g, 0.0)),)
         )
-        om = random_field(g, 10, band=4.0)
-        single = TimeSeries(times=np.array([2.0]), fields=(om,))
-        assert advect_family(fam, single, dt=0.1) is fam
+        (t, out, _), _ = legs(random_field(g, 10, band=4.0), [0.0, 0.1], 0.1, family=fam)
+        assert t == 0.0
+        assert np.array_equal(out.members[0].u1.values, fam.members[0].u1.values)
+        assert np.array_equal(out.members[0].u2.values, fam.members[0].u2.values)
 
-    @pytest.mark.parametrize("times, steps", [
-        ([0.0, 0.01, 0.02, 0.03, 0.04], 4),  # uniform leg: one step per gap
-        ([0.0, 0.01, 0.02, 0.03, 0.035], 4),  # remainder leg: the short last gap sets no step
-        ([0.0, 0.002, 0.012, 0.022], 3),  # short first gap: three steps of 0.022 / 3
+    @pytest.mark.parametrize("checkpoints, steps", [
+        ([0.04], 4),  # uniform leg: four steps of 0.01
+        ([0.035], 4),  # remainder leg: three steps of 0.01, then one of 0.005
+        ([0.002, 0.022], 3),  # short first gap: a step to 0.002, then two of 0.01
     ])
-    def test_default_step_is_largest_sample_gap(self, pi_grid, monkeypatch, times, steps):
-        calls = []
-        rhs = strato.conormal._advect_stretch_rhs
-        monkeypatch.setattr(strato.conormal, "_advect_stretch_rhs", lambda *a, **k: calls.append(1) or rhs(*a, **k))
-        om = shear_series(pi_grid).fields[0]
-        fam = VectorFieldFamily(members=(VelocityField(constant_field(pi_grid, 0.0), constant_field(pi_grid, 1.0)),))
-        advect_family(fam, TimeSeries(times=np.array(times), fields=(om,) * len(times)))
-        assert len(calls) == 4 * steps
-
-    @pytest.mark.parametrize("transport", ["family", "boundary"])
-    @pytest.mark.parametrize("times, steps", [
-        ([0.0, 0.01, 0.02, 0.03, 0.04], 4),  # uniform leg
-        ([0.0, 0.01, 0.02, 0.03, 0.035], 4),  # remainder leg
-        ([0.0, 0.002, 0.012, 0.022], 3),  # short first gap
-    ])
-    def test_velocity_once_per_stage_time(self, pi_grid, monkeypatch, transport, times, steps):
+    def test_velocity_once_per_stage_time(self, pi_grid, monkeypatch, checkpoints, steps):
         # stages 2 and 3 share the midpoint's velocity, and a step's end velocity starts the next step
         calls = []
-        spectrum = VelocityInterpolant.omega_spectrum
-        monkeypatch.setattr(VelocityInterpolant, "omega_spectrum", lambda self, t: calls.append(t) or spectrum(self, t))
-        om = shear_series(pi_grid).fields[0]
-        series = TimeSeries(times=np.array(times), fields=(om,) * len(times))
-        if transport == "family":
-            x = VelocityField(constant_field(pi_grid, 0.0), constant_field(pi_grid, 1.0))
-            advect_family(VectorFieldFamily(members=(x,)), series)
-        else:
-            advect_boundary(*circle_tracers(16), series)
+        velocity = strato.conormal._velocity_and_gradient
+        monkeypatch.setattr(strato.conormal, "_velocity_and_gradient",
+                            lambda interp, t: calls.append(t) or velocity(interp, t))
+        legs(shear_field(pi_grid), checkpoints, 0.01)
         assert len(calls) == 2 * steps + 1
         assert len(set(calls)) == len(calls)
 
     def test_rk4_bit_identical_to_four_velocity_steps(self, pi_grid):
-        times = np.array([0.0, 0.01, 0.02, 0.03, 0.035])
-        oms = tuple(random_field(pi_grid, 41 + i, band=4.0) for i in range(len(times)))  # a velocity per sample
-        series = TimeSeries(times=times, fields=oms)
-        interp = VelocityInterpolant.from_series(series)
+        # a march of three steps of 0.01 and a remainder step of 0.005, against textbook RK4 over its bands
+        om, rho = random_field(pi_grid, 41, band=4.0), random_field(pi_grid, 42, band=4.0)
+        params = SimParams(mu=1.0e-3, dt=0.01, t_final=0.035)
+        gaps = sample_gaps(run(om, rho, params, sample_times=[0.0, 0.035], record_every_step=True).omega)
         x = VelocityField(random_field(pi_grid, 46, band=6.0), random_field(pi_grid, 47, band=6.0))
-        velocity = partial(strato.conormal._velocity_and_gradient, interp)
         rhs = partial(strato.conormal._advect_stretch_rhs, grid=pi_grid)
-        want = list(reference_rk4([x.u1.values, x.u2.values], velocity, rhs, interp))
+        want = list(reference_rk4([x.u1.values, x.u2.values], rhs, gaps))
         assert len(want) == 4 and want[-1][0] == 0.035
-        got = advect_family(VectorFieldFamily(members=(x,)), series).members[0]
+        ((_, _, fam, _, _),) = advect_legs(om, rho, params, [0.035], VectorFieldFamily(members=(x,)),
+                                           BoundaryCurve(*circle_tracers(16)))
+        got = fam.members[0]
         assert np.array_equal(got.u1.values, want[-1][1][0])
         assert np.array_equal(got.u2.values, want[-1][1][1])
-
-    @pytest.mark.parametrize("transport", ["family", "boundary"])
-    @pytest.mark.parametrize("dt", [0.0, -0.05, float("nan")])
-    def test_nonpositive_or_nan_step_refused(self, pi_grid, transport, dt):
-        series = shear_series(pi_grid)
-        with pytest.raises(ValueError, match=r"^dt must be positive, got"):
-            if transport == "family":
-                x = VelocityField(constant_field(pi_grid, 0.0), constant_field(pi_grid, 1.0))
-                advect_family(VectorFieldFamily(members=(x,)), series, dt=dt)
-            else:
-                advect_boundary(*circle_tracers(16), series, dt=dt)
 
     def test_family_grid_must_match_trajectory(self, pi_grid, grid64):
         fam = VectorFieldFamily(
             members=(VelocityField(constant_field(grid64, 1.0), constant_field(grid64, 0.0)),)
         )
         with pytest.raises(ValueError, match="grids differ"):
-            advect_family(fam, shear_series(pi_grid), dt=0.1)
+            shear_legs(pi_grid, dt=0.1, family=fam)
 
 
-def reference_rk4(state, velocity, rhs, interp):
-    """Textbook RK4 summed as k1 + 2 (k2 + k3) + k4, with no velocity reused: velocity at a, the midpoint
-    and b of every step."""
-    t0, t1 = interp.span
-    dt = float(np.max(np.diff(interp.times)))
-    times = np.linspace(t0, t1, max(1, int(np.ceil((t1 - t0) / dt - 1.0e-12))) + 1)
-    for a, b in zip(times[:-1], times[1:]):
+def reference_rk4(state, rhs, gaps):
+    """Textbook RK4 summed as k1 + 2 (k2 + k3) + k4, one step per gap, with no velocity reused: velocity at
+    a, the midpoint and b of every step."""
+    for interp in gaps:
+        velocity = partial(strato.conormal._velocity_and_gradient, interp)
+        a, b = interp.times
         h = b - a
         k1 = rhs(state, velocity(a))
         vel = velocity(0.5 * (a + b))
@@ -482,8 +495,8 @@ class TestFluxFormRhs:
         # the discrete Leibniz rule is exact and div v = 0 makes the two forms agree
         unit = np.pi / grid64.half_length
         comps = [random_field(grid64, s, band=20 * unit).values for s in (51, 52, 53, 54)]
-        om = random_field(grid64, 55, band=10 * unit)
-        interp = VelocityInterpolant.from_series(TimeSeries(times=np.array([0.0]), fields=(om,)))
+        band = grid64._kernel.cut(random_field(grid64, 55, band=10 * unit).half_spectrum)
+        interp = VelocityInterpolant(grid64, (0.0, 1.0), (band, band))
         vel = strato.conormal._velocity_and_gradient(interp, 0.0)
         got = strato.conormal._advect_stretch_rhs(comps, vel, grid64)
         want = advective_stretch_rhs(comps, vel, grid64)
@@ -492,10 +505,9 @@ class TestFluxFormRhs:
 
     def test_family_moves_as_with_advective_rhs(self, pi_grid, monkeypatch):
         x = VelocityField(random_field(pi_grid, 31, band=6.0), random_field(pi_grid, 32, band=6.0))
-        series = shear_series(pi_grid, t_final=0.3)
-        flux = advect_family(VectorFieldFamily(members=(x,)), series, dt=0.01).members[0]
+        flux = shear_legs(pi_grid, dt=0.01, t_final=0.3, family=VectorFieldFamily(members=(x,)))[0].members[0]
         monkeypatch.setattr(strato.conormal, "_advect_stretch_rhs", advective_stretch_rhs)
-        ref = advect_family(VectorFieldFamily(members=(x,)), series, dt=0.01).members[0]
+        ref = shear_legs(pi_grid, dt=0.01, t_final=0.3, family=VectorFieldFamily(members=(x,)))[0].members[0]
         for a, b in ((flux.u1, ref.u1), (flux.u2, ref.u2)):
             assert np.abs(a.values - b.values).max() <= 1e-12 * np.abs(b.values).max()
 
@@ -524,44 +536,39 @@ def full_spectrum_velocity(interp, t):
 
 @pytest.fixture(scope="module")
 def march_gaps():
-    """A star patch's dense march at n = 64 (samples at 0, 0.02, 0.04, 0.06) and its family."""
+    """A star patch's march at n = 64 (steps of 0.02 to t = 0.06) as advect_legs' first arguments, its family,
+    and its three gaps as band interpolants."""
     grid = GridSpec(n=64, half_length=4.0)
     spec = PatchSpec(kind="star", center=(0.0, 0.0), radius=1.0, amplitude=0.1, base_mode=5, octaves=1, epsilon=0.5)
     rho0 = make_density(DensitySpec(kind="gaussian", amplitude=0.1, width=0.5, center=(0.0, 0.2)), grid)
-    params = SimParams(mu=1.0e-3, dt=0.02, t_final=0.06)
-    samples = [(t, om) for t, om, _, _ in march(rasterize_patch(spec, grid), rho0, params,
-                                              sample_times=[0.0, 0.06], record_every_step=True)]
-    series = TimeSeries(times=np.array([t for t, _ in samples]), fields=tuple(om for _, om in samples))
-    return series, initial_vector_family(spec, grid)
+    march_args = (rasterize_patch(spec, grid), rho0, SimParams(mu=1.0e-3, dt=0.02, t_final=0.06))
+    gaps = sample_gaps(run(*march_args, sample_times=[0.0, 0.06], record_every_step=True).omega)
+    return march_args, initial_vector_family(spec, grid), gaps
 
 
 class TestBandFamilyStep:
     """The family step on the 2/3 band against the full-spectrum formulas, bit for bit."""
 
-    @pytest.mark.parametrize("source", ["march", "shear"])
-    def test_bit_identical_to_full_spectrum(self, source, march_gaps, pi_grid, monkeypatch):
-        if source == "march":
-            series, family = march_gaps
-        else:  # sampled sin(x2) has round-off outside the band: the full-spectrum fallback
-            series = shear_series(pi_grid, t_final=0.1)
-            x = VelocityField(random_field(pi_grid, 81, band=6.0), random_field(pi_grid, 82, band=6.0))
-            family = VectorFieldFamily(members=(x,))
-        interp = VelocityInterpolant.from_series(series)
-        grid, kern = series.grid, interp.kern
+    def test_bit_identical_to_full_spectrum(self, march_gaps, monkeypatch):
+        march_args, family, gaps = march_gaps
+        grid = family.grid
         comps = [c.values for m in family.members for c in (m.u1, m.u2)]
-        t0, t1 = interp.span
-        for t in (t0, 0.3 * t0 + 0.7 * t1, t1):
-            assert (interp.omega_spectrum(t).shape != kern.half_shape) == (source == "march")
-            got, want = strato.conormal._velocity_and_gradient(interp, t), full_spectrum_velocity(interp, t)
-            for a, b in zip((*got[:2], *got[2]), (*want[:2], *want[2])):
-                assert np.array_equal(a, b)
-            band_rhs = strato.conormal._advect_stretch_rhs(comps, got, grid)
-            for a, b in zip(band_rhs, full_spectrum_stretch_rhs(comps, want, grid)):
-                assert np.array_equal(a, b)
-        moved = advect_family(family, series, dt=0.01)
+        assert len(gaps) == 3
+        for interp in gaps:
+            t0, t1 = interp.times
+            for t in (t0, 0.3 * t0 + 0.7 * t1, t1):
+                assert interp.omega_spectrum(t).shape == (2 * (grid.n // 3) + 1, grid.n // 3 + 1)
+                got, want = strato.conormal._velocity_and_gradient(interp, t), full_spectrum_velocity(interp, t)
+                for a, b in zip((*got[:2], *got[2]), (*want[:2], *want[2])):
+                    assert np.array_equal(a, b)
+                band_rhs = strato.conormal._advect_stretch_rhs(comps, got, grid)
+                for a, b in zip(band_rhs, full_spectrum_stretch_rhs(comps, want, grid)):
+                    assert np.array_equal(a, b)
+        curve = BoundaryCurve(*circle_tracers(16))
+        ((_, _, moved, _, _),) = advect_legs(*march_args, [0.06], family, curve)
         monkeypatch.setattr(strato.conormal, "_velocity_and_gradient", full_spectrum_velocity)
         monkeypatch.setattr(strato.conormal, "_advect_stretch_rhs", full_spectrum_stretch_rhs)
-        ref = advect_family(family, series, dt=0.01)
+        ((_, _, ref, _, _),) = advect_legs(*march_args, [0.06], family, curve)
         for a, b in zip(moved.members, ref.members):
             assert np.array_equal(a.u1.values, b.u1.values) and np.array_equal(a.u2.values, b.u2.values)
 
@@ -571,47 +578,39 @@ class TestTracerEvaluator:
     def test_matches_six_spectrum_evaluation(self, grid256, m):
         ref = FullSpectrum(grid256)
         pts = np.random.default_rng(m).uniform(-8.0, 8.0, (m, 2))
-        for seed in range(6):
-            w = random_field(grid256, 60 + seed, band=None if seed % 2 else 6.0)
+        for seed in range(0, 6, 2):
+            w = random_field(grid256, 60 + seed, band=6.0)
             v1, v2 = ref.velocity(w.values)
             six = [v1, v2, *(ref.derivative(v, axis) for v in (v1, v2) for axis in (1, 2))]
-            h = w.half_spectrum if seed % 2 else grid256._kernel.cut(w.half_spectrum)  # a band when band-limited
-            got = strato.conormal._gradient_at(h, grid256, pts)
+            got = strato.conormal._gradient_at(grid256._kernel.cut(w.half_spectrum), grid256, pts)
             for a, v in zip(got, six):
                 b = ref.sample(v, pts)
                 assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
-    @pytest.mark.parametrize("band", [True, False])
     @pytest.mark.parametrize("m", [1, 512, 513, 1500])
-    def test_no_phase_basis_exceeds_512_points(self, grid256, monkeypatch, m, band):
-        kern = grid256._kernel
-        h = random_field(grid256, 71).half_spectrum
-        if band:
-            h = kern.cut(h)  # as a march state
+    def test_no_phase_basis_exceeds_512_points(self, grid256, monkeypatch, m):
+        h = grid256._kernel.cut(random_field(grid256, 71).half_spectrum)  # as a march state
         pts = np.random.default_rng(m).uniform(-8.0, 8.0, (m, 2))
         calls = []
         basis = strato.conormal._phase_basis
         monkeypatch.setattr(strato.conormal, "_phase_basis", lambda *a: calls.append(a) or basis(*a))
         got = strato.conormal._gradient_at(h, grid256, pts)
         assert [len(c[1]) for c in calls] == [min(512, m - i) for i in range(0, m, 512)]
-        assert {c[2] for c in calls} == {grid256.n // 3 if band else None}
+        assert {c[2] for c in calls} == {grid256.n // 3}
         assert all(len(a) == m for a in got)
 
-    @pytest.mark.parametrize("beyond", [False, True])
-    def test_band_and_full_sums_match_eval_at(self, grid256, monkeypatch, beyond):
+    def test_band_and_full_sums_match_eval_at(self, grid256, monkeypatch):
         kern = grid256._kernel
         pts = np.random.default_rng(7).uniform(-8.0, 8.0, (300, 2))
         h = random_field(grid256, 70).half_spectrum * keep_mask(grid256.n)  # as a march sample
-        if beyond:
-            h[grid256.n // 2 - 1, 3] = 1.0  # one mode outside the 2/3 band
         bands = []
         basis = strato.conormal._phase_basis
         monkeypatch.setattr(strato.conormal, "_phase_basis", lambda *a: bands.append(a[2]) or basis(*a))
         six = [kern.v1 * h, kern.v2 * h]
         six += [ik * s for s in six for ik in (kern.ik1, kern.ik2)]
         want = _eval_at(six, grid256, pts)
-        got = strato.conormal._gradient_at(h if beyond else kern.cut(h), grid256, pts)
-        assert bands == [None if beyond else grid256.n // 3]
+        got = strato.conormal._gradient_at(kern.cut(h), grid256, pts)
+        assert bands == [grid256.n // 3]
         for a, b in zip(got, want):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
@@ -619,7 +618,7 @@ class TestTracerEvaluator:
 class TestBoundaryAdvection:
     def test_tracer_closed_form_spectral_branch(self, pi_grid):
         th, pts, tan = circle_tracers(256)
-        out = advect_boundary(th, pts, tan, shear_series(pi_grid), dt=0.01)
+        _, out = shear_legs(pi_grid, dt=0.01, curve=BoundaryCurve(th, pts, tan))
         t = 0.5
         want_p = np.stack([np.cos(th) + t * np.cos(np.sin(th)), np.sin(th)], axis=1)
         want_t = np.stack([-np.sin(th) - t * np.cos(th) * np.sin(np.sin(th)), np.cos(th)], axis=1)
@@ -630,7 +629,7 @@ class TestBoundaryAdvection:
 
     def test_tracer_closed_form_in_chunks(self, pi_grid):
         th, pts, tan = circle_tracers(1024)  # two chunks of 512 points per evaluation
-        out = advect_boundary(th, pts, tan, shear_series(pi_grid), dt=0.02)
+        _, out = shear_legs(pi_grid, dt=0.02, curve=BoundaryCurve(th, pts, tan))
         t = 0.5
         want_p = np.stack([np.cos(th) + t * np.cos(np.sin(th)), np.sin(th)], axis=1)
         want_t = np.stack([-np.sin(th) - t * np.cos(th) * np.sin(np.sin(th)), np.cos(th)], axis=1)
@@ -639,13 +638,13 @@ class TestBoundaryAdvection:
 
     def test_shear_preserves_polygon_area(self, pi_grid):
         th, pts, tan = circle_tracers(256)
-        out = advect_boundary(th, pts, tan, shear_series(pi_grid), dt=0.01)
         ref = BoundaryCurve(th, pts, tan)
+        _, out = shear_legs(pi_grid, dt=0.01, curve=ref)
         assert abs(out.enclosed_area - ref.enclosed_area) <= 1e-10 * ref.enclosed_area
 
     def test_spacing_ratio_matches_closed_form(self, pi_grid):
         th, pts, tan = circle_tracers(256)
-        out = advect_boundary(th, pts, tan, shear_series(pi_grid), dt=0.01)
+        _, out = shear_legs(pi_grid, dt=0.01, curve=BoundaryCurve(th, pts, tan))
         want_p = np.stack([np.cos(th) + 0.5 * np.cos(np.sin(th)), np.sin(th)], axis=1)
         ref = BoundaryCurve(th, want_p, tan, time=0.5)
         assert abs(out.spacing_ratio - ref.spacing_ratio) <= 1e-6
@@ -658,28 +657,30 @@ class TestBoundaryAdvection:
         assert abs(fb.enclosed_area - 0.5 * m * np.sin(2.0 * np.pi / m)) <= 1e-13 * np.pi
         assert abs(fb.spacing_ratio - 1.0) <= 1e-12
 
+    def test_tracer_step_refuses_nonfinite_tracers(self, pi_grid):
+        # a NaN velocity makes NaN tracers, whose spacing ratio is NaN and passes the collapse check
+        band = pi_grid._kernel.cut(shear_field(pi_grid).half_spectrum)
+        band[1, 1] = np.nan
+        interp = VelocityInterpolant(pi_grid, (0.0, 0.1), (band, band))
+        th, pts, tan = circle_tracers(16)
+        with pytest.raises(ValueError, match="^points must be finite$"):
+            strato.conormal._tracer_step(th, [pts, tan], interp, interp.times)
+
     def test_zero_velocity_fixes_tracers(self, pi_grid):
-        g = pi_grid
-        zero = constant_field(g, 0.0)
-        still = TimeSeries(times=np.array([0.0, 1.0]), fields=(zero, zero))
         th, pts, tan = circle_tracers(64)
-        out = advect_boundary(th, pts, tan, still, dt=0.25)
+        ((_, _, out),) = legs(constant_field(pi_grid, 0.0), [1.0], 0.25, curve=BoundaryCurve(th, pts, tan))
         assert np.array_equal(out.points, pts)
         assert np.array_equal(out.tangents, tan)
 
     def test_zero_span_returns_tracers_unchanged(self, pi_grid):
-        om = random_field(pi_grid, 10, band=4.0)
-        single = TimeSeries(times=np.array([1.5]), fields=(om,))
         th, pts, tan = circle_tracers(64)
-        out = advect_boundary(th, pts, tan, single)
-        assert out.time == 1.5
+        (t, _, out), _ = legs(random_field(pi_grid, 10, band=4.0), [0.0, 0.1], 0.1, curve=BoundaryCurve(th, pts, tan))
+        assert t == 0.0 and out.time == 0.0
         assert np.array_equal(out.points, pts)
 
     def test_strong_shear_triggers_spacing_collapse(self, pi_grid):
-        th, pts, tan = circle_tracers(64)
-        violent = shear_series(pi_grid, amplitude=10.0, t_final=1.0)
         with pytest.raises(ValueError, match="collapsed"):
-            advect_boundary(th, pts, tan, violent, dt=0.01)
+            shear_legs(pi_grid, dt=0.01, t_final=1.0, amplitude=10.0, curve=BoundaryCurve(*circle_tracers(64)))
 
 
 class TestHolderQuotient:
@@ -713,9 +714,9 @@ class TestPatchTrajectory:
         g = patch_env["grid"]
         x = VelocityField(random_field(g, 21, band=4.0), random_field(g, 22, band=4.0))
         fam = VectorFieldFamily(members=(x,))
-        out = advect_family(fam, patch_env["result"].omega, dt=0.02)
+        out, _ = transport(fam, patch_env["curve0"], patch_env["gaps"], dt=0.02)
         d0 = divergence(x)
-        moved = transport_scalar(d0, patch_env["result"].omega, dt=0.02)
+        moved = transport_scalar(d0, patch_env["gaps"], dt=0.02)
         num = lp_norm(ScalarField(g, divergence(out.members[0]).values - moved.values), 2.0)
         assert num <= 1e-9 * lp_norm(d0, 2.0)
 
@@ -749,10 +750,9 @@ class TestPatchTrajectory:
     def test_adapted_norm_finite_along_run(self, patch_env):
         g = patch_env["grid"]
         res = patch_env["result"]
-        half_series = TimeSeries(times=res.omega.times[:2], fields=res.omega.fields[:2])
         families = [
             patch_env["family0"],
-            advect_family(patch_env["family0"], half_series, dt=0.02),
+            transport(patch_env["family0"], patch_env["curve0"], patch_env["gaps"][:1], dt=0.02)[0],
             patch_env["familyT"],
         ]
         norms = []

@@ -44,8 +44,6 @@ from strato.harness import (
     run_sweep,
 )
 from strato.conormal import (
-    advect_boundary,
-    advect_family,
     conormal_norm,
     family_floor,
     holder_quotient,
@@ -59,9 +57,8 @@ from strato.initdata import (
     make_density,
     rasterize_patch,
 )
-from strato.littlewood_paley import TimeSeries
 from strato.solver import SimParams, run
-from conftest import random_field
+from conftest import random_field, sample_gaps, transport
 
 
 def field_distance(a, b, p=2.0):
@@ -823,19 +820,24 @@ class TestCli:
 
     @pytest.mark.parametrize("points", [2, 6])  # the short-ladder fit, then the rate fit
     def test_fit_nonpositive_x_not_fittable(self, tmp_path, capsys, points):
-        # a log-log fit needs positive abscissae as it needs positive ordinates
+        # a log-log fit needs finite, positive abscissae as it needs finite, positive ordinates
         path = tmp_path / "rates.csv"
-        ladders = {"0.1": np.geomspace(1.0e-3, 1.0, points), "0.2": np.linspace(0.0, 1.0, points),
-                   "0.3": -np.geomspace(1.0e-3, 1.0, points)}
+        good = np.geomspace(1.0e-3, 1.0, points)
+        ladders = {"0.1": good, "0.2": np.linspace(0.0, 1.0, points), "0.3": -good}
+        ladders.update({f"0.{4 + i}": np.where(np.arange(points) == 1, bad, good)  # one non-finite x
+                        for i, bad in enumerate([np.inf, np.nan])})
         with open(path, "w") as fh:
             fh.write("mu,time,discrepancy\n")
             for t, xs in ladders.items():
                 for x in xs:
                     fh.write(f"{float(x)!r},{t},{float(abs(x) + 1.0)!r}\n")
+            for t, bad in (("0.6", np.nan), ("0.7", np.inf)):  # one non-finite y
+                for i, x in enumerate(good):
+                    fh.write(f"{float(x)!r},{t},{float(bad if i == 1 else x + 1.0)!r}\n")
         rc = main(["fit", str(path)])
         captured = capsys.readouterr()
         assert rc == 0
-        assert captured.out.splitlines()[1:] == ["time=0.2: not fittable", "time=0.3: not fittable"]
+        assert captured.out.splitlines()[1:] == [f"time=0.{i}: not fittable" for i in range(2, 8)]
         assert captured.out.startswith("time=0.1: slope ")
         assert "Traceback" not in captured.err
 
@@ -1323,19 +1325,19 @@ class TestCli:
             "import sys\n"
             "sys.modules['scipy'] = None\n"
             "import numpy as np, strato, strato.cli\n"
-            "from strato.conormal import advect_boundary\n"
+            "from strato.conormal import advect_legs\n"
             "from strato.grid import GridSpec, ScalarField, sample_at\n"
-            "from strato.initdata import PatchSpec, boundary_curve, rasterize_patch\n"
-            "from strato.littlewood_paley import TimeSeries\n"
+            "from strato.initdata import PatchSpec, boundary_curve, initial_vector_family, rasterize_patch\n"
+            "from strato.solver import SimParams\n"
             "strato.cli.main(['rankine', '--p', '2', '--points', '6', '--tau-min', '1e-3', '--tau-max', '1e-1'])\n"
             "g = GridSpec(n=32, half_length=4.0)\n"
             "spec = PatchSpec(kind='star', radius=1.0, amplitude=0.1, base_mode=3)\n"
             "omega = rasterize_patch(spec, g)\n"
             "pts = np.random.default_rng(0).uniform(-4.0, 4.0, (2048, 2))\n"
             "print(np.isfinite(sample_at(omega, pts)).all())\n"
-            "shifted = ScalarField(g, np.roll(omega.values, 1, axis=0))\n"
-            "c = boundary_curve(spec, m=600)\n"
-            "moved = advect_boundary(c.params, c.points, c.tangents, TimeSeries(np.array([0.0, 0.05]), (omega, shifted)))\n"
+            "zero = ScalarField(g, np.zeros((32, 32)))\n"
+            "family, c = initial_vector_family(spec, g), boundary_curve(spec, m=600)\n"
+            "(_, _, _, moved, _), = advect_legs(omega, zero, SimParams(mu=1e-3, dt=0.05, t_final=0.05), [0.05], family, c)\n"
             "print(len(moved), np.isfinite(moved.points).all())\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' and sys.modules[m] is not None))\n"
         )
@@ -1477,31 +1479,27 @@ class InlineExecutor:
 def dense_reference_rows(config, mu, t_final, samples):
     """The conormal CSV rows as computed from one dense run, one RK4 step per sample gap.
 
-    The whole trajectory is held; the family and the tracers are advected
-    over each pair of consecutive samples in turn.
+    The whole trajectory is held; its samples, cut to the 2/3 band, make one two-band interpolant per gap,
+    and the family and the tracers are moved across each gap in turn by conormal's private steps.
     """
     omega0, rho0 = config.initial_fields()
     params = SimParams(mu=mu, dt=config.dt, t_final=t_final, kappa=config.kappa)
     checkpoints = np.linspace(0.0, t_final, samples)
     result = run(omega0, rho0, params, record_every_step=True, sample_times=checkpoints)
+    gaps = sample_gaps(result.omega)
     family = initial_vector_family(config.patch, config.grid, epsilon=config.patch.epsilon)
     curve = boundary_curve(config.patch)
-    pts, tan = curve.points, curve.tangents
     d = result.diagnostics
     series_t = result.omega.times
     rows = []
     prev = 0
     for t in checkpoints:
         k = int(np.searchsorted(series_t, t - 1.0e-12))
-        for j in range(prev, k):
-            gap = TimeSeries(series_t[j:j + 2], result.omega.fields[j:j + 2])
-            family = advect_family(family, gap)
-            moved = advect_boundary(curve.params, pts, tan, gap)
-            pts, tan = moved.points, moved.tangents
+        family, curve = transport(family, curve, gaps[prev:k])
         prev = k
         omega_t = result.omega.fields[k]
         row = (float(t), family_floor(family), float(np.interp(t, d.times, d.gradv_sup_integral)),
-               conormal_norm(omega_t, family), holder_quotient(curve.params, tan, family.epsilon),
+               conormal_norm(omega_t, family), holder_quotient(curve.params, curve.tangents, family.epsilon),
                log_estimate_ratio(omega_t, family))
         rows.append(",".join(repr(float(x)) for x in row))
     return rows

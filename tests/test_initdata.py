@@ -318,3 +318,13 @@ class TestBoundaryCurve:
             BoundaryCurve(good.params, good.points, np.zeros_like(good.tangents))
         with pytest.raises(ValueError, match="matching"):
             BoundaryCurve(good.params[:-1], good.points, good.tangents)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["params", "points", "tangents"])
+    def test_nonfinite_arrays_refused(self, name, bad):
+        # a NaN point would make the spacing ratio NaN, which passes the tracers' collapse check
+        good = boundary_curve(PatchSpec(), m=32)
+        arrays = {"params": good.params.copy(), "points": good.points.copy(), "tangents": good.tangents.copy()}
+        arrays[name][3] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            BoundaryCurve(**arrays)

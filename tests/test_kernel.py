@@ -18,7 +18,7 @@ from strato.grid import (
     laplacian,
     sample_at,
 )
-from strato.conormal import advect_boundary, advect_family, conormal_norm, log_estimate_ratio
+from strato.conormal import advect_legs, conormal_norm, log_estimate_ratio
 from strato.initdata import PatchSpec, boundary_curve, initial_vector_family, level_set_data, rasterize_patch
 from strato.littlewood_paley import BesovParams, DyadicPartition, besov_norm, bony_decompose
 from strato.solver import SimParams, run
@@ -36,13 +36,12 @@ def test_pipeline_never_calls_full_complex_transforms(monkeypatch):
     spec = PatchSpec(kind="star", radius=1.0, amplitude=0.1, base_mode=3)
     omega0 = rasterize_patch(spec, g)
     rho0 = random_field(g, 70, band=3.0)
-    res = run(omega0, rho0, SimParams(mu=1e-3, dt=0.05, t_final=0.2), record_every_step=True)
-    series = res.omega
+    params = SimParams(mu=1e-3, dt=0.05, t_final=0.2)
+    series = run(omega0, rho0, params, record_every_step=True).omega
 
     family0 = initial_vector_family(spec, g)
-    family = advect_family(family0, series)
     curve0 = boundary_curve(spec, m=32)
-    curve = advect_boundary(curve0.params, curve0.points, curve0.tangents, series)
+    ((_, _, family, curve, _),) = advect_legs(omega0, rho0, params, [0.2], family0, curve0)
     part = DyadicPartition(g)
     omega = series.fields[-1]
     norm = conormal_norm(omega, family)
