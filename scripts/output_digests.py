@@ -12,7 +12,10 @@ directory:
   (``conormal``), and to t = 0.155 with four checkpoints (``conormal_remainder``),
   whose legs each end on a remainder step before the checkpoint;
 * ``strato simulate --snapshots`` on the sweep config at mu = 1e-3;
-* ``strato besov`` on each snapshot, with three exponent sets.
+* ``strato besov`` on each snapshot, with three exponent sets;
+* ``strato rankine --csv``, a six-point ladder at p = 2 and 4 per quantity
+  (``rankine``), which no ``--n`` changes;
+* ``strato fit`` on ``sweep-1/rates.csv`` (``fit``).
 
 It prints ``<sha256>  <path>`` for each output file, the captured standard
 output of each command included, with paths relative to the run directory
@@ -99,6 +102,11 @@ def produce(n: int) -> None:
     for snap in sorted(Path("simulate").glob("*.slf")):
         for i, extra in enumerate(BESOV_ARGS):
             run(["besov", str(snap), *extra], Path("besov", f"{snap.stem}-{i}.txt"))
+    Path("rankine").mkdir()  # strato rankine --csv writes into an existing directory
+    for quantity in ("vorticity", "velocity"):
+        run(["rankine", "--quantity", quantity, "--p", "2", "4", "--points", "6", "--csv", f"rankine/{quantity}.csv"],
+            Path("rankine", f"{quantity}.txt"))
+    run(["fit", "sweep-1/rates.csv"], Path("fit", "stdout.txt"))
 
 
 def outputs(root: Path) -> list[Path]:

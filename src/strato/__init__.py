@@ -49,7 +49,6 @@ from .solver import (
     commutator_source,
     good_unknown,
     good_unknown_residual,
-    march,
     run,
 )
 from .conormal import (

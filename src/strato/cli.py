@@ -65,6 +65,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_rankine(args: argparse.Namespace) -> int:
+    from . import fieldio
     from .rankine import (
         RateSeries, _check_ladder, _check_p, _check_tau, fit_exponent, velocity_lp_error, vorticity_lp_error,
     )
@@ -93,10 +94,7 @@ def _cmd_rankine(args: argparse.Namespace) -> int:
         )
         rows.extend((args.quantity, p, t, e) for t, e in zip(taus, errs))
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            fh.write("quantity,p,tau,error\n")
-            for q, p, t, e in rows:
-                fh.write(f"{q},{repr(float(p))},{repr(float(t))},{repr(float(e))}\n")
+        fieldio.write_table(args.csv, ("quantity", "p", "tau", "error"), rows)
         print(f"wrote {args.csv}")
     return 0
 
@@ -150,6 +148,7 @@ def _cmd_besov(args: argparse.Namespace) -> int:
 
 
 def _cmd_conormal(args: argparse.Namespace) -> int:
+    from . import fieldio
     from .conormal import _log_estimate_ratio, advect_legs, conormal_norm, family_floor, holder_quotient
     from .initdata import boundary_curve, initial_vector_family
 
@@ -173,12 +172,8 @@ def _cmd_conormal(args: argparse.Namespace) -> int:
         del omega, family, curve, diag  # the checkpoint dies with its row, before the march goes on
 
     out = Path(args.csv) if args.csv else Path(config.output_dir) / "conormal.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        fh.write("t,family_floor,gradv_sup_integral,conormal_norm,"
-                 "holder_quotient,log_estimate_ratio\n")
-        for row in rows:
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+    fieldio.write_table(out, ("t", "family_floor", "gradv_sup_integral", "conormal_norm", "holder_quotient",
+                              "log_estimate_ratio"), rows)
 
     floor0, floor_t, vint = rows[0][1], rows[-1][1], rows[-1][2]
     print(f"family floor: {floor0:.6f} -> {floor_t:.6f} "

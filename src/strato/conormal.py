@@ -99,24 +99,22 @@ def _vector_holder(x: VelocityField, s: float) -> float:
     return max(besov_norm(x.u1, prm), besov_norm(x.u2, prm))
 
 
-def conormal_norm(u: ScalarField, family: VectorFieldFamily, epsilon: float | None = None) -> float:
+def conormal_norm(u: ScalarField, family: VectorFieldFamily) -> float:
     """Boundary-adapted Hoelder norm of u relative to the family.
 
     Combines the sup norm of u weighted by the family's own epsilon
     regularity (including divergences) with the (epsilon - 1) Hoelder
     norms of the directional derivatives, normalized by the family floor.
-    epsilon defaults to the family's own index.
     """
     floor = family_floor(family)
     if floor <= 0.0:
         raise ValueError("degenerate family: floor is zero")
-    eps = family.epsilon if epsilon is None else epsilon
     fam_reg = 0.0
     dir_reg = 0.0
-    prm_lo = BesovParams(s=eps - 1.0)
+    prm_lo = BesovParams(s=family.epsilon - 1.0)
     for x in family.members:
         div = divergence(x)  # one inverse transform, shared by both terms
-        fam_reg = max(fam_reg, _vector_holder(x, eps) + besov_norm(div, BesovParams(s=eps)))
+        fam_reg = max(fam_reg, _vector_holder(x, family.epsilon) + besov_norm(div, BesovParams(s=family.epsilon)))
         dir_reg = max(dir_reg, besov_norm(_directional_derivative(u, x, div), prm_lo))
     return (lp_norm(u, np.inf) * fam_reg + dir_reg) / floor
 
@@ -221,6 +219,7 @@ def _family_of(comps: list[np.ndarray], g: GridSpec, epsilon: float) -> VectorFi
 
 
 _SPACING_COLLAPSE = 4.0
+_PERIOD = 2.0 * np.pi  # of a boundary curve's parameter
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,15 +343,15 @@ def _with_tracers(states: Iterable[tuple], g: GridSpec, curve: BoundaryCurve) ->
         del interp  # else the gap's start outlives the family step by a march step
 
 
-def holder_quotient(params: np.ndarray, tangents: np.ndarray, epsilon: float, period: float = 2.0 * np.pi) -> float:
-    """Largest pairwise tangent increment over the parameter gap to the epsilon."""
+def holder_quotient(params: np.ndarray, tangents: np.ndarray, epsilon: float) -> float:
+    """Largest pairwise tangent increment over the parameter gap, modulo 2 pi, to the epsilon."""
     sig = np.asarray(params, dtype=np.float64)
     tan = np.asarray(tangents, dtype=np.float64)
     dsig = np.abs(sig[:, None] - sig[None, :])
-    dsig = np.minimum(dsig, period - dsig)
+    dsig = np.minimum(dsig, _PERIOD - dsig)
     mask = dsig > 0.0
     if not mask.any():
-        raise ValueError(f"need at least two distinct parameters (modulo the period {period:g})")
+        raise ValueError(f"need at least two distinct parameters (modulo the period {_PERIOD:g})")
     num = np.hypot(tan[:, None, 0] - tan[None, :, 0], tan[:, None, 1] - tan[None, :, 1])
     return float(np.max(num[mask] / dsig[mask] ** epsilon))
 

@@ -160,9 +160,15 @@ class SweepConfig:
         grid, patch and density are sections keyed by the fields of GridSpec, PatchSpec and
         DensitySpec, the other fields sit where ``_LAYOUT`` puts them, and each value is converted
         to its field's declared type.  An absent key takes its field's default; without sample
-        times the one sample is at t_final.  A key that names no field is refused.
+        times the one sample is at t_final.  A key that names no field is refused, and so is a section
+        that is not an object (a null density means none).
         """
+        if not isinstance(raw, dict):
+            raise ValueError(f"the top level of a config must be an object, got {raw!r}")
         _refuse_unknown(raw, {*_SPECS, *(section for section, _ in _LAYOUT.values())}, "at the top level")
+        for name, section in raw.items():
+            if not (isinstance(section, dict) or (name == "density" and section is None)):
+                raise ValueError(f"config section {name!r} must be an object, got {section!r}")
         density = raw.get("density")
         specs = {"grid": _spec(GridSpec, raw["grid"], "grid"), "patch": _spec(PatchSpec, raw["patch"], "patch"),
                  "density": _spec(DensitySpec, density, "density") if density else None}
@@ -370,10 +376,7 @@ def emit_report(result: SweepResult, out_dir: str | Path | None = None) -> dict[
     out.mkdir(parents=True, exist_ok=True)
 
     rates = out / "rates.csv"
-    with open(rates, "w", newline="") as fh:
-        fh.write(",".join(f.name for f in fields(RateRow)) + "\n")
-        for r in result.rows:
-            fh.write(",".join(repr(x) for x in astuple(r)) + "\n")
+    fieldio.write_table(rates, [f.name for f in fields(RateRow)], map(astuple, result.rows))
 
     slopes = out / "slopes.json"
     with open(slopes, "w") as fh:

@@ -12,9 +12,9 @@ All quadratic products use the 2/3 dealiasing rule, which makes the
 truncated advection exactly energy- and mean-preserving in space.
 The march keeps its state on the 2/3 band of the grid's kernel and never
 touches the zero modes outside it.  One loop, ``_march``, yields those
-band states; ``march`` builds from each a sample that exposes full half
-spectra (the band spread into zeros) and its diagnostics, while the
-sweep's rungs and ``strato.conormal``'s legs keep the bands themselves.
+band states.  ``run``, its one consumer that builds fields, makes from each
+a sample with full half spectra (the band spread into zeros) and its
+diagnostics; the sweep's rungs and ``strato.conormal.advect_legs`` keep the bands.
 Its velocity, velocity gradient and transport terms are the kernel's,
 taken on the band.  An adaptive guard halves any step whose advective
 CFL number would exceed the configured cap; each step builds the
@@ -30,13 +30,13 @@ spectrum, and only the product's spectrum is cut to the 2/3 band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from itertools import starmap
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from .fieldio import write_table
 from .grid import GridSpec, ScalarField, _gradient_sup, dx1_inv_laplacian, laplacian, lp_norm
 from .littlewood_paley import TimeSeries
 
@@ -45,7 +45,6 @@ __all__ = [
     "DiagnosticsRecord",
     "RunResult",
     "SolverBlowupError",
-    "march",
     "run",
     "good_unknown",
     "commutator_source",
@@ -115,12 +114,7 @@ class DiagnosticsRecord:
     steps: list[int] = field(default_factory=list)
 
     def to_csv(self, path: str | Path) -> None:
-        cols = [f.name for f in fields(self)]
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(cols) + "\n")
-            for i in range(len(self.times)):
-                row = (getattr(self, c)[i] for c in cols)
-                fh.write(",".join(repr(int(x)) if isinstance(x, (int, np.integer)) else repr(float(x)) for x in row) + "\n")
+        write_table(path, [f.name for f in fields(self)], zip(*astuple(self)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,7 +122,6 @@ class RunResult:
     omega: TimeSeries
     rho: TimeSeries
     diagnostics: DiagnosticsRecord
-    params: SimParams
 
 
 class _Engine:
@@ -225,58 +218,6 @@ def _nonfinite(what: np.ndarray, rhat: np.ndarray) -> str | None:
     return "both" if len(bad) == 2 else (bad[0] if bad else None)
 
 
-def march(
-    omega0: ScalarField,
-    rho0: ScalarField,
-    params: SimParams,
-    sample_times: list[float] | np.ndarray | None = None,
-    record_every_step: bool = False,
-    track_gradients: bool = True,
-) -> Iterator[tuple[float, ScalarField, ScalarField, dict[str, float]]]:
-    """March the system to t_final, yielding (t, omega, rho, diagnostics) per sample.
-
-    sample_times defaults to [t_final].  The march lands on each sample
-    exactly.  With record_every_step the trajectory is sampled at every
-    accepted step (dense output for transport post-processing); gradient
-    tracking adds the sup of grad v and the running exponents needed by
-    the adapted-norm bounds, at the cost of a few transforms per step;
-    a sample's ``gradv_sup`` is bitwise ``velocity_gradient_sup`` of its
-    omega, so a caller that has it need not invert the velocity again.
-    diagnostics maps each DiagnosticsRecord column but ``times`` to its
-    value at the sample.  The arguments are checked on the call, and the
-    march keeps no reference to a sample it has yielded; between steps it
-    holds its band state alone.  Each sample is built from a band state of
-    ``_march``, which a caller that needs only the bands consumes itself.
-    """
-    if omega0.grid != rho0.grid:
-        raise ValueError("initial fields must share a grid")
-    if sample_times is None:
-        sample_times = [params.t_final]
-    samples = _sample_times(sample_times, params.t_final)
-    g, kern = omega0.grid, omega0.grid._kernel
-
-    # builds a yielded tuple in a call of its own, so no frame that outlives the call
-    # binds it and a sample lives only as long as the consumer keeps it
-    def sample(t: float, what: np.ndarray, rhat: np.ndarray, stats: dict) -> tuple:
-        fo = ScalarField.from_spectrum(g, what)
-        fr = ScalarField.from_spectrum(g, rhat)
-        return t, fo, fr, {
-            "omega_l2": lp_norm(fo, 2.0),
-            "omega_sup": lp_norm(fo, np.inf),
-            "rho_l1": lp_norm(fr, 1.0),
-            "rho_sup": lp_norm(fr, np.inf),
-            "rho_l2": lp_norm(fr, 2.0),
-            "velocity_sup": float(np.max(np.hypot(*kern.velocity(what)))),
-            "gradv_sup": stats["gradv_sup"],
-            "gradv_sup_integral": stats["gradv_sup_integral"],
-            "gradrho_l2_integral": stats["gradrho_l2_integral"],
-            "circulation": float(what[0, 0].real) * g.dx**2,
-            "steps": stats["steps"],
-        }
-
-    return starmap(sample, _march(omega0, rho0, params, samples, record_every_step, track_gradients))
-
-
 def _sample_times(times, t_final: float) -> np.ndarray:
     """The distinct sample times in order; each must be finite and lie in [0, t_final], up to 1e-12."""
     samples = np.unique(np.asarray([float(t) for t in times], dtype=np.float64))
@@ -358,17 +299,31 @@ def run(
     record_every_step: bool = False,
     track_gradients: bool = True,
 ) -> RunResult:
-    """Collect the samples of ``march`` (same arguments) into a RunResult."""
-    diag = DiagnosticsRecord()
-    fields = []
-    for t, fo, fr, row in march(omega0, rho0, params, sample_times, record_every_step, track_gradients):
-        fields.append((fo, fr))
-        diag.times.append(t)
-        for name, value in row.items():
-            getattr(diag, name).append(value)
-    times = np.array(diag.times)
-    omega, rho = (TimeSeries(times, series) for series in zip(*fields))
-    return RunResult(omega=omega, rho=rho, diagnostics=diag, params=params)
+    """March the system to t_final and collect its samples, fields and diagnostics, into a RunResult.
+
+    sample_times defaults to [t_final], and the march lands on each exactly;
+    record_every_step samples every accepted step as well (dense output for
+    transport post-processing).  Gradient tracking adds the sup of grad v,
+    bitwise ``velocity_gradient_sup`` of the sample's omega, and the running
+    exponents of the adapted-norm bounds, at a few transforms per step.  A
+    sample's fields are built from a band state of ``_march``: full half
+    spectra (the band spread into zeros), values bitwise the full ``irfft2``.
+    """
+    if omega0.grid != rho0.grid:
+        raise ValueError("initial fields must share a grid")
+    samples = _sample_times([params.t_final] if sample_times is None else sample_times, params.t_final)
+    g, kern = omega0.grid, omega0.grid._kernel
+    diag, pairs = DiagnosticsRecord(), []
+    for t, what, rhat, stats in _march(omega0, rho0, params, samples, record_every_step, track_gradients):
+        fo, fr = ScalarField.from_spectrum(g, what), ScalarField.from_spectrum(g, rhat)
+        pairs.append((fo, fr))
+        row = (t, lp_norm(fo, 2.0), lp_norm(fo, np.inf), lp_norm(fr, 1.0), lp_norm(fr, np.inf), lp_norm(fr, 2.0),
+               float(np.max(np.hypot(*kern.velocity(what)))), stats["gradv_sup"], stats["gradv_sup_integral"],
+               stats["gradrho_l2_integral"], float(what[0, 0].real) * g.dx**2, stats["steps"])
+        for column, value in zip(fields(diag), row, strict=True):  # row in the record's column order
+            getattr(diag, column.name).append(value)
+    omega, rho = (TimeSeries(np.array(diag.times), series) for series in zip(*pairs))
+    return RunResult(omega=omega, rho=rho, diagnostics=diag)
 
 
 def good_unknown(omega: ScalarField, rho: ScalarField, mu: float) -> ScalarField:

@@ -276,13 +276,6 @@ class TestConormalNorm:
         base = conormal_norm(u, fam)
         assert abs(conormal_norm(u, scaled) - base) <= 1e-10 * base
 
-    def test_epsilon_override_matches_rebuilt_family(self, dd_fields):
-        u, _, x, _ = dd_fields
-        fam = VectorFieldFamily(members=(x,), epsilon=0.5)
-        rebuilt = VectorFieldFamily(members=(x,), epsilon=0.3)
-        assert conormal_norm(u, fam, epsilon=0.3) == conormal_norm(u, rebuilt)
-        assert conormal_norm(u, fam, epsilon=0.3) != conormal_norm(u, fam)
-
     def test_one_divergence_per_member(self, patch_env, monkeypatch):
         # each member's divergence serves both its Hoelder term and its directional derivative, and the
         # norm is bit for bit the one built from the public directional_derivative

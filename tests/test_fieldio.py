@@ -1,11 +1,11 @@
-"""Snapshot format round trips and corruption handling."""
+"""Snapshot format round trips and corruption handling; the CSV table writer."""
 
 import struct
 
 import numpy as np
 import pytest
 
-from strato.fieldio import read_snapshot, write_snapshot
+from strato.fieldio import read_snapshot, write_snapshot, write_table
 from strato.grid import GridSpec
 from conftest import random_field
 
@@ -76,3 +76,12 @@ def test_payload_nan_rejected(tmp_path, grid64):
     with pytest.raises(ValueError):
         read_snapshot(p)
 
+
+
+def test_table_cells_read_back_exactly(tmp_path):
+    # strings as they are, ints (numpy's too) as ints, every other number as the repr of its float; the
+    # missing directory is made
+    p = tmp_path / "new" / "t.csv"
+    write_table(p, ("q", "steps", "x"), [("disc", 3, 0.1), ("star", np.int64(4), np.float64(1.0) / 3.0),
+                                         ("a", 0, np.nan)])
+    assert p.read_text() == "q,steps,x\ndisc,3,0.1\nstar,4,0.3333333333333333\na,0,nan\n"

@@ -924,7 +924,13 @@ class TestCli:
         (json.dumps({**tiny_config_dict(), "sweep": {"mu": [1.0e-3], "sample_times": [0.01, 0.0100000000000001, 0.02]}}),
          "sample times must differ in 12 significant digits, got 0.01 and 0.0100000000000001"),
         (json.dumps({**tiny_config_dict(), "params": {"dt": 0.05}}), "missing key 't_final'"),
-        (json.dumps({**tiny_config_dict(), "grid": 64}), "'int' object is not subscriptable"),
+        (json.dumps({**tiny_config_dict(), "grid": 64}), "config section 'grid' must be an object, got 64"),
+        ("[]", "the top level of a config must be an object, got []"),
+        ('"grid"', "the top level of a config must be an object, got 'grid'"),
+        (json.dumps({**tiny_config_dict(), "sweep": []}), "config section 'sweep' must be an object, got []"),
+        (json.dumps({**tiny_config_dict(), "params": "ab"}), "config section 'params' must be an object, got 'ab'"),
+        (json.dumps({**tiny_config_dict(), "density": [1]}), "config section 'density' must be an object, got [1]"),
+        (json.dumps({**tiny_config_dict(), "output": None}), "config section 'output' must be an object, got None"),
         (json.dumps({**tiny_config_dict(), "ouput": {}}), "unknown config key 'ouput' at the top level"),
         (json.dumps({**tiny_config_dict(), "params": {"dt": 0.05, "t_final": 0.2, "kapa": 1.0}}),
          "unknown config key 'kapa' in section 'params'"),
@@ -1386,7 +1392,8 @@ class TestCli:
             assert digests[f"sweep-1/{name}"] == digests[f"sweep-2/{name}"] == digests[f"sweep-fields/{name}"]
         assert digests["sweep-1/manifest.json"] == digests["sweep-2/manifest.json"]
         assert {"conormal/conormal.csv", "simulate/diagnostics.csv", "simulate/omega_t0.02.slf",
-                "sweep-fields/omega_mu0.001_t0.02.slf", "besov/omega_t0.02-2.txt"} <= set(digests)
+                "sweep-fields/omega_mu0.001_t0.02.slf", "besov/omega_t0.02-2.txt", "rankine/vorticity.csv",
+                "rankine/velocity.csv", "fit/stdout.txt"} <= set(digests)
         # a sweep snapshot and the simulated one at the same viscosity are the same march sample
         assert digests["sweep-fields/omega_mu0.001_t0.02.slf"] == digests["simulate/omega_t0.02.slf"]
         assert list(tmp_path.iterdir()) == []  # every output went to the script's own temporary directory

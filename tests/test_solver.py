@@ -19,7 +19,6 @@ from strato.solver import (
     commutator_source,
     good_unknown,
     good_unknown_residual,
-    march,
     run,
 )
 from conftest import FullSpectrum, keep_mask, random_field
@@ -151,12 +150,9 @@ class TestInvariants:
         w0 = rasterize_patch(PatchSpec(kind="disc", radius=radius), grid)
         r0 = make_density(DensitySpec(kind="gaussian", amplitude=amplitude, width=width, center=center), grid)
         params = SimParams(mu=mu, dt=0.02, t_final=1.0)
-        trajectory = march(w0, r0, params, sample_times=[0.0, 1.0], record_every_step=True, track_gradients=False)
-        rows = [d for *_, d in trajectory]
-        assert len(rows) == 51
-        circ = np.array([d["circulation"] for d in rows])
-        rho_sup = np.array([d["rho_sup"] for d in rows])
-        rho_l2 = np.array([d["rho_l2"] for d in rows])
+        d = run(w0, r0, params, sample_times=[0.0, 1.0], record_every_step=True, track_gradients=False).diagnostics
+        assert len(d.times) == 51
+        circ, rho_sup, rho_l2 = np.array(d.circulation), np.array(d.rho_sup), np.array(d.rho_l2)
         assert np.abs(circ - circ[0]).max() / params.t_final <= 1e-10
         assert (rho_sup - rho_sup[0]).max() <= 1e-6
         assert np.all(np.diff(rho_l2) <= 1e-12 * rho_l2[0])
@@ -180,15 +176,7 @@ class TestStepping:
         params = SimParams(mu=0.01, dt=0.05, t_final=0.2)
         times = [0.0, 0.07, 0.2]
         res = run(w0, r0, params, sample_times=times, record_every_step=dense)
-        got = list(march(w0, r0, params, sample_times=times, record_every_step=dense))
-        assert [t for t, *_ in got] == res.diagnostics.times
-        for j, (_, fo, fr, row) in enumerate(got):
-            assert np.array_equal(fo.values, res.omega.fields[j].values)
-            assert np.array_equal(fo.half_spectrum, res.omega.fields[j].half_spectrum)
-            assert np.array_equal(fr.values, res.rho.fields[j].values)
-            for name, value in row.items():
-                assert value == getattr(res.diagnostics, name)[j], name
-        assert len(got) == (6 if dense else 3)
+        assert len(res.diagnostics.times) == len(res.omega) == (6 if dense else 3)
         # sampling every step does not change the trajectory
         other = run(w0, r0, params, sample_times=times, record_every_step=not dense)
         assert np.array_equal(other.omega.fields[-1].values, res.omega.fields[-1].values)
@@ -208,13 +196,14 @@ class TestStepping:
             if cached:
                 w0.half_spectrum, r0.half_spectrum
             taken.clear()
-            runs[cached] = list(march(w0, r0, params, sample_times=[0.0, 0.1]))
+            runs[cached] = run(w0, r0, params, sample_times=[0.0, 0.1])
             assert ("half_spectrum" in w0.__dict__, "half_spectrum" in r0.__dict__) == (cached, cached)
             from_values = [any(v is f.values for v in taken) for f in (w0, r0)]
             assert from_values == [not cached, not cached]
-        for (t, fo, fr, row), (t2, fo2, fr2, row2) in zip(runs[False], runs[True]):
-            assert t == t2 and row == row2
-            assert fo.values.tobytes() == fo2.values.tobytes() and fr.values.tobytes() == fr2.values.tobytes()
+        assert runs[False].diagnostics == runs[True].diagnostics
+        for a, b in ((runs[False].omega, runs[True].omega), (runs[False].rho, runs[True].rho)):
+            assert np.array_equal(a.times, b.times)
+            assert all(f.values.tobytes() == f2.values.tobytes() for f, f2 in zip(a.fields, b.fields, strict=True))
 
     @pytest.mark.parametrize("from_zero", [True, False])
     def test_step_builds_its_own_guard_velocity(self, from_zero, monkeypatch):
@@ -229,11 +218,11 @@ class TestStepping:
         monkeypatch.setattr(np, "hypot", lambda *args: hypots.append(args) or hypot(*args))
         params = SimParams(mu=0.01, dt=0.05, t_final=0.2)
         times = [0.0, 0.2] if from_zero else [0.2]
-        got = list(march(w0, r0, params, sample_times=times, record_every_step=True, track_gradients=False))
-        steps = got[-1][3]["steps"]
-        assert steps == 4 and len(got) == steps + from_zero
+        d = run(w0, r0, params, sample_times=times, record_every_step=True, track_gradients=False).diagnostics
+        steps = d.steps[-1]
+        assert steps == 4 and len(d.times) == steps + from_zero
         assert len(builds) == 4 * steps
-        assert len(hypots) == steps + len(got)
+        assert len(hypots) == steps + len(d.times)
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_gradv_sup_is_velocity_gradient_sup_bit_for_bit(self, grid64, dense):
@@ -241,10 +230,11 @@ class TestStepping:
         w0 = rasterize_patch(PatchSpec(kind="star", radius=1.0, amplitude=0.1, base_mode=5), grid64)
         r0 = make_density(DensitySpec(kind="gaussian", amplitude=0.1, width=1.0, center=(0.0, 0.5)), grid64)
         params = SimParams(mu=1e-3, dt=0.05, t_final=0.2)
-        got = list(march(w0, r0, params, sample_times=[0.0, 0.07, 0.2], record_every_step=dense))
-        assert got[0][0] == 0.0 and len(got) == (6 if dense else 3)
-        for t, fo, _, row in got:
-            assert row["gradv_sup"] == velocity_gradient_sup(fo), t
+        res = run(w0, r0, params, sample_times=[0.0, 0.07, 0.2], record_every_step=dense)
+        d = res.diagnostics
+        assert d.times[0] == 0.0 and len(d.times) == (6 if dense else 3)
+        for t, fo, gradv_sup in zip(d.times, res.omega.fields, d.gradv_sup, strict=True):
+            assert gradv_sup == velocity_gradient_sup(fo), t
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_cfl_velocity_is_gone_before_stage_two(self, grid64, monkeypatch, dense):
@@ -262,22 +252,22 @@ class TestStepping:
         monkeypatch.setattr(_Engine, "nonlinear", probe)
         w0, r0 = random_field(grid64, 6, band=4.0), random_field(grid64, 7, band=4.0)
         params = SimParams(mu=0.01, dt=0.05, t_final=0.2)
-        got = list(march(w0, r0, params, sample_times=[0.0, 0.07, 0.2], record_every_step=dense))
-        assert len(held) == 4 * got[-1][3]["steps"]
+        steps = run(w0, r0, params, sample_times=[0.0, 0.07, 0.2], record_every_step=dense).diagnostics.steps[-1]
+        assert len(held) == 4 * steps
         engine, kern = _Engine(grid64, params), grid64._kernel
         what, rhat = kern.cut(w0.half_spectrum), kern.cut(r0.half_spectrum)
         vmax = np.max(np.hypot(*engine.velocity(what)))
         engine.advance(what, rhat, 0.0, 1.5 * params.cfl_cap * grid64.dx / vmax)  # halved once
-        assert len(held) == 4 * got[-1][3]["steps"] + 8
+        assert len(held) == 4 * steps + 8
         assert not any(held)
 
     def test_march_checks_arguments_on_call(self, grid64, grid128):
         params = SimParams(mu=0.01, dt=0.05, t_final=0.1)
         w0 = random_field(grid64, 10, band=4.0)
         with pytest.raises(ValueError, match="finite"):
-            march(w0, zero_field(grid64), params, sample_times=[0.5])
+            run(w0, zero_field(grid64), params, sample_times=[0.5])
         with pytest.raises(ValueError, match="share a grid"):
-            march(w0, zero_field(grid128), params)
+            run(w0, zero_field(grid128), params)
 
     def test_cfl_halving_changes_substeps(self, grid64, monkeypatch):
         # a large-amplitude field forces the internal halving; the march
@@ -314,9 +304,9 @@ class TestStepping:
         monkeypatch.setattr(strato.solver, "_rk4", spy)
         w0 = ScalarField(grid64, 50.0 * random_field(grid64, 8, band=4.0).values)
         params = SimParams(mu=0.01, dt=0.1, t_final=0.1)
-        (*_, first), (*_, last) = march(w0, zero_field(grid64), params, sample_times=[0.0, 0.1])
-        assert first["velocity_sup"] * params.dt / grid64.dx > params.cfl_cap
-        assert stages == [0.1] and last["steps"] == 1
+        d = run(w0, zero_field(grid64), params, sample_times=[0.0, 0.1]).diagnostics
+        assert d.velocity_sup[0] * params.dt / grid64.dx > params.cfl_cap
+        assert stages == [0.1] and d.steps == [0, 1]
 
     def test_blowup_raises(self, grid64):
         w0 = ScalarField(grid64, 1e12 * random_field(grid64, 9, band=4.0).values)
